@@ -13,7 +13,6 @@ import json
 import logging
 import queue
 import threading
-import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -24,6 +23,7 @@ from .httpkit import (
     JsonHttpService,
     TransportError,
     bad_request,
+    deliver,
     not_found,
     request_json,
 )
@@ -41,8 +41,6 @@ from .sparql import (
 log = logging.getLogger(__name__)
 
 ENTITY_PREFIX = "urn:"
-FEEDBACK_ATTEMPTS = 3
-FEEDBACK_RETRY_DELAY = 0.1
 
 
 def _lexical(value: Any) -> str:
@@ -244,23 +242,14 @@ class Agent:
             ],
         }
         url = self.config.broker_url.rstrip("/") + "/ngsi10/updateContext"
-        for attempt in range(1, FEEDBACK_ATTEMPTS + 1):
-            try:
-                status, payload = request_json("POST", url, body=body)
-                if status == 200:
-                    return
-                log.warning("feed-back returned %s: %s", status, payload)
-            except TransportError as exc:
-                log.warning("feed-back attempt %d failed: %s", attempt, exc)
-            if attempt < FEEDBACK_ATTEMPTS:
-                time.sleep(FEEDBACK_RETRY_DELAY)
-        log.error("derived fact %s.%s dropped after %d attempts",
-                  entity_id, attribute, FEEDBACK_ATTEMPTS)
+        if not deliver(lambda: request_json("POST", url, body=body)):
+            log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
 
     # -- event loop -----------------------------------------------------------
 
     def on_notification(self, body: Any) -> None:
-        self.notifications += 1
+        with self._lock:
+            self.notifications += 1
         self._queue.put(body)
 
     def _loop(self) -> None:

@@ -11,10 +11,8 @@ is a GET with fu=1.
 from __future__ import annotations
 
 import logging
-import queue
 import re
 import threading
-import time
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -24,12 +22,15 @@ from .httpkit import (
     HttpRequest,
     HttpResponse,
     JsonHttpService,
-    TransportError,
+    KeyedWorkers,
     bad_request,
     conflict,
+    deliver,
+    get_json,
     method_not_allowed,
     not_found,
     post_json,
+    request_json,
 )
 from .rdf import Graph, NTriplesError, parse_ntriples, serialize_ntriples
 from .sparql import Query, SparqlSyntaxError, evaluate, parse_sparql
@@ -68,9 +69,6 @@ LEGAL_CHILDREN = {
     "SemanticDescriptor": set(),
     "Subscription": set(),
 }
-
-NOTIFY_ATTEMPTS = 3
-NOTIFY_RETRY_DELAY = 0.1
 
 _NAME_PATTERN = "[A-Za-z0-9_.~-]{1,64}"
 _NAME_RE = re.compile(_NAME_PATTERN)
@@ -162,10 +160,6 @@ class ResourceTree:
             if ri is None:
                 raise not_found(f"no such resource: {path}")
             return self._by_ri[ri]
-
-    def exists_ri(self, ri: str) -> bool:
-        with self._lock:
-            return ri in self._by_ri
 
     def _validate_payload(self, ty: str, body: dict) -> dict:
         if ty == "ContentInstance":
@@ -328,68 +322,27 @@ def discover(
 
 
 class NotificationDispatcher:
-    """One FIFO worker per subscription keeps per-subscription order;
-    failed deliveries retry a fixed number of times, then drop."""
+    """Sends notifications on one KeyedWorkers pool keyed by subscription
+    ri: each subscription gets them in creation order, and a slow one holds
+    up only its own. A send deliver() gives up on, 4xx included, is
+    dropped and logged."""
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._queues: dict[str, queue.Queue] = {}
-        self._threads: dict[str, threading.Thread] = {}
-        self._stopped: set[str] = set()
+        self._pool = KeyedWorkers()
 
     def submit(self, sub_ri: str, target_url: str, body: dict) -> None:
-        with self._lock:
-            if sub_ri in self._stopped:
-                return
-            q = self._queues.get(sub_ri)
-            if q is None:
-                q = queue.Queue()
-                self._queues[sub_ri] = q
-                thread = threading.Thread(
-                    target=self._worker, args=(sub_ri, q), daemon=True
-                )
-                self._threads[sub_ri] = thread
-                thread.start()
-            q.put((target_url, body))
+        self._pool.submit(sub_ri, self._send, sub_ri, target_url, body)
 
-    def _worker(self, sub_ri: str, q: queue.Queue) -> None:
-        while True:
-            item = q.get()
-            if item is None:
-                return
-            if sub_ri in self._stopped:
-                continue
-            target_url, body = item
-            for attempt in range(1, NOTIFY_ATTEMPTS + 1):
-                try:
-                    status, _ = post_json(target_url, body, timeout=5.0)
-                    if status < 500:
-                        break
-                except TransportError:
-                    status = None
-                if attempt < NOTIFY_ATTEMPTS:
-                    time.sleep(NOTIFY_RETRY_DELAY)
-            else:
-                log.error(
-                    "notification for subscription %s dropped after %d attempts",
-                    sub_ri, NOTIFY_ATTEMPTS,
-                )
+    def _send(self, sub_ri: str, target_url: str, body: dict) -> None:
+        if not deliver(lambda: post_json(target_url, body, timeout=5.0)):
+            log.error("notification for subscription %s dropped: delivery to %s failed",
+                      sub_ri, target_url)
 
     def cancel(self, sub_ri: str) -> None:
-        with self._lock:
-            self._stopped.add(sub_ri)
-            q = self._queues.get(sub_ri)
-        if q is not None:
-            q.put(None)
+        self._pool.cancel(sub_ri)
 
     def close(self) -> None:
-        with self._lock:
-            threads = list(self._threads.items())
-            self._stopped.update(self._threads)
-        for sub_ri, thread in threads:
-            self._queues[sub_ri].put(None)
-        for _, thread in threads:
-            thread.join(timeout=2)
+        self._pool.close()
 
 
 class CseService(JsonHttpService):
@@ -433,14 +386,10 @@ class CseService(JsonHttpService):
         parent = self.tree._by_ri.get(created.pi or "")
         if parent is None:
             return
-        body = {
-            "event": "childCreated",
-            "resource": created.to_json(),
-        }
+        resource = created.to_json()
         for sub in self.tree.subscriptions_on(parent):
-            payload = dict(body)
-            payload["subscriptionRef"] = sub.ri
-            self.dispatcher.submit(sub.ri, sub.payload["nu"], payload)
+            body = {"event": "childCreated", "resource": resource, "subscriptionRef": sub.ri}
+            self.dispatcher.submit(sub.ri, sub.payload["nu"], body)
 
     def _retrieve_or_discover(self, request: HttpRequest) -> HttpResponse:
         path = self._path_of(request)
@@ -492,8 +441,6 @@ class CseClient:
         self.base_url = base_url.rstrip("/")
 
     def create(self, parent_path: str, ty: str, body: dict) -> dict:
-        from .httpkit import request_json
-
         status, payload = request_json(
             "POST", self.base_url + parent_path, body=body,
             headers={"X-M2M-TY": str(TYPE_CODES[ty]), "Content-Type": "application/json"},
@@ -503,16 +450,12 @@ class CseClient:
         return payload
 
     def retrieve(self, path: str) -> dict:
-        from .httpkit import get_json
-
         status, payload = get_json(self.base_url + path)
         if status != 200:
             raise ValueError(f"retrieve {path} failed ({status}): {payload}")
         return payload
 
     def delete(self, path: str) -> None:
-        from .httpkit import request_json
-
         status, payload = request_json("DELETE", self.base_url + path)
         if status != 200:
             raise ValueError(f"delete {path} failed ({status}): {payload}")
@@ -524,8 +467,6 @@ class CseClient:
         labels: list[str] | None = None,
         semantic_filter: str | None = None,
     ) -> list[str]:
-        from .httpkit import get_json
-
         params: list[tuple[str, str]] = [("fu", "1")]
         if resource_type is not None:
             params.append(("ty", str(TYPE_CODES[resource_type])))

@@ -1,5 +1,7 @@
 """Small HTTP plumbing shared by every service: a threaded JSON-over-HTTP
-server with pattern routing, and a urllib-based client helper.
+server with pattern routing, a urllib-based client helper, and the push
+side every service shares: one retry policy (``deliver``) and one worker
+model (``KeyedWorkers``).
 
 Nothing here knows about the domain; each service registers routes and
 raises ApiError for protocol failures.
@@ -17,9 +19,10 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
+from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable
+from typing import Any, Callable, Hashable
 
 log = logging.getLogger(__name__)
 
@@ -319,3 +322,93 @@ def find_free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.bind((host, 0))
         return sock.getsockname()[1]
+
+
+# --- delivery ------------------------------------------------------------------
+
+DELIVERY_ATTEMPTS = 3
+DELIVERY_RETRY_DELAY = 0.1
+WORKER_THREADS = 8  # per pool; 8 hung peers stall it for attempts x timeout
+
+
+def deliver(send: Callable[[], tuple[int, Any]]) -> bool:
+    """The stack's one retry policy: ``send`` makes one attempt and returns
+    (status, payload). A transport error or 5xx is retried; a 2xx returns
+    True, any other status False at once. The caller logs the drop."""
+    for attempt in range(1, DELIVERY_ATTEMPTS + 1):
+        try:
+            status, _ = send()
+            if status < 500:
+                return 200 <= status < 300
+        except TransportError:
+            pass
+        if attempt < DELIVERY_ATTEMPTS:
+            time.sleep(DELIVERY_RETRY_DELAY)
+    return False
+
+
+class KeyedWorkers:
+    """At most WORKER_THREADS threads run the submitted tasks; tasks with
+    the same key run one at a time, in submit order, and distinct keys
+    take turns. Threads start on demand and live until close()."""
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._pending: dict[Hashable, deque] = {}  # queued or running keys
+        self._ready: deque = deque()  # keys with a task and none running
+        self._cancelled: set = set()
+        self._threads: list[threading.Thread] = []
+        self._closed = False
+
+    def submit(self, key: Hashable, fn: Callable, *args: Any) -> None:
+        with self._cond:
+            if self._closed or key in self._cancelled:
+                return
+            if key not in self._pending:
+                self._pending[key] = deque()
+                self._ready.append(key)
+                self._cond.notify()
+                if len(self._threads) < WORKER_THREADS:
+                    self._threads.append(threading.Thread(target=self._run, daemon=True))
+                    self._threads[-1].start()
+            self._pending[key].append((fn, args))
+
+    def _run(self) -> None:
+        while True:
+            with self._cond:
+                while not self._ready and not self._closed:
+                    self._cond.wait()
+                if self._closed:
+                    return
+                key = self._ready.popleft()
+                fn, args = self._pending[key].popleft()
+            try:
+                fn(*args)
+            except Exception:
+                log.exception("task for %r failed", key)
+            with self._cond:
+                if self._pending[key]:
+                    self._ready.append(key)
+                    self._cond.notify()
+                else:
+                    del self._pending[key]
+
+    def cancel(self, key: Hashable) -> None:
+        """Drop the key's queued tasks and ignore later submits for it."""
+        with self._cond:
+            self._cancelled.add(key)
+            if key in self._ready:  # queued, not running: forget it
+                self._ready.remove(key)
+                del self._pending[key]
+            elif key in self._pending:  # running: drop what waits behind
+                self._pending[key].clear()
+
+    def close(self) -> None:
+        """Drop every queued task; wait at most 2 s in all for running ones."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
+            threads = list(self._threads)
+        deadline = time.monotonic() + 2.0
+        for thread in threads:
+            thread.join(max(0.0, deadline - time.monotonic()))

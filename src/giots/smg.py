@@ -13,9 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-import queue
 import threading
-import time
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import Any, Callable
@@ -25,8 +23,10 @@ from .httpkit import (
     HttpRequest,
     HttpResponse,
     JsonHttpService,
+    KeyedWorkers,
     TransportError,
     bad_request,
+    deliver,
     request_json,
 )
 from .knowledge import KnowledgeClient
@@ -38,7 +38,7 @@ from .ngsi import (
     parse_patterns,
 )
 from .rdf import IRI, MED_NS, Graph, Literal, parse_ntriples, term_text
-from .sparql import evaluate, parse_sparql
+from .sparql import Query, evaluate, parse_sparql
 
 log = logging.getLogger(__name__)
 
@@ -53,8 +53,6 @@ MED_LOCATION = IRI(MED_NS + "location")
 ENTITY_URN_PREFIX = "urn:entity:"
 DEFAULT_VALUE_PATH = "/value"
 DEFAULT_RESCAN_MILLIS = 5000
-PUSH_ATTEMPTS = 3
-PUSH_RETRY_DELAY = 0.1
 
 SOURCE_FILTER = (
     f"PREFIX med: <{MED_NS}> ASK {{ ?s med:attributeName ?n }}"
@@ -187,6 +185,7 @@ class TransformationProcess:
     match_query: str
     conversion_id: str
     priority: int
+    query: Query = field(compare=False, repr=False)  # match_query, parsed once
 
     @staticmethod
     def from_json(obj: Any) -> "TransformationProcess":
@@ -207,10 +206,10 @@ class TransformationProcess:
             raise ValueError(f"process '{pid}': unknown conversion '{conversion_id}'")
         if not isinstance(priority, int) or isinstance(priority, bool):
             raise ValueError(f"process '{pid}': 'priority' must be an integer")
-        return TransformationProcess(pid, match_query, conversion_id, priority)
+        return TransformationProcess(pid, match_query, conversion_id, priority, query)
 
     def matches(self, descriptor: Graph) -> bool:
-        return evaluate(parse_sparql(self.match_query), descriptor) is True
+        return evaluate(self.query, descriptor) is True
 
 
 def select_process(
@@ -469,8 +468,10 @@ class GatewayConfig:
 class MediationGateway:
     """Runs the discover/select/instantiate/convert/publish pipeline.
 
-    One worker per instance preserves per-source ordering; the re-scan
-    loop picks up annotations added after startup.
+    Items are converted and published on one KeyedWorkers pool keyed by
+    instance id: per-source order, with threads that do not grow with the
+    sources. A push deliver() gives up on is dropped and logged. The
+    re-scan loop picks up annotations added after startup.
     """
 
     def __init__(self, config: GatewayConfig):
@@ -484,8 +485,7 @@ class MediationGateway:
         self._by_subscription: dict[str, TransformationInstance] = {}
         self._claimed: set[tuple[str, str]] = set()  # (container, subject)
         self._skipped: set[str] = set()  # containers with no matching process
-        self._queues: dict[str, queue.Queue] = {}
-        self._workers: dict[str, threading.Thread] = {}
+        self._pool = KeyedWorkers()
         self._counter = 0
         self._cache: dict[str, ContextEntity] = {}  # pull-mode context state
         self._stop = threading.Event()
@@ -587,13 +587,6 @@ class MediationGateway:
             self._claimed.add((container_path, target.subject))
             self._instances[instance_id] = instance
             self._by_subscription[sub["ri"]] = instance
-            q: queue.Queue = queue.Queue()
-            self._queues[instance_id] = q
-            worker = threading.Thread(
-                target=self._worker, args=(instance, q), daemon=True
-            )
-            self._workers[instance_id] = worker
-            worker.start()
         log.info(
             "instantiated %s: %s -> %s.%s via %s",
             instance_id, container_path, instance.target.entity_id,
@@ -629,21 +622,17 @@ class MediationGateway:
         resource = body.get("resource")
         if not isinstance(resource, dict):
             raise bad_request("notification lacks a 'resource'")
-        self._queues[instance.instance_id].put(resource)
+        self._pool.submit(instance.instance_id, self._convert, instance, resource)
 
-    def _worker(self, instance: TransformationInstance, q: queue.Queue) -> None:
-        while True:
-            resource = q.get()
-            if resource is None:
-                return
-            try:
-                update = self.build_update(instance, resource)
-            except (ExtractionError, ConversionError) as exc:
-                instance.items_dropped += 1
-                log.warning("%s: item dropped: %s", instance.instance_id, exc)
-                continue
-            self.publish(update)
-            instance.items_converted += 1
+    def _convert(self, instance: TransformationInstance, resource: dict) -> None:
+        try:
+            update = self.build_update(instance, resource)
+        except (ExtractionError, ConversionError) as exc:
+            instance.items_dropped += 1
+            log.warning("%s: item dropped: %s", instance.instance_id, exc)
+            return
+        self.publish(update)
+        instance.items_converted += 1
 
     def build_update(
         self, instance: TransformationInstance, resource: dict
@@ -677,17 +666,8 @@ class MediationGateway:
             return
         body = {"action": "APPEND", "entities": [update.to_json()]}
         url = self.config.broker_url.rstrip("/") + "/ngsi10/updateContext"
-        for attempt in range(1, PUSH_ATTEMPTS + 1):
-            try:
-                status, payload = request_json("POST", url, body=body)
-                if status == 200:
-                    return
-                log.warning("updateContext returned %s: %s", status, payload)
-            except TransportError as exc:
-                log.warning("updateContext attempt %d failed: %s", attempt, exc)
-            if attempt < PUSH_ATTEMPTS:
-                time.sleep(PUSH_RETRY_DELAY)
-        log.error("update for entity %s dropped after %d attempts", update.id, PUSH_ATTEMPTS)
+        if not deliver(lambda: request_json("POST", url, body=body)):
+            log.error("update for entity %s dropped: updateContext failed", update.id)
 
     # -- pull-mode provider endpoint ------------------------------------------
 
@@ -730,12 +710,7 @@ class MediationGateway:
         self._stop.set()
         if self._rescan_thread is not None:
             self._rescan_thread.join(timeout=2)
-        with self._lock:
-            workers = list(self._workers.items())
-        for instance_id, worker in workers:
-            self._queues[instance_id].put(None)
-        for _, worker in workers:
-            worker.join(timeout=2)
+        self._pool.close()
 
     def instances(self) -> list[TransformationInstance]:
         with self._lock:

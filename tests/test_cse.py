@@ -1,5 +1,6 @@
 """Resource tree CRUDN, discovery and childCreated notifications."""
 
+import socket
 import time
 
 import pytest
@@ -404,6 +405,23 @@ def test_delivery_gives_up_after_three_attempts_but_subscription_survives(
     client.create("/cse/app/c", "ContentInstance", {"rn": "m2", "con": 2})
     assert capture_server.wait_for(1)
     assert capture_server.delivered()[0]["resource"]["con"] == 2
+
+
+def test_a_hung_subscriber_does_not_hold_back_a_live_one(cse_server, capture_server):
+    # a listener that never accepts: each delivery to it waits out its timeout
+    hung = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    hung.bind(("127.0.0.1", 0))
+    hung.listen(16)
+    try:
+        client = _client(cse_server)
+        _notify_fixture(client, f"http://127.0.0.1:{hung.getsockname()[1]}/notify")
+        client.create("/cse/app/c", "Subscription", {"rn": "live", "nu": capture_server.url})
+        for i in range(5):
+            client.create("/cse/app/c", "ContentInstance", {"rn": f"m{i}", "con": i})
+        assert capture_server.wait_for(5, timeout=2.0)
+        assert [body["resource"]["con"] for body in capture_server.delivered()] == list(range(5))
+    finally:
+        hung.close()  # resets the pending connections, so shutdown stays quick
 
 
 def test_deleted_subscription_stops_notifying(cse_server, capture_server):

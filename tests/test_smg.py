@@ -2,6 +2,7 @@
 target resolution, and the end-to-end push and pull pipelines."""
 
 import math
+import threading
 import time
 from decimal import Decimal
 
@@ -9,7 +10,14 @@ import pytest
 
 from giots.broker import BrokerClient
 from giots.cse import CseClient
-from giots.httpkit import find_free_port, get_json, post_json, run_service, wait_healthy
+from giots.httpkit import (
+    WORKER_THREADS,
+    find_free_port,
+    get_json,
+    post_json,
+    run_service,
+    wait_healthy,
+)
 from giots.rdf import MED_NS, parse_ntriples
 from giots.smg import (
     ConversionError,
@@ -365,6 +373,28 @@ def test_push_pipeline_converts_and_publishes(cse_server, broker_server):
         assert instance["processId"] == "celsius-to-kelvin"
         assert instance["resolvedTarget"]["ngsiId"] == "room123"
         assert _poll(lambda: get_json(handle.url + "/stats")[1]["itemsConverted"] == 1)
+    finally:
+        handle.stop()
+
+
+def test_thread_count_stays_flat_as_the_gateway_adopts_a_fleet(cse_server, broker_server):
+    cse = CseClient(cse_server.url)
+    cse.create("/cse", "AE", {"rn": "fleet"})
+    names = [f"s{i:03d}" for i in range(100)]
+    for i, name in enumerate(names):
+        cse.create("/cse/fleet", "Container", {"rn": name})
+        descriptor = _descriptor(unit="celsius").replace("room123", f"room{i:03d}")
+        cse.create(f"/cse/fleet/{name}", "SemanticDescriptor", {"rn": "sem", "dsp": descriptor})
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    try:
+        before = threading.active_count()
+        assert gateway.scan_once() == len(names)
+        for name in names:
+            cse.create(f"/cse/fleet/{name}", "ContentInstance", {"rn": "cin1", "con": {"value": 1}})
+        broker = BrokerClient(broker_server.url)
+        assert _poll(lambda: len(broker.query([{"idPattern": "room.*"}])) == len(names), 20.0)
+        # one pool in the CSE and one in the gateway; request threads come and go
+        assert _poll(lambda: threading.active_count() - before <= 2 * WORKER_THREADS)
     finally:
         handle.stop()
 
