@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import threading
 from dataclasses import dataclass
 from typing import Any
@@ -21,6 +20,7 @@ from .httpkit import (
     HttpRequest,
     HttpResponse,
     JsonHttpService,
+    KeyedWorkers,
     TransportError,
     bad_request,
     deliver,
@@ -114,8 +114,9 @@ class AgentConfig:
 
 
 class Agent:
-    """Single event loop: notifications are queued, each batch updates
-    the view and triggers one rule pass."""
+    """Notifications wait in an inbox; one task at a time on a one-key
+    KeyedWorkers pool applies every waiting body to the view, then runs
+    one rule pass."""
 
     def __init__(self, config: AgentConfig, agent_url: str):
         self.config = config
@@ -127,8 +128,8 @@ class Agent:
         self._derived = Graph()
         self._self_derived: set[str] = set()  # attribute names we wrote back
         self._sent: set[tuple[str, str, str]] = set()  # (entity, attribute, value)
-        self._queue: queue.Queue = queue.Queue()
-        self._worker: threading.Thread | None = None
+        self._inbox: list = []  # notification bodies the next drain applies
+        self._pool = KeyedWorkers()
         self._subscription_id: str | None = None
         self.notifications = 0
         self.rule_passes = 0
@@ -192,8 +193,8 @@ class Agent:
         except ClosureLimitExceeded as exc:
             log.error("rule pass aborted: %s", exc)
             return []
-        self.rule_passes += 1
         with self._lock:
+            self.rule_passes += 1
             self._derived = derived
         new_facts = [t for t in derived if t not in view]
         self.feed_back(new_facts)
@@ -245,34 +246,23 @@ class Agent:
         if not deliver(lambda: request_json("POST", url, body=body)):
             log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
 
-    # -- event loop -----------------------------------------------------------
+    # -- notifications -----------------------------------------------------------
 
     def on_notification(self, body: Any) -> None:
         with self._lock:
             self.notifications += 1
-        self._queue.put(body)
+            if not self._inbox:  # else a queued drain will apply this body too
+                self._pool.submit("inbox", self._drain)
+            self._inbox.append(body)
 
-    def _loop(self) -> None:
-        while True:
-            body = self._queue.get()
-            if body is None:
-                return
-            batch = [body]
-            while True:
-                try:
-                    extra = self._queue.get_nowait()
-                except queue.Empty:
-                    break
-                if extra is None:
-                    return
-                batch.append(extra)
-            for item in batch:
-                self._apply_notification(item)
-            self.run_rule_pass()
+    def _drain(self) -> None:
+        with self._lock:
+            batch, self._inbox = self._inbox, []
+        for body in batch:
+            self._apply_notification(body)
+        self.run_rule_pass()
 
     def start(self) -> None:
-        self._worker = threading.Thread(target=self._loop, daemon=True)
-        self._worker.start()
         self._subscription_id = self.broker.subscribe(
             [p.to_json() for p in self.config.patterns],
             self.config.attributes or None,
@@ -287,10 +277,7 @@ class Agent:
             except (TransportError, ValueError) as exc:
                 log.warning("unsubscribe failed: %s", exc)
             self._subscription_id = None
-        if self._worker is not None:
-            self._queue.put(None)
-            self._worker.join(timeout=2)
-            self._worker = None
+        self._pool.close()
 
     # -- query endpoint -----------------------------------------------------------
 

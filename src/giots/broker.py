@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import threading
 import time
-import urllib.parse
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -20,10 +19,13 @@ from .httpkit import (
     HttpRequest,
     HttpResponse,
     JsonHttpService,
+    KeyedWorkers,
     TransportError,
     bad_request,
+    deliver,
     not_found,
     request_json,
+    valid_url,
 )
 from .knowledge import KnowledgeClient
 from .ngsi import (
@@ -39,13 +41,6 @@ log = logging.getLogger(__name__)
 
 HOP_HEADER = "X-GIOTS-Hop"
 PULL_TIMEOUT = 5.0
-
-
-def _valid_url(url: Any) -> bool:
-    if not isinstance(url, str):
-        return False
-    parsed = urllib.parse.urlparse(url)
-    return parsed.scheme in {"http", "https"} and bool(parsed.netloc)
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,7 @@ class Subscription:
     attributes: tuple[str, ...]  # empty = any attribute
     reference: str
     throttling_millis: int
-    pending: set[str] = field(default_factory=set)
-    timer: threading.Timer | None = None
+    pending: set[str] = field(default_factory=set)  # ids the next flush sends
     last_sent: float = 0.0
 
 
@@ -80,8 +74,11 @@ class ContextBroker:
     """In-memory context store plus registrations and subscriptions.
 
     All store mutations run under one lock; queries read a snapshot.
-    Notifications and provider pulls happen off the caller's critical
-    section.
+    Provider pulls happen off the caller's critical section. Notifications
+    go out on one KeyedWorkers pool keyed by subscription id, through
+    deliver(): each subscription gets them in order, at most one flush per
+    subscription is queued, and a throttled flush waits out its window on
+    its pool thread.
     """
 
     def __init__(self, is_subclass: Callable[[str, str], bool] | None = None):
@@ -92,7 +89,7 @@ class ContextBroker:
         self._reg_counter = 0
         self._sub_counter = 0
         self.is_subclass = is_subclass or (lambda sub, sup: sub == sup)
-        self._closed = False
+        self._pool = KeyedWorkers()
 
     # -- registrations ---------------------------------------------------
 
@@ -256,11 +253,9 @@ class ContextBroker:
 
     def unsubscribe(self, sub_id: str) -> None:
         with self._lock:
-            sub = self._subscriptions.pop(sub_id, None)
-        if sub is None:
-            raise LookupError(f"no subscription '{sub_id}'")
-        if sub.timer is not None:
-            sub.timer.cancel()
+            if self._subscriptions.pop(sub_id, None) is None:
+                raise LookupError(f"no subscription '{sub_id}'")
+        self._pool.cancel(sub_id)
 
     def _trigger_subscriptions(self, entity: ContextEntity, updated_names: set[str]) -> None:
         with self._lock:
@@ -276,24 +271,25 @@ class ContextBroker:
 
     def _schedule(self, sub: Subscription, entity_id: str) -> None:
         with self._lock:
-            if self._closed or sub.subscription_id not in self._subscriptions:
+            if sub.subscription_id not in self._subscriptions:
                 return
+            if not sub.pending:  # else a queued flush will send this id too
+                self._pool.submit(sub.subscription_id, self._flush, sub.subscription_id)
             sub.pending.add(entity_id)
-            if sub.timer is not None:
-                return
-            delay = max(0.0, sub.throttling_millis / 1000.0 - (time.monotonic() - sub.last_sent))
-            sub.timer = threading.Timer(delay, self._flush, args=(sub.subscription_id,))
-            sub.timer.daemon = True
-            sub.timer.start()
 
     def _flush(self, sub_id: str) -> None:
         with self._lock:
             sub = self._subscriptions.get(sub_id)
             if sub is None:
                 return
+            wait = sub.throttling_millis / 1000.0 - (time.monotonic() - sub.last_sent)
+        if wait > 0:
+            time.sleep(wait)
+        with self._lock:
+            if sub_id not in self._subscriptions:
+                return
             entity_ids = sorted(sub.pending)
             sub.pending.clear()
-            sub.timer = None
             sub.last_sent = time.monotonic()
             names = list(sub.attributes) or None
             entities = [
@@ -308,20 +304,11 @@ class ContextBroker:
             "subscriptionId": sub_id,
             "entities": [e.to_json() for e in entities],
         }
-        try:
-            status, _ = request_json("POST", reference, body=body, timeout=5.0)
-            if status >= 400:
-                log.warning("notifyContext to %s returned %s", reference, status)
-        except TransportError as exc:
-            log.warning("notifyContext to %s failed: %s", reference, exc)
+        if not deliver(lambda: request_json("POST", reference, body=body, timeout=5.0)):
+            log.warning("notifyContext for %s dropped: delivery to %s failed", sub_id, reference)
 
     def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            subs = list(self._subscriptions.values())
-        for sub in subs:
-            if sub.timer is not None:
-                sub.timer.cancel()
+        self._pool.close()
 
 
 class BrokerService(JsonHttpService):
@@ -366,7 +353,7 @@ class BrokerService(JsonHttpService):
         except ValueError as exc:
             raise bad_request(str(exc)) from exc
         providing = body.get("providingApplication")
-        if not _valid_url(providing):
+        if not valid_url(providing):
             raise bad_request("registerContext needs an absolute 'providingApplication' URL")
         reg_id = self.broker.register(patterns, attributes, providing)
         return HttpResponse(200, {"registrationId": reg_id})
@@ -423,7 +410,7 @@ class BrokerService(JsonHttpService):
         except ValueError as exc:
             raise bad_request(str(exc)) from exc
         reference = body.get("reference")
-        if not _valid_url(reference):
+        if not valid_url(reference):
             raise bad_request("subscribeContext needs an absolute 'reference' URL")
         throttling = body.get("throttlingMillis", 0)
         if not isinstance(throttling, int) or isinstance(throttling, bool) or throttling < 0:

@@ -31,6 +31,7 @@ from .httpkit import (
     not_found,
     post_json,
     request_json,
+    valid_url,
 )
 from .rdf import Graph, NTriplesError, parse_ntriples, serialize_ntriples
 from .sparql import Query, SparqlSyntaxError, evaluate, parse_sparql
@@ -76,13 +77,6 @@ _NAME_RE = re.compile(_NAME_PATTERN)
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
-
-
-def _valid_url(url: Any) -> bool:
-    if not isinstance(url, str):
-        return False
-    parsed = urllib.parse.urlparse(url)
-    return parsed.scheme in {"http", "https"} and bool(parsed.netloc)
 
 
 @dataclass
@@ -180,7 +174,7 @@ class ResourceTree:
             return {"graph": graph}
         if ty == "Subscription":
             nu = body.get("nu")
-            if not _valid_url(nu):
+            if not valid_url(nu):
                 raise bad_request("a Subscription needs an absolute http(s) 'nu' URL")
             return {"nu": nu}
         if ty == "Group":

@@ -318,6 +318,13 @@ def wait_healthy(base_url: str, timeout: float = 5.0) -> None:
         time.sleep(0.05)
 
 
+def valid_url(url: Any) -> bool:
+    if not isinstance(url, str):
+        return False
+    parsed = urllib.parse.urlparse(url)
+    return parsed.scheme in {"http", "https"} and bool(parsed.netloc)
+
+
 def find_free_port(host: str = "127.0.0.1") -> int:
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
         sock.bind((host, 0))
@@ -350,7 +357,8 @@ def deliver(send: Callable[[], tuple[int, Any]]) -> bool:
 class KeyedWorkers:
     """At most WORKER_THREADS threads run the submitted tasks; tasks with
     the same key run one at a time, in submit order, and distinct keys
-    take turns. Threads start on demand and live until close()."""
+    take turns. A thread starts only when ready keys outnumber idle
+    threads, so a one-key pool holds one; threads live until close()."""
 
     def __init__(self):
         self._cond = threading.Condition()
@@ -358,6 +366,7 @@ class KeyedWorkers:
         self._ready: deque = deque()  # keys with a task and none running
         self._cancelled: set = set()
         self._threads: list[threading.Thread] = []
+        self._idle = 0  # threads waiting for a ready key
         self._closed = False
 
     def submit(self, key: Hashable, fn: Callable, *args: Any) -> None:
@@ -368,7 +377,7 @@ class KeyedWorkers:
                 self._pending[key] = deque()
                 self._ready.append(key)
                 self._cond.notify()
-                if len(self._threads) < WORKER_THREADS:
+                if len(self._ready) > self._idle and len(self._threads) < WORKER_THREADS:
                     self._threads.append(threading.Thread(target=self._run, daemon=True))
                     self._threads[-1].start()
             self._pending[key].append((fn, args))
@@ -376,8 +385,10 @@ class KeyedWorkers:
     def _run(self) -> None:
         while True:
             with self._cond:
+                self._idle += 1
                 while not self._ready and not self._closed:
                     self._cond.wait()
+                self._idle -= 1
                 if self._closed:
                     return
                 key = self._ready.popleft()

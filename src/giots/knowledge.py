@@ -110,6 +110,7 @@ class KnowledgeClient:
         self._lock = threading.Lock()
         self._subclass_cache: dict[tuple[str, str], tuple[float, bool]] = {}
         self._expansion_cache: dict[str, tuple[float, list[str]]] = {}
+        self._classes_cache: tuple[float, set[str]] = (0.0, set())
 
     def is_subclass(self, sub: str, sup: str) -> bool:
         if sub == sup:
@@ -155,11 +156,20 @@ class KnowledgeClient:
         return list(expansion)
 
     def declared_class(self, cls: str) -> bool:
+        now = time.monotonic()
+        with self._lock:
+            expires, classes = self._classes_cache
+            if expires > now:
+                return cls in classes
         try:
             status, payload = get_json(f"{self.base_url}/classes")
         except TransportError:
             return False
-        return status == 200 and isinstance(payload, dict) and cls in (payload.get("classes") or [])
+        ok = status == 200 and isinstance(payload, dict)
+        classes = set(payload.get("classes") or []) if ok else set()
+        with self._lock:
+            self._classes_cache = (now + self.cache_ttl, classes)
+        return cls in classes
 
     def upload(self, ntriples: str, merge: bool = False) -> dict:
         url = f"{self.base_url}/ontology"

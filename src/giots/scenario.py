@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -361,26 +360,27 @@ class ScenarioRunner:
     # -- replay --------------------------------------------------------------
 
     def replay(self) -> None:
-        threads = []
-        for sensor in self.scenario.sensors:
-            thread = threading.Thread(target=self._replay_sensor, args=(sensor,))
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-
-    def _replay_sensor(self, sensor: Sensor) -> None:
+        """Creates every sensor's values in one time-ordered pass: value k
+        of a sensor is due k of its periods after the replay starts."""
         cse = CseClient(self.urls["cse"])
-        for index, value in enumerate(sensor.value_sequence):
+        sensors = self.scenario.sensors
+        timeline = sorted(
+            (index * sensor.period_millis / 1000.0, order, index)
+            for order, sensor in enumerate(sensors)
+            for index in range(len(sensor.value_sequence))
+        )
+        started = time.monotonic()
+        for due, order, index in timeline:
+            time.sleep(max(0.0, started + due - time.monotonic()))
+            sensor = sensors[order]
             try:
                 cse.create(
                     sensor.container_path, "ContentInstance",
-                    {"rn": f"{sensor.name}-{index:04d}", "con": {"value": value}},
+                    {"rn": f"{sensor.name}-{index:04d}",
+                     "con": {"value": sensor.value_sequence[index]}},
                 )
             except (TransportError, ValueError) as exc:
                 log.error("sensor '%s' item %d failed: %s", sensor.name, index, exc)
-            if sensor.period_millis:
-                time.sleep(sensor.period_millis / 1000.0)
 
     # -- assertions -------------------------------------------------------------
 

@@ -317,6 +317,70 @@ def test_throttling_coalesces_to_latest_state(broker_server, capture_server):
     assert bodies[1]["entities"][0]["attributes"][0]["value"] == 3
 
 
+class SlowFirstSubscriber:
+    """Takes 0.5 s over its first notification; records each notified
+    value when it has been handled, the order a subscriber's state follows."""
+
+    def __init__(self):
+        self.values: list = []
+        self.first_arrived = threading.Event()
+        self._lock = threading.Lock()
+        outer = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                length = int(self.headers.get("Content-Length") or 0)
+                body = json.loads(self.rfile.read(length))
+                if not outer.first_arrived.is_set():
+                    outer.first_arrived.set()
+                    time.sleep(0.5)
+                with outer._lock:
+                    outer.values.append(body["entities"][0]["attributes"][0]["value"])
+                self.send_response(200)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def log_message(self, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self._server.daemon_threads = True
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._thread.start()
+        self.url = f"http://127.0.0.1:{self._server.server_address[1]}"
+
+    def close(self):
+        self._server.shutdown()
+        self._server.server_close()
+
+
+def test_notifications_reach_a_slow_subscriber_in_order(broker_server):
+    subscriber = SlowFirstSubscriber()
+    try:
+        client = BrokerClient(broker_server.url)
+        client.subscribe([{"id": "room1"}], None, subscriber.url)
+        client.update("APPEND", [_entity("room1", 1)])
+        assert subscriber.first_arrived.wait(5)
+        client.update("APPEND", [_entity("room1", 2)])
+        deadline = time.monotonic() + 5
+        while len(subscriber.values) < 2 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert subscriber.values == [1, 2]
+    finally:
+        subscriber.close()
+
+
+def test_a_failed_notification_is_retried(broker_server, capture_server):
+    client = BrokerClient(broker_server.url)
+    client.subscribe([{"id": "room1"}], None, capture_server.url)
+    capture_server.fail_next(1)
+    client.update("APPEND", [_entity("room1", 7)])
+    assert capture_server.wait_for(1)
+    (body,) = capture_server.delivered()
+    assert body["entities"][0]["attributes"][0]["value"] == 7
+    assert capture_server.attempts() == 2
+
+
 def test_unsubscribe_stops_notifications(broker_server, capture_server):
     client = BrokerClient(broker_server.url)
     sub_id = client.subscribe([{"id": "room1"}], None, capture_server.url)

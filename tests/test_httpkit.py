@@ -1,11 +1,14 @@
 """The push side of httpkit: the one retry policy (deliver) and the keyed
 worker pool every service runs its deliveries on."""
 
+import ast
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import giots
 from giots.httpkit import (
     DELIVERY_RETRY_DELAY,
     WORKER_THREADS,
@@ -110,6 +113,21 @@ def test_thread_count_is_bounded_whatever_the_key_count():
         workers.close()
 
 
+def test_a_one_key_pool_holds_one_thread():
+    before = threading.active_count()
+    workers = KeyedWorkers()
+    done = []
+    try:
+        for index in range(50):
+            workers.submit("k", done.append, index)
+            assert _wait(lambda: len(done) == index + 1)
+            time.sleep(0.02)  # the worker is back to waiting before the next task
+        assert done == list(range(50))
+        assert threading.active_count() - before <= 1
+    finally:
+        workers.close()
+
+
 def test_a_failing_task_does_not_stop_its_key():
     workers = KeyedWorkers()
     done = threading.Event()
@@ -157,3 +175,45 @@ def test_close_returns_promptly_with_a_backlog_queued():
     workers.submit("after-close", ran.append, "late")
     time.sleep(0.1)
     assert len(ran) == count
+
+
+# --- one worker model ----------------------------------------------------------------
+
+# (module, enclosing function, constructor): the pool's and the HTTP server's
+# threads, and the gateway's rescan loop
+ALLOWED_CONSTRUCTIONS = {
+    ("httpkit.py", "submit", "Thread"),
+    ("httpkit.py", "__init__", "Thread"),
+    ("smg.py", "start", "Thread"),
+}
+
+
+class _Constructions(ast.NodeVisitor):
+    def __init__(self, module: str):
+        self.module = module
+        self.scope = "<module>"
+        self.found: set[tuple[str, str, str]] = set()
+
+    def visit_FunctionDef(self, node):
+        outer, self.scope = self.scope, node.name
+        self.generic_visit(node)
+        self.scope = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in {"Thread", "Timer", "Queue"}:
+            self.found.add((self.module, self.scope, name))
+        self.generic_visit(node)
+
+
+def test_background_work_runs_only_on_the_worker_model():
+    found = set()
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        visitor = _Constructions(path.name)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found |= visitor.found
+    assert ("httpkit.py", "submit", "Thread") in found  # the scan sees constructions
+    assert found - ALLOWED_CONSTRUCTIONS == set()

@@ -2,7 +2,8 @@
 
 import urllib.parse
 
-from giots.httpkit import get_json, post_json, request_json, run_service
+import giots.knowledge
+from giots.httpkit import TransportError, get_json, post_json, request_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
 
 ONT = "http://wise-iot.example/onto#"
@@ -139,6 +140,26 @@ def test_client_caches_positive_answers_until_ttl(knowledge_server):
     assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is True
     fresh = KnowledgeClient(knowledge_server.url, cache_ttl=60.0)
     assert fresh.is_subclass(ONT + "MeetingRoom", ONT + "Room") is False
+
+
+def test_client_fetches_the_class_list_once_per_ttl(knowledge_server, monkeypatch):
+    client = KnowledgeClient(knowledge_server.url, cache_ttl=60.0)
+    client.upload(MEETING_ROOM)
+    real = giots.knowledge.get_json
+    fetched = []
+
+    def refused_once(url, **kwargs):
+        fetched.append(url)
+        if len(fetched) == 1:
+            raise TransportError("connection refused")
+        return real(url, **kwargs)
+
+    monkeypatch.setattr(giots.knowledge, "get_json", refused_once)
+    assert client.declared_class(ONT + "Room") is False  # a transport error is not cached
+    for _ in range(5):
+        assert client.declared_class(ONT + "Room") is True
+        assert client.declared_class(ONT + "Nothing") is False
+    assert fetched == [knowledge_server.url + "/classes"] * 2
 
 
 def test_client_degrades_when_server_is_gone():
