@@ -29,7 +29,7 @@ from .httpkit import (
 )
 from .ngsi import ContextEntity, EntityPattern, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple
-from .rules import ClosureLimitExceeded, Rule, RuleBase, forward_chain, parse_rule_json
+from .rules import ClosureLimitExceeded, RuleBase, forward_chain, parse_rule_json
 from .sparql import (
     SparqlSyntaxError,
     binding_to_json,
@@ -133,6 +133,7 @@ class Agent:
         self._subscription_id: str | None = None
         self.notifications = 0
         self.rule_passes = 0
+        self.rule_passes_aborted = 0
 
     # -- view ------------------------------------------------------------
 
@@ -192,6 +193,8 @@ class Agent:
             derived = forward_chain(view, self.config.rules)
         except ClosureLimitExceeded as exc:
             log.error("rule pass aborted: %s", exc)
+            with self._lock:
+                self.rule_passes_aborted += 1
             return []
         with self._lock:
             self.rule_passes += 1
@@ -302,6 +305,7 @@ class Agent:
                 "viewTriples": len(self._values),
                 "derivedFactsSent": len(self._sent),
                 "rulePasses": self.rule_passes,
+                "rulePassesAborted": self.rule_passes_aborted,
                 "notifications": self.notifications,
             }
 

@@ -364,7 +364,7 @@ class KeyedWorkers:
         self._cond = threading.Condition()
         self._pending: dict[Hashable, deque] = {}  # queued or running keys
         self._ready: deque = deque()  # keys with a task and none running
-        self._cancelled: set = set()
+        self._cancelled: set = set()  # running keys whose later tasks are dropped
         self._threads: list[threading.Thread] = []
         self._idle = 0  # threads waiting for a ready key
         self._closed = False
@@ -403,16 +403,19 @@ class KeyedWorkers:
                     self._cond.notify()
                 else:
                     del self._pending[key]
+                    self._cancelled.discard(key)
 
     def cancel(self, key: Hashable) -> None:
-        """Drop the key's queued tasks and ignore later submits for it."""
+        """Drop the key's queued tasks. While one of its tasks is still
+        running, later submits for the key are dropped too; once it ends,
+        the key is forgotten, so cancelled keys do not pile up."""
         with self._cond:
-            self._cancelled.add(key)
             if key in self._ready:  # queued, not running: forget it
                 self._ready.remove(key)
                 del self._pending[key]
             elif key in self._pending:  # running: drop what waits behind
                 self._pending[key].clear()
+                self._cancelled.add(key)
 
     def close(self) -> None:
         """Drop every queued task; wait at most 2 s in all for running ones."""

@@ -189,13 +189,21 @@ def _binding_key(binding: dict[str, Term]) -> tuple:
 
 
 class Graph:
-    """An immutable set of triples."""
+    """An immutable set of triples.
 
-    __slots__ = ("_triples", "_sorted")
+    The first ``match`` builds subject, predicate and object hash indexes
+    (term -> triples, after Hexastore, Weiss, Karras & Bernstein, VLDB
+    2008). They are built into a local and assigned once, so threads
+    sharing a graph at worst build them twice and never see them half
+    built.
+    """
+
+    __slots__ = ("_triples", "_sorted", "_index")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self._triples: frozenset[Triple] = frozenset(triples)
         self._sorted: tuple[Triple, ...] | None = None
+        self._index: tuple[dict[Term, list[Triple]], ...] | None = None
 
     def triples(self) -> frozenset[Triple]:
         return self._triples
@@ -204,6 +212,18 @@ class Graph:
         if self._sorted is None:
             self._sorted = tuple(sorted(self._triples, key=Triple.text))
         return self._sorted
+
+    def _indexes(self) -> tuple[dict[Term, list[Triple]], ...]:
+        index = self._index
+        if index is None:
+            index = ({}, {}, {})
+            by_subject, by_predicate, by_object = index
+            for triple in self._triples:
+                by_subject.setdefault(triple.subject, []).append(triple)
+                by_predicate.setdefault(triple.predicate, []).append(triple)
+                by_object.setdefault(triple.object, []).append(triple)
+            self._index = index
+        return index
 
     def __len__(self) -> int:
         return len(self._triples)
@@ -242,11 +262,20 @@ class Graph:
         """All bindings under which the pattern unifies with a triple.
 
         Ground slots must equal the triple's term; a variable repeated
-        within the pattern must bind consistently. Result order is
+        within the pattern must bind consistently. Only the shortest index
+        list among the pattern's ground slots is unified (every triple
+        when all three slots are variables). Result order is
         deterministic (sorted by canonical binding text).
         """
+        candidates: Iterable[Triple] = self._triples
+        fewest = len(self._triples)
+        for slot, index in zip(pattern.slots(), self._indexes()):
+            if not isinstance(slot, Variable):
+                listed = index.get(slot, ())
+                if len(listed) < fewest:
+                    candidates, fewest = listed, len(listed)
         results = []
-        for triple in self._triples:
+        for triple in candidates:
             binding = _unify(pattern, triple)
             if binding is not None:
                 results.append(binding)

@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field
 
 from .rdf import Graph, Triple, TriplePattern, Variable
-from .sparql import FilterExpr, match_bgp, parse_filter, parse_pattern
+from .sparql import FilterExpr, eval_filter, join_bgp, match_bgp, parse_filter, parse_pattern
 
 log = logging.getLogger(__name__)
 
@@ -145,8 +145,28 @@ def _instantiate(pattern: TriplePattern, binding) -> Triple | None:
         return None
 
 
+def _fire(rule: Rule, graph: Graph, delta: Graph | None) -> list:
+    """The rule's body bindings over the graph. Given a delta, only those in
+    which at least one body pattern matched a triple of the delta: that
+    pattern is matched against the delta and the rest against the graph."""
+    if delta is None:
+        return match_bgp(graph, rule.body, rule.filters)
+    solutions = []
+    for index, pattern in enumerate(rule.body):
+        seeds = delta.match(pattern)
+        if seeds:
+            rest = rule.body[:index] + rule.body[index + 1:]
+            solutions += join_bgp(graph, rest, seeds)
+    return [b for b in solutions if all(eval_filter(f, b) for f in rule.filters)]
+
+
 def forward_chain(graph: Graph, rules: list[Rule] | RuleBase, limit: int = DERIVATION_LIMIT) -> Graph:
     """Apply rules to fixpoint; returns only the newly derived triples.
+
+    Semi-naive evaluation (Bancilhon & Ramakrishnan, SIGMOD 1986): the
+    first round fires every rule over the input; each later round fires
+    a rule only through bindings that use a triple derived in the round
+    before, since every other binding was already fired.
 
     Raises ClosureLimitExceeded once more than `limit` new triples have
     been derived, and ValueError for unsafe rules.
@@ -161,12 +181,11 @@ def forward_chain(graph: Graph, rules: list[Rule] | RuleBase, limit: int = DERIV
 
     known: set[Triple] = set(graph.triples())
     derived: set[Triple] = set()
-    changed = True
-    while changed:
-        changed = False
-        working = Graph(known)
+    working, delta = graph, None
+    while True:
+        fresh: set[Triple] = set()
         for rule in rules:
-            for binding in match_bgp(working, rule.body, rule.filters):
+            for binding in _fire(rule, working, delta):
                 for pattern in rule.head:
                     triple = _instantiate(pattern, binding)
                     if triple is None:
@@ -174,8 +193,10 @@ def forward_chain(graph: Graph, rules: list[Rule] | RuleBase, limit: int = DERIV
                         continue
                     if triple not in known:
                         known.add(triple)
+                        fresh.add(triple)
                         derived.add(triple)
-                        changed = True
                         if len(derived) > limit:
                             raise ClosureLimitExceeded(limit)
-    return Graph(derived)
+        if not fresh:
+            return Graph(derived)
+        working, delta = Graph(known), Graph(fresh)

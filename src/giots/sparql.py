@@ -29,7 +29,6 @@ from .rdf import (
     TriplePattern,
     Variable,
     _binding_key,
-    term_text,
 )
 
 XSD_INTEGER = XSD_NS + "integer"
@@ -514,12 +513,29 @@ def match_bgp(
 ) -> list[BindingSet]:
     """Join all patterns over the graph and keep solutions passing every filter.
 
-    Naive nested-loop join, most-selective (most ground slots) first. The
-    result is deterministic but not projected or deduplicated; `evaluate`
-    layers query semantics on top. Also reused by the rule engine.
+    An index nested-loop join (see :func:`join_bgp`). The result is
+    deterministic but not projected or deduplicated; `evaluate` layers
+    query semantics on top. Also reused by the rule engine.
+    """
+    solutions = join_bgp(graph, patterns, [{}])
+    if filters:
+        solutions = [b for b in solutions if all(eval_filter(f, b) for f in filters)]
+    return solutions
+
+
+def join_bgp(
+    graph: Graph,
+    patterns: tuple[TriplePattern, ...] | list[TriplePattern],
+    solutions: list[BindingSet],
+) -> list[BindingSet]:
+    """Extend each solution by every way the patterns match the graph.
+
+    Patterns are joined most-selective (most ground slots) first; each one
+    is substituted with a partial binding and looked up through the
+    graph's indexes by :meth:`Graph.match`, so a step costs the matches
+    found rather than a scan of the graph.
     """
     ordered = sorted(patterns, key=lambda p: (-_ground_count(p), p.text()))
-    solutions: list[BindingSet] = [{}]
     for pattern in ordered:
         next_solutions: list[BindingSet] = []
         for binding in solutions:
@@ -530,8 +546,6 @@ def match_bgp(
         solutions = next_solutions
         if not solutions:
             break
-    if filters:
-        solutions = [b for b in solutions if all(eval_filter(f, b) for f in filters)]
     return solutions
 
 

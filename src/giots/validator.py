@@ -17,8 +17,6 @@ from typing import Any, Iterable
 from .httpkit import HttpRequest, HttpResponse, JsonHttpService, bad_request
 from .ontology import (
     KNOWN_DATATYPES,
-    OWL_DISJOINT_WITH,
-    RDFS_DOMAIN,
     RDFS_RANGE,
     EMPTY_ONTOLOGY,
     Ontology,

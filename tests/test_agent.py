@@ -181,6 +181,20 @@ def test_self_derived_attributes_are_not_reingested(monkeypatch):
     assert (("room1", "occupied")) not in agent._values
 
 
+def test_a_pass_over_the_derivation_cap_is_counted_as_aborted(monkeypatch, caplog):
+    agent = _offline_agent()
+    sent = []
+    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    for i in range(1001):
+        agent._apply_notification(_notification(f"room{i}", "occupancy", 1))
+    assert agent.run_rule_pass() == []
+    assert "rule pass aborted" in caplog.text
+    stats = agent.stats()
+    assert stats["rulePassesAborted"] == 1
+    assert stats["rulePasses"] == 0
+    assert sent == []
+
+
 # --- end-to-end against a live broker ---------------------------------------------------
 
 

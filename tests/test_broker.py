@@ -9,9 +9,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from giots.broker import BrokerClient, BrokerService
+from giots.broker import BrokerClient, BrokerService, ContextBroker
 from giots.httpkit import get_json, post_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
+from giots.ngsi import EntityPattern
 
 from conftest import boot
 
@@ -392,6 +393,17 @@ def test_unsubscribe_stops_notifications(broker_server, capture_server):
         broker_server.url + "/ngsi10/unsubscribeContext", {"subscriptionId": sub_id}
     )
     assert status == 404
+
+
+def test_removed_subscriptions_leave_no_cancelled_keys_behind():
+    broker = ContextBroker()
+    try:
+        for _ in range(1000):
+            sub_id = broker.subscribe([EntityPattern(entity_id="room1")], None, "http://127.0.0.1:9/n", 0)
+            broker.unsubscribe(sub_id)
+        assert broker._pool._cancelled == set()
+    finally:
+        broker.close()
 
 
 def test_subscribe_validation(broker_server):

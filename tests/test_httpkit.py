@@ -156,6 +156,7 @@ def test_cancel_drops_queued_tasks_and_later_submits():
         assert other.wait(5)
         time.sleep(0.1)
         assert ran == []
+        assert workers._cancelled == set()  # forgotten once its last task ended
     finally:
         gate.set()
         workers.close()

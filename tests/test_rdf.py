@@ -3,8 +3,10 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from giots import rdf
+from giots.sparql import match_bgp
 from giots.rdf import (
     BlankNode,
     Graph,
@@ -256,6 +258,80 @@ def test_match_results_are_deterministically_ordered():
     results = graph.match(pattern)
     keys = [sorted((k, term_text(v)) for k, v in r.items()) for r in results]
     assert keys == sorted(keys)
+
+
+def _scan(graph, pattern):
+    """Reference: unify the pattern with every triple of the graph."""
+    results = []
+    for triple in graph.triples():
+        binding = {}
+        for slot, term in zip(pattern.slots(), (triple.subject, triple.predicate, triple.object)):
+            if isinstance(slot, Variable):
+                if binding.setdefault(slot.name, term) != term:
+                    break
+            elif slot != term:
+                break
+        else:
+            results.append(binding)
+    return sorted(results, key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
+
+
+# A few terms, so that random triples share subjects, predicates and objects.
+_nodes = [IRI("urn:a"), IRI("urn:b"), BlankNode("b1")]
+_predicates = [IRI("urn:p"), IRI("urn:q")]
+_values = [Literal("a"), Literal("1", datatype=XSD_INTEGER)]
+_small_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_nodes),
+        st.sampled_from(_predicates),
+        st.sampled_from(_nodes + _values),
+    ),
+    max_size=20,
+).map(Graph)
+_slots = st.sampled_from(
+    [Variable("x"), Variable("y"), Variable("z")] + _nodes + _predicates + _values
+)
+
+
+@given(_small_graphs, st.builds(TriplePattern, _slots, _slots, _slots))
+@example(Graph([_t(1), _t(2)]), TriplePattern(Variable("s"), Variable("p"), Variable("o")))
+@example(
+    Graph([Triple(IRI("urn:a"), IRI("urn:p"), IRI("urn:a")), Triple(IRI("urn:a"), IRI("urn:p"), IRI("urn:b"))]),
+    TriplePattern(Variable("x"), IRI("urn:p"), Variable("x")),
+)
+@example(Graph([_t(1)]), TriplePattern(Literal("a"), Variable("p"), Variable("o")))
+def test_indexed_match_equals_a_scan(graph, pattern):
+    assert graph.match(pattern) == _scan(graph, pattern)
+    assert graph.match(pattern) == _scan(graph, pattern)  # the indexes, now built
+
+
+def test_a_two_pattern_join_unifies_only_index_candidates(monkeypatch):
+    # 1 000 entities with a type and a value: the join unifies the 1 000
+    # value triples, then each entity's 2 triples found by subject; a scan
+    # of the graph per partial binding would make about 2 million calls
+    triples = []
+    for i in range(1000):
+        entity = IRI(f"urn:e{i}")
+        triples.append(Triple(entity, IRI("urn:type"), IRI(f"urn:T{i % 3}")))
+        triples.append(Triple(entity, IRI("urn:value"), Literal(str(i))))
+    graph = Graph(triples)
+    calls = 0
+    unify = rdf._unify
+
+    def counting(pattern, triple):
+        nonlocal calls
+        calls += 1
+        assert calls <= 5000, "Graph.match unified more triples than its indexes list"
+        return unify(pattern, triple)
+
+    monkeypatch.setattr(rdf, "_unify", counting)
+    patterns = [
+        TriplePattern(Variable("e"), IRI("urn:type"), Variable("t")),
+        TriplePattern(Variable("e"), IRI("urn:value"), Variable("v")),
+    ]
+    assert len(match_bgp(graph, patterns)) == 1000
+    assert calls <= 5000
 
 
 # --- round-trip property ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Rule parsing, safety checking and bounded forward chaining."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from giots.rdf import Graph, IRI, Literal, Triple, parse_ntriples
+from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, parse_ntriples
 from giots.rules import (
     ClosureLimitExceeded,
     DERIVATION_LIMIT,
@@ -12,6 +13,7 @@ from giots.rules import (
     forward_chain,
     parse_rule_json,
 )
+from giots.sparql import Comparison, eval_filter
 
 CTX = "http://wise-iot.example/context#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -202,3 +204,106 @@ def test_chaining_is_deterministic():
     )
     rule = parse_rule_json(OCCUPIED_RULE)
     assert forward_chain(facts, [rule]) == forward_chain(facts, [rule])
+
+
+# --- semi-naive chaining against a naive fixpoint ----------------------------------
+
+
+def _scan_join(triples, patterns, binding):
+    """Every extension of the binding under which all patterns match triples."""
+    if not patterns:
+        yield binding
+        return
+    first, rest = patterns[0], patterns[1:]
+    for triple in triples:
+        extended = dict(binding)
+        for slot, term in zip(first.slots(), (triple.subject, triple.predicate, triple.object)):
+            if isinstance(slot, Variable):
+                if extended.setdefault(slot.name, term) != term:
+                    break
+            elif slot != term:
+                break
+        else:
+            yield from _scan_join(triples, rest, extended)
+
+
+def _naive_closure(graph, rules, limit):
+    """Reference: fire every rule over every known fact until nothing is new."""
+    known = set(graph.triples())
+    derived = set()
+    while True:
+        fresh = set()
+        for rule in rules:
+            for binding in _scan_join(sorted(known, key=Triple.text), rule.body, {}):
+                if not all(eval_filter(f, binding) for f in rule.filters):
+                    continue
+                for pattern in rule.head:
+                    terms = [binding[s.name] if isinstance(s, Variable) else s for s in pattern.slots()]
+                    try:
+                        triple = Triple(*terms)
+                    except ValueError:
+                        continue
+                    if triple not in known:
+                        fresh.add(triple)
+        if not fresh:
+            return Graph(derived)
+        known |= fresh
+        derived |= fresh
+        if len(derived) > limit:
+            raise ClosureLimitExceeded(limit)
+
+
+_NODES = [IRI("urn:a"), IRI("urn:b"), IRI("urn:c"), IRI("urn:d")]
+_PREDICATES = [IRI("urn:p"), IRI("urn:q")]
+_VARIABLES = [Variable("x"), Variable("y"), Variable("z")]
+_small_graphs = st.lists(
+    st.builds(
+        Triple,
+        st.sampled_from(_NODES),
+        st.sampled_from(_PREDICATES),
+        st.sampled_from(_NODES + [Literal("1")]),
+    ),
+    max_size=10,
+).map(Graph)
+
+
+@st.composite
+def _rules(draw, rule_id):
+    slot = st.sampled_from(_VARIABLES + _NODES)
+    body = draw(st.lists(
+        st.builds(TriplePattern, slot, st.sampled_from(_PREDICATES + _VARIABLES[:1]), slot),
+        min_size=1, max_size=3,
+    ))
+    names = sorted(set().union(*(p.variables() for p in body)))
+    bound = st.sampled_from([Variable(n) for n in names] + _NODES)
+    head = draw(st.lists(
+        st.builds(TriplePattern, bound, st.sampled_from(_PREDICATES), bound), min_size=1, max_size=2,
+    ))
+    filters = ()
+    if len(names) > 1 and draw(st.booleans()):
+        filters = (Comparison("!=", Variable(names[0]), Variable(names[1])),)
+    return Rule(rule_id, tuple(body), tuple(head), filters)
+
+
+_TRANSITIVE = parse_rule_json(
+    {"ruleId": "transitive", "body": ["?x <urn:p> ?y", "?y <urn:p> ?z"], "head": ["?x <urn:p> ?z"]}
+)
+_CHAIN = Graph(Triple(IRI(f"urn:n{i}"), IRI("urn:p"), IRI(f"urn:n{i + 1}")) for i in range(11))
+
+
+@settings(deadline=None)
+@given(
+    _small_graphs,
+    st.integers(1, 3).flatmap(lambda n: st.tuples(*(_rules(f"r{i}") for i in range(n)))),
+    st.integers(0, 40),
+)
+@example(_CHAIN, (_TRANSITIVE,), 100)  # the closure takes four rounds
+@example(_CHAIN, (_TRANSITIVE,), 30)  # the cap is crossed in round three
+def test_semi_naive_chaining_equals_a_naive_fixpoint(graph, rules, limit):
+    try:
+        expected = _naive_closure(graph, rules, limit)
+    except ClosureLimitExceeded:
+        with pytest.raises(ClosureLimitExceeded):
+            forward_chain(graph, list(rules), limit)
+        return
+    assert forward_chain(graph, list(rules), limit) == expected
