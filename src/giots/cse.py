@@ -1,7 +1,7 @@
 """Common Service Entity: a hierarchical resource tree with CRUDN
 operations, labels, semantic descriptors, subscriptions that fire
 childCreated notifications for new content instances, and discovery
-with type, label and SPARQL descriptor filters.
+with type, label, modified-since and SPARQL descriptor filters.
 
 HTTP binding: resource paths map directly to URL paths under /cse,
 resource type on create travels in the X-M2M-TY header, and discovery
@@ -15,7 +15,7 @@ import re
 import threading
 import urllib.parse
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from typing import Any
 
 from .httpkit import (
@@ -73,10 +73,24 @@ LEGAL_CHILDREN = {
 
 _NAME_PATTERN = "[A-Za-z0-9_.~-]{1,64}"
 _NAME_RE = re.compile(_NAME_PATTERN)
+_TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S.%fZ"
+_TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z")
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+def _timestamp(after: str | None = None) -> str:
+    """Now, in ``ct``'s millisecond format; with ``after``, at least one
+    millisecond later than that stamp, so a resource's ``lt`` strictly
+    grows with every update."""
+    now = datetime.now(timezone.utc)
+    if after is not None:
+        now = max(now, _parse_timestamp(after) + timedelta(milliseconds=1))
+    return now.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
+
+
+def _parse_timestamp(text: str) -> datetime:
+    if not _TIMESTAMP_RE.fullmatch(text):
+        raise ValueError(f"'{text}' is not a timestamp like 2024-01-31T12:00:00.000Z")
+    return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
 @dataclass
@@ -86,6 +100,7 @@ class Resource:
     ty: str  # type name; wire representation uses the numeric code
     pi: str | None
     ct: str
+    lt: str  # lastModifiedTime: ct until the first update
     path: str
     lbl: list[str] = field(default_factory=list)
     payload: dict[str, Any] = field(default_factory=dict)  # per-type extras
@@ -96,6 +111,7 @@ class Resource:
             "ri": self.ri,
             "ty": TYPE_CODES[self.ty],
             "ct": self.ct,
+            "lt": self.lt,
             "lbl": list(self.lbl),
             "pi": self.pi,
         }
@@ -137,9 +153,10 @@ class ResourceTree:
         self._counter += 1
         ri = f"{ID_PREFIXES[ty]}-{self._counter:05d}"
         path = f"{parent.path}/{rn}" if parent else f"/{rn}"
+        created = _timestamp()
         resource = Resource(
-            ri=ri, rn=rn, ty=ty, pi=parent.ri if parent else None, ct=_timestamp(),
-            path=path, lbl=lbl, payload=payload,
+            ri=ri, rn=rn, ty=ty, pi=parent.ri if parent else None, ct=created,
+            lt=created, path=path, lbl=lbl, payload=payload,
         )
         self._by_ri[ri] = resource
         self._by_path[path] = ri
@@ -232,6 +249,7 @@ class ResourceTree:
             payload_part = {k: v for k, v in body.items() if k != "lbl"}
             if payload_part:
                 resource.payload.update(self._validate_payload(resource.ty, payload_part))
+            resource.lt = _timestamp(after=resource.lt)
             return resource
 
     def delete(self, path: str) -> list[Resource]:
@@ -293,10 +311,13 @@ def discover(
     resource_type: str | None = None,
     labels: list[str] | None = None,
     semantic_filter: str | None = None,
+    modified_since: str | None = None,
 ) -> list[str]:
     """Structured paths of all descendants of root that pass every given
-    filter; label filter matches any-of; the semantic filter succeeds on
-    candidates whose descriptor child satisfies the query."""
+    filter; label filter matches any-of; ``modified_since`` (a timestamp in
+    ``ct``'s format) keeps candidates whose ``lt`` is at or after it; the
+    semantic filter succeeds on candidates whose descriptor child satisfies
+    the query."""
     root = tree.lookup(root_path)
     query = None
     if semantic_filter is not None:
@@ -306,6 +327,8 @@ def discover(
         if resource_type is not None and candidate.ty != resource_type:
             continue
         if labels and not (set(labels) & set(candidate.lbl)):
+            continue
+        if modified_since is not None and candidate.lt < modified_since:
             continue
         if query is not None:
             graph = tree.descriptor_graph(candidate)
@@ -401,12 +424,19 @@ class CseService(JsonHttpService):
                 raise bad_request(f"unknown resource type code '{raw_ty}'") from None
         labels = request.query.get("lbl") or []
         smf = request.query_first("smf")
+        ms = request.query_first("ms")
+        if ms is not None:
+            try:
+                _parse_timestamp(ms)  # ct's exact format, so string order is time order
+            except ValueError as exc:
+                raise bad_request(f"invalid modifiedSince: {exc}") from exc
         try:
             paths = discover(
                 self.tree, path,
                 resource_type=resource_type,
                 labels=labels,
                 semantic_filter=smf,
+                modified_since=ms,
             )
         except SparqlSyntaxError as exc:
             raise bad_request(f"invalid semantic filter: {exc}") from exc
@@ -460,7 +490,10 @@ class CseClient:
         resource_type: str | None = None,
         labels: list[str] | None = None,
         semantic_filter: str | None = None,
+        modified_since: str | None = None,
     ) -> list[str]:
+        """Paths under root_path that pass every given filter (see the
+        module-level discover); ``modified_since`` travels as ``ms``."""
         params: list[tuple[str, str]] = [("fu", "1")]
         if resource_type is not None:
             params.append(("ty", str(TYPE_CODES[resource_type])))
@@ -468,6 +501,8 @@ class CseClient:
             params.append(("lbl", label))
         if semantic_filter is not None:
             params.append(("smf", semantic_filter))
+        if modified_since is not None:
+            params.append(("ms", modified_since))
         url = self.base_url + root_path + "?" + urllib.parse.urlencode(params)
         status, payload = get_json(url)
         if status != 200:

@@ -471,7 +471,9 @@ class MediationGateway:
     Items are converted and published on one KeyedWorkers pool keyed by
     instance id: per-source order, with threads that do not grow with the
     sources. A push deliver() gives up on is dropped and logged. The
-    re-scan loop picks up annotations added after startup.
+    re-scan loop picks up annotations added or changed after startup; a
+    rescan costs two CSE listings plus one retrieve per source that is new,
+    not yet settled or whose descriptor changed (see scan_once).
     """
 
     def __init__(self, config: GatewayConfig):
@@ -484,7 +486,10 @@ class MediationGateway:
         self._instances: dict[str, TransformationInstance] = {}
         self._by_subscription: dict[str, TransformationInstance] = {}
         self._claimed: set[tuple[str, str]] = set()  # (container, subject)
-        self._skipped: set[str] = set()  # containers with no matching process
+        self._descriptors: dict[str, str] = {}  # parent path -> its descriptor's path
+        self._versions: dict[str, str] = {}  # container -> lt of the descriptor last processed
+        self._settled: set[str] = set()  # containers with nothing to do until lt changes
+        self._since: str | None = None  # ms of the next descriptor listing
         self._pool = KeyedWorkers()
         self._counter = 0
         self._cache: dict[str, ContextEntity] = {}  # pull-mode context state
@@ -495,23 +500,64 @@ class MediationGateway:
     # -- pipeline steps ----------------------------------------------------
 
     def discover_sources(self) -> list[tuple[str, Graph]]:
+        """The sources that need work, each with its parsed descriptor: new
+        ones, unsettled ones, and those whose descriptor's lt differs from
+        the one last processed.
+
+        Two listings under rootPath: the annotated source containers, and
+        the semantic descriptors modified since the watermark (all of them
+        on the first call). Only unsettled or listed sources are retrieved;
+        one that cannot be (its descriptor was just deleted) is left for
+        the next scan.
+        """
+        root = self.config.root_path
         paths = self.cse.discover(
-            self.config.root_path,
-            resource_type="Container",
-            semantic_filter=SOURCE_FILTER,
+            root, resource_type="Container", semantic_filter=SOURCE_FILTER
         )
+        changed = set()
+        for path in self.cse.discover(
+            root, resource_type="SemanticDescriptor", modified_since=self._since
+        ):
+            parent = path.rpartition("/")[0]
+            self._descriptors[parent] = path
+            changed.add(parent)
+        since = self._since
         sources = []
         for path in paths:
-            descriptor_paths = self.cse.discover(path, resource_type="SemanticDescriptor")
-            direct = [p for p in descriptor_paths if p.rpartition("/")[0] == path]
-            if not direct:
+            descriptor_path = self._descriptors.get(path)
+            if descriptor_path is None or (path in self._settled and path not in changed):
                 continue
-            resource = self.cse.retrieve(direct[0])
+            try:
+                resource = self.cse.retrieve(descriptor_path)
+            except ValueError as exc:
+                log.warning("source %s left for the next scan: %s", path, exc)
+                continue
+            lt = resource["lt"]
+            unchanged = lt == self._versions.get(path)
+            # The watermark may only move to an lt that predates this scan's
+            # listing, or a change made during the scan would never be listed.
+            # That holds for an lt already read by an earlier scan, and for a
+            # listed descriptor never modified since its creation.
+            if unchanged or (path in changed and lt == resource["ct"]):
+                since = lt if since is None else max(since, lt)
+            if unchanged and path in self._settled:
+                continue
+            self._versions[path] = lt
+            self._settled.discard(path)
             sources.append((path, parse_ntriples(resource["dsp"])))
+        self._since = since
         return sources
 
     def scan_once(self) -> int:
-        """One discovery pass; returns the number of new instances."""
+        """One discovery pass; returns the number of new instances.
+
+        A source is settled once every target is claimed, or when its
+        outcome cannot change until its descriptor does (no process matches,
+        or its targets do not resolve); a settled source costs no request
+        until its descriptor's lt changes. A transient failure (the CSE or
+        the broker unreachable, a subscription or a registration refused)
+        leaves the source unsettled, so the next scan tries it again.
+        """
         try:
             sources = self.discover_sources()
         except (TransportError, ValueError) as exc:
@@ -520,23 +566,27 @@ class MediationGateway:
         self.scans += 1
         created = 0
         for container_path, descriptor in sources:
-            created += self._adopt_source(container_path, descriptor)
+            added, settled = self._adopt_source(container_path, descriptor)
+            created += added
+            if settled:
+                self._settled.add(container_path)
         return created
 
-    def _adopt_source(self, container_path: str, descriptor: Graph) -> int:
+    def _adopt_source(self, container_path: str, descriptor: Graph) -> tuple[int, bool]:
+        """Instantiates the source's unclaimed targets; returns how many,
+        and whether the source is settled."""
         try:
             process = select_process(descriptor, self.config.processes)
         except NoProcessFound:
-            if container_path not in self._skipped:
-                self._skipped.add(container_path)
-                log.warning("no process matches %s; source skipped", container_path)
-            return 0
+            log.warning("no process matches %s; source skipped", container_path)
+            return 0, True
         try:
             targets = resolve_targets(descriptor, container_path, self.knowledge)
         except ReasoningFailed as exc:
             log.warning("cannot resolve targets for %s: %s", container_path, exc)
-            return 0
+            return 0, True
         created = 0
+        settled = True
         for target in targets:
             key = (container_path, target.subject)
             with self._lock:
@@ -546,8 +596,9 @@ class MediationGateway:
                 self._instantiate(container_path, process, target)
                 created += 1
             except (SubscriptionFailed, ValueError) as exc:
+                settled = False
                 log.warning("cannot instantiate %s for %s: %s", key, container_path, exc)
-        return created
+        return created, settled
 
     def _instantiate(
         self, container_path: str, process: TransformationProcess, target: ResolvedTarget
@@ -566,10 +617,11 @@ class MediationGateway:
         with self._lock:
             self._counter += 1
             instance_id = f"ti-{self._counter:05d}"
+        sub_name = f"smg-{instance_id}"
         try:
             sub = self.cse.create(
                 container_path, "Subscription",
-                {"rn": f"smg-{instance_id}", "nu": self.config.gateway_url + "/notify"},
+                {"rn": sub_name, "nu": self.config.gateway_url + "/notify"},
             )
         except (TransportError, ValueError) as exc:
             raise SubscriptionFailed(str(exc)) from exc
@@ -582,7 +634,15 @@ class MediationGateway:
             subscription_ri=sub["ri"],
         )
         if self.config.mode == "pull":
-            self._register_provider(instance)
+            try:
+                self._register_provider(instance)
+            except SubscriptionFailed:
+                # an orphan would notify on every reading, each one dropped
+                try:
+                    self.cse.delete(f"{container_path}/{sub_name}")
+                except (TransportError, ValueError) as exc:
+                    log.warning("cannot delete subscription %s: %s", sub["ri"], exc)
+                raise
         with self._lock:
             self._claimed.add((container_path, target.subject))
             self._instances[instance_id] = instance
@@ -602,9 +662,12 @@ class MediationGateway:
             "attributes": [instance.target.attribute_name],
             "providingApplication": self.config.gateway_url,
         }
-        status, payload = request_json(
-            "POST", self.config.broker_url.rstrip("/") + "/ngsi9/registerContext", body=body
-        )
+        try:
+            status, payload = request_json(
+                "POST", self.config.broker_url.rstrip("/") + "/ngsi9/registerContext", body=body
+            )
+        except TransportError as exc:
+            raise SubscriptionFailed(f"registerContext failed: {exc}") from exc
         if status != 200:
             raise SubscriptionFailed(f"registerContext failed ({status}): {payload}")
 

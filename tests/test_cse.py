@@ -1,11 +1,14 @@
 """Resource tree CRUDN, discovery and childCreated notifications."""
 
+import random
 import socket
 import time
+import urllib.parse
+from datetime import datetime
 
 import pytest
 
-from giots.cse import CSE_BASE_NAME, CseClient, TYPE_CODES
+from giots.cse import CSE_BASE_NAME, CseClient, ResourceTree, TYPE_CODES, discover
 from giots.httpkit import get_json, request_json
 
 ONT = "http://wise-iot.example/onto#"
@@ -325,6 +328,98 @@ def test_discovery_reflects_descriptor_updates(cse_server):
     )
     found = client.discover("/cse", resource_type="Container", semantic_filter=ASK_CELSIUS)
     assert found == ["/cse/app/room1", "/cse/app/room2"]
+
+
+# --- lastModifiedTime and modifiedSince ----------------------------------------------------
+
+
+def _stamp(text: str) -> datetime:
+    return datetime.strptime(text, "%Y-%m-%dT%H:%M:%S.%fZ")
+
+
+def test_last_modified_time_starts_at_creation_and_moves_on_every_update(cse_server):
+    client = _client(cse_server)
+    app = client.create("/cse", "AE", {"rn": "app"})
+    assert app["lt"] == app["ct"]
+    container = client.create("/cse/app", "Container", {"rn": "c"})
+    descriptor = client.create(
+        "/cse/app/c", "SemanticDescriptor", {"rn": "d", "dsp": CELSIUS_DESCRIPTOR}
+    )
+    assert descriptor["lt"] == descriptor["ct"]
+    # creating a child leaves its parent's lt alone
+    assert client.retrieve("/cse/app")["lt"] == app["lt"]
+    assert client.retrieve("/cse/app/c")["lt"] == container["lt"]
+    # updates in the same millisecond still move lt forward
+    status, changed = request_json(
+        "PUT", cse_server.url + "/cse/app/c/d", body={"dsp": FAHRENHEIT_DESCRIPTOR}
+    )
+    assert status == 200
+    assert changed["ct"] == descriptor["ct"]
+    assert _stamp(changed["lt"]) > _stamp(descriptor["lt"])
+    status, relabelled = request_json("PUT", cse_server.url + "/cse/app/c/d", body={"lbl": ["x"]})
+    assert status == 200
+    assert _stamp(relabelled["lt"]) > _stamp(changed["lt"])
+    assert client.retrieve("/cse/app/c/d")["lt"] == relabelled["lt"]
+    # a refused update changes nothing
+    status, _ = request_json("PUT", cse_server.url + "/cse/app/c/d", body={"dsp": "<broken"})
+    assert status == 400
+    assert client.retrieve("/cse/app/c/d")["lt"] == relabelled["lt"]
+
+
+def _random_tree(seed: int) -> ResourceTree:
+    rng = random.Random(seed)
+    tree = ResourceTree()
+    parents = [tree.base_path]
+    for i in range(60):
+        roll = rng.random()
+        if roll < 0.1:
+            time.sleep(0.002)  # spread the stamps over a few milliseconds
+        elif roll < 0.3 and len(parents) > 1:
+            tree.update(rng.choice(parents[1:]), {"lbl": [f"v{i}"]})
+        else:
+            parent = rng.choice(parents)
+            ty = "AE" if parent == tree.base_path else "Container"
+            parents.append(tree.create(parent, ty, {"rn": f"r{i}"}).path)
+    return tree
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_discover_modified_since_agrees_with_a_filter_on_lt(seed):
+    tree = _random_tree(seed)
+    every = [tree.lookup(path) for path in discover(tree, "/cse")]
+    stamps = sorted({r.lt for r in every} | {r.ct for r in every})
+    assert len(stamps) > 1
+    for since in ["2000-01-01T00:00:00.000Z", *stamps, "2999-01-01T00:00:00.000Z"]:
+        expected = sorted(r.path for r in every if _stamp(r.to_json()["lt"]) >= _stamp(since))
+        assert discover(tree, "/cse", modified_since=since) == expected
+        containers = [p for p in expected if tree.lookup(p).ty == "Container"]
+        assert discover(tree, "/cse", "Container", modified_since=since) == containers
+
+
+def test_discover_modified_since_over_http(cse_server):
+    client = _client(cse_server)
+    _discovery_fixture(client)
+    first = client.retrieve("/cse/app/room1/d")["lt"]
+    request_json("PUT", cse_server.url + "/cse/app/room1/d", body={"dsp": FAHRENHEIT_DESCRIPTOR})
+    changed = client.retrieve("/cse/app/room1/d")["lt"]
+    assert client.discover(
+        "/cse", resource_type="SemanticDescriptor", modified_since=changed
+    ) == ["/cse/app/room1/d"]
+    assert client.discover(
+        "/cse", resource_type="SemanticDescriptor", modified_since=first
+    ) == ["/cse/app/room1/d", "/cse/app/room2/d"]
+
+
+@pytest.mark.parametrize(
+    "bad",
+    ["yesterday", "2024-01-31T12:00:00Z", "2024-13-31T12:00:00.000Z", "2024-01-31 12:00:00.000Z"],
+)
+def test_discover_rejects_a_malformed_modified_since(cse_server, bad):
+    status, payload = get_json(
+        cse_server.url + "/cse?" + urllib.parse.urlencode({"fu": "1", "ms": bad})
+    )
+    assert status == 400
+    assert "invalid modifiedSince" in payload["message"]
 
 
 # --- notifications -------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Mediation gateway: conversion routines, process selection, descriptor
 target resolution, and the end-to-end push and pull pipelines."""
 
+import logging
 import math
 import threading
 import time
@@ -8,13 +9,16 @@ from decimal import Decimal
 
 import pytest
 
-from giots.broker import BrokerClient
+from giots import smg
+from giots.broker import BrokerClient, BrokerService
 from giots.cse import CseClient
 from giots.httpkit import (
     WORKER_THREADS,
+    TransportError,
     find_free_port,
     get_json,
     post_json,
+    request_json,
     run_service,
     wait_healthy,
 )
@@ -64,6 +68,14 @@ def _descriptor(unit=None, extra=""):
     if extra:
         lines.append(extra)
     return "\n".join(lines) + "\n"
+
+
+_HUMIDITY_SUBJECT = (
+    f"<urn:src:extra> <{MED_NS}describesEntity> <urn:entity:room123> .\n"
+    f"<urn:src:extra> <{MED_NS}entityType> <{ONT}MeetingRoom> .\n"
+    f'<urn:src:extra> <{MED_NS}attributeName> "humidity" .\n'
+    f'<urn:src:extra> <{MED_NS}valuePath> "/hum" .\n'
+)
 
 
 def _poll(condition, timeout=5.0):
@@ -350,6 +362,47 @@ def _seed_container(cse_url, descriptor_text, rn="room1"):
     return client, f"/cse/app/{rn}"
 
 
+def _seed_fleet(cse_url, count):
+    cse = CseClient(cse_url)
+    cse.create("/cse", "AE", {"rn": "fleet"})
+    names = [f"s{i:03d}" for i in range(count)]
+    for i, name in enumerate(names):
+        cse.create("/cse/fleet", "Container", {"rn": name})
+        descriptor = _descriptor(unit="celsius").replace("room123", f"room{i:03d}")
+        cse.create(f"/cse/fleet/{name}", "SemanticDescriptor", {"rn": "sem", "dsp": descriptor})
+    return cse, names
+
+
+class _RecordingCse(CseClient):
+    """Records each request the gateway makes to the CSE; ``before(op,
+    path)`` runs first and may raise or change the tree to inject a fault."""
+
+    def __init__(self, base_url):
+        super().__init__(base_url)
+        self.calls = []
+        self.before = lambda op, path: None
+
+    def _record(self, op, path):
+        self.calls.append((op, path))
+        self.before(op, path)
+
+    def create(self, parent_path, ty, body):
+        self._record("create " + ty, parent_path)
+        return super().create(parent_path, ty, body)
+
+    def retrieve(self, path):
+        self._record("retrieve", path)
+        return super().retrieve(path)
+
+    def delete(self, path):
+        self._record("delete", path)
+        return super().delete(path)
+
+    def discover(self, root_path, **filters):
+        self._record("discover", root_path)
+        return super().discover(root_path, **filters)
+
+
 def test_push_pipeline_converts_and_publishes(cse_server, broker_server):
     cse, path = _seed_container(cse_server.url, _descriptor(unit="celsius"))
     gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
@@ -378,13 +431,7 @@ def test_push_pipeline_converts_and_publishes(cse_server, broker_server):
 
 
 def test_thread_count_stays_flat_as_the_gateway_adopts_a_fleet(cse_server, broker_server):
-    cse = CseClient(cse_server.url)
-    cse.create("/cse", "AE", {"rn": "fleet"})
-    names = [f"s{i:03d}" for i in range(100)]
-    for i, name in enumerate(names):
-        cse.create("/cse/fleet", "Container", {"rn": name})
-        descriptor = _descriptor(unit="celsius").replace("room123", f"room{i:03d}")
-        cse.create(f"/cse/fleet/{name}", "SemanticDescriptor", {"rn": "sem", "dsp": descriptor})
+    cse, names = _seed_fleet(cse_server.url, 100)
     gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
     try:
         before = threading.active_count()
@@ -465,12 +512,7 @@ def test_rescan_adopts_late_sources_and_skips_unmatched(cse_server, broker_serve
 
 
 def test_one_descriptor_may_feed_several_targets(cse_server, broker_server):
-    text = _descriptor() + (
-        f"<urn:src:extra> <{MED_NS}describesEntity> <urn:entity:room123> .\n"
-        f"<urn:src:extra> <{MED_NS}entityType> <{ONT}MeetingRoom> .\n"
-        f'<urn:src:extra> <{MED_NS}attributeName> "humidity" .\n'
-        f'<urn:src:extra> <{MED_NS}valuePath> "/hum" .\n'
-    )
+    text = _descriptor() + _HUMIDITY_SUBJECT
     cse, path = _seed_container(cse_server.url, text)
     gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
     try:
@@ -488,6 +530,177 @@ def test_one_descriptor_may_feed_several_targets(cse_server, broker_server):
         assert values == {"humidity": 40, "temperature": 21}
     finally:
         handle.stop()
+
+
+def test_a_rescan_of_an_unchanged_fleet_reads_only_the_newest_descriptors(
+    cse_server, broker_server, monkeypatch
+):
+    cse, names = _seed_fleet(cse_server.url, 100)
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    try:
+        assert gateway.scan_once() == len(names)
+        recorder = gateway.cse = _RecordingCse(cse_server.url)
+        selected = []
+        monkeypatch.setattr(
+            smg, "select_process", lambda d, lib: selected.append(d) or select_process(d, lib)
+        )
+        assert gateway.scan_once() == 0
+        stamps = [cse.retrieve(f"/cse/fleet/{name}/sem")["lt"] for name in names]
+        sharing_newest = stamps.count(max(stamps))
+        # two listings, then a retrieve of each descriptor the listing from the
+        # newest lt returns again (a full re-read is 1 + 2 per source)
+        assert len(recorder.calls) == 2 + sharing_newest <= 4
+        assert selected == []
+    finally:
+        handle.stop()
+
+
+def test_a_subject_put_into_an_adopted_descriptor_is_adopted_on_the_next_scan(
+    cse_server, broker_server
+):
+    cse, path = _seed_container(cse_server.url, _descriptor(unit="celsius"))
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    try:
+        assert gateway.scan_once() == 1
+        status, _ = request_json(
+            "PUT", cse_server.url + path + "/sem",
+            body={"dsp": _descriptor(unit="celsius") + _HUMIDITY_SUBJECT},
+        )
+        assert status == 200
+        assert gateway.scan_once() == 1
+        assert gateway.scan_once() == 0
+        names = sorted(i.target.attribute_name for i in gateway.instances())
+        assert names == ["humidity", "temperature"]
+    finally:
+        handle.stop()
+
+
+def test_a_descriptor_changed_during_a_scan_is_read_by_the_next_scan(cse_server, broker_server):
+    # the second source is the older one, so a listing from the newest lt leaves it out
+    _, second = _seed_container(
+        cse_server.url, _descriptor(unit="celsius").replace("room123", "room456"), rn="room2"
+    )
+    time.sleep(0.002)
+    cse, first = _seed_container(cse_server.url, _descriptor(unit="celsius"), rn="room1")
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    recorder = gateway.cse = _RecordingCse(cse_server.url)
+
+    def put(path, text):
+        status, _ = request_json("PUT", cse_server.url + path + "/sem", body={"dsp": text})
+        assert status == 200
+
+    def change_both(op, path):
+        # after the listing: the second source changes, then the first (listed) again
+        if op == "retrieve" and path == first + "/sem":
+            recorder.before = lambda *_: None
+            put(second, _descriptor(unit="celsius").replace("room123", "room456") + _HUMIDITY_SUBJECT)
+            put(first, _descriptor(unit="celsius") + "\n")
+
+    try:
+        assert gateway.scan_once() == 2
+        put(first, _descriptor(unit="celsius"))
+        recorder.before = change_both
+        assert gateway.scan_once() == 0
+        # the second change is newer than the listing but older than the lt
+        # read for the first source; the watermark must not skip it
+        assert gateway.scan_once() == 1
+        assert gateway.scan_once() == 0
+    finally:
+        handle.stop()
+
+
+def test_a_source_no_process_matched_is_adopted_once_its_descriptor_matches(
+    cse_server, broker_server, caplog
+):
+    cse, path = _seed_container(cse_server.url, _descriptor())
+    gateway, handle = _boot_gateway(
+        cse_server.url, broker_server.url, processes=[CELSIUS_PROCESS]
+    )
+    try:
+        with caplog.at_level(logging.WARNING, logger="giots.smg"):
+            assert gateway.scan_once() == 0
+            assert gateway.scan_once() == 0
+        # logged once per descriptor version, not once per scan
+        assert sum("no process matches" in r.getMessage() for r in caplog.records) == 1
+        status, _ = request_json(
+            "PUT", cse_server.url + path + "/sem", body={"dsp": _descriptor(unit="celsius")}
+        )
+        assert status == 200
+        assert gateway.scan_once() == 1
+    finally:
+        handle.stop()
+
+
+def test_a_source_whose_subscription_failed_is_adopted_on_the_next_scan(
+    cse_server, broker_server
+):
+    _seed_container(cse_server.url, _descriptor(unit="celsius"))
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    recorder = gateway.cse = _RecordingCse(cse_server.url)
+
+    def refuse_once(op, path):
+        if op == "create Subscription":
+            recorder.before = lambda *_: None
+            raise TransportError("injected: CSE unreachable")
+
+    recorder.before = refuse_once
+    try:
+        assert gateway.scan_once() == 0
+        assert gateway.scan_once() == 1
+        assert len(gateway.instances()) == 1
+    finally:
+        handle.stop()
+
+
+def test_a_descriptor_deleted_during_a_scan_skips_only_its_source(cse_server, broker_server):
+    cse, first = _seed_container(cse_server.url, _descriptor(unit="celsius"), rn="room1")
+    _, second = _seed_container(
+        cse_server.url, _descriptor(unit="celsius").replace("room123", "room456"), rn="room2"
+    )
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    recorder = gateway.cse = _RecordingCse(cse_server.url)
+
+    def delete_first(op, path):
+        if op == "retrieve" and path == first + "/sem":
+            recorder.before = lambda *_: None
+            cse.delete(path)  # the retrieve that follows gets a 404
+
+    recorder.before = delete_first
+    try:
+        assert gateway.scan_once() == 1
+        assert [i.source_container for i in gateway.instances()] == [second]
+        cse.create(first, "SemanticDescriptor", {"rn": "sem", "dsp": _descriptor(unit="celsius")})
+        assert gateway.scan_once() == 1
+        assert sorted(i.source_container for i in gateway.instances()) == [first, second]
+    finally:
+        handle.stop()
+
+
+@pytest.mark.parametrize("fault", ["broker down", "registration refused"])
+def test_a_failed_provider_registration_leaves_no_subscription_and_is_retried(
+    cse_server, capture_server, fault
+):
+    cse, path = _seed_container(cse_server.url, _descriptor(unit="celsius"))
+    if fault == "broker down":
+        port = find_free_port()
+        broker_url = f"http://127.0.0.1:{port}"
+    else:
+        broker_url = capture_server.url
+        capture_server.fail_next(1)
+    gateway, handle = _boot_gateway(cse_server.url, broker_url, mode="pull")
+    broker = None
+    try:
+        assert gateway.scan_once() == 0
+        assert cse.discover(path, resource_type="Subscription") == []
+        if fault == "broker down":
+            broker = run_service(BrokerService(), port)
+            wait_healthy(broker.url)
+        assert gateway.scan_once() == 1
+        assert len(cse.discover(path, resource_type="Subscription")) == 1
+    finally:
+        handle.stop()
+        if broker is not None:
+            broker.stop()
 
 
 def test_pull_pipeline_registers_and_answers_queries(cse_server, broker_server):
