@@ -3,8 +3,9 @@ mirrors notified values as a triple view, forward-chains its rules and
 feeds derived attributes back into the broker.
 
 Loop safety: attributes the agent itself derived are ignored when they
-come back as notifications, and each distinct derived fact is sent at
-most once.
+come back as notifications, and a derived value is sent only when it
+differs from the last value sent for its entity and attribute. A pass
+that derives two values for one entity and attribute sends neither.
 """
 
 from __future__ import annotations
@@ -127,13 +128,15 @@ class Agent:
         self._types: dict[str, str] = {}
         self._derived = Graph()
         self._self_derived: set[str] = set()  # attribute names we wrote back
-        self._sent: set[tuple[str, str, str]] = set()  # (entity, attribute, value)
+        self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value sent
         self._inbox: list = []  # notification bodies the next drain applies
         self._pool = KeyedWorkers()
         self._subscription_id: str | None = None
         self.notifications = 0
         self.rule_passes = 0
         self.rule_passes_aborted = 0
+        self.derived_sent = 0
+        self.derived_clashes = 0
 
     # -- view ------------------------------------------------------------
 
@@ -204,23 +207,30 @@ class Agent:
         return new_facts
 
     def feed_back(self, facts: list[Triple]) -> None:
-        for triple in sorted(facts, key=lambda t: t.text()):
-            if not isinstance(triple.subject, IRI):
+        derived: dict[tuple[str, str], set[str]] = {}
+        for triple in facts:
+            if not isinstance(triple.subject, IRI) or not isinstance(triple.object, Literal):
                 continue
             subject = triple.subject.value
             predicate = triple.predicate.value
             if not subject.startswith(ENTITY_PREFIX) or not predicate.startswith(CTX_NS):
                 continue
-            if not isinstance(triple.object, Literal):
-                continue
             entity_id = subject[len(ENTITY_PREFIX):] + self.config.output_entity_suffix
-            attribute = predicate[len(CTX_NS):]
-            value = triple.object.lexical
-            key = (entity_id, attribute, value)
+            key = (entity_id, predicate[len(CTX_NS):])
+            derived.setdefault(key, set()).add(triple.object.lexical)
+        for (entity_id, attribute), values in sorted(derived.items()):
+            if len(values) > 1:
+                log.warning("clashing derived values for %s.%s, none sent: %s",
+                            entity_id, attribute, ", ".join(sorted(values)))
+                with self._lock:
+                    self.derived_clashes += 1
+                continue
+            (value,) = values
             with self._lock:
-                if key in self._sent:
+                if self._sent.get((entity_id, attribute)) == value:
                     continue
-                self._sent.add(key)
+                self._sent[(entity_id, attribute)] = value
+                self.derived_sent += 1
                 self._self_derived.add(attribute)
                 entity_type = self._types.get(entity_id, "")
             self._send_update(entity_id, entity_type, attribute, value)
@@ -303,7 +313,8 @@ class Agent:
                 "agentId": self.config.agent_id,
                 "entities": len(self._types),
                 "viewTriples": len(self._values),
-                "derivedFactsSent": len(self._sent),
+                "derivedFactsSent": self.derived_sent,
+                "derivedClashes": self.derived_clashes,
                 "rulePasses": self.rule_passes,
                 "rulePassesAborted": self.rule_passes_aborted,
                 "notifications": self.notifications,

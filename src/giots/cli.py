@@ -34,12 +34,15 @@ DEFAULT_PORTS = {
 }
 
 
-def _serve_forever(service, port: int) -> int:
+def _serve_forever(service, port: int, start=None) -> int:
+    """Serve until interrupted; `start` runs once the port is bound."""
     try:
         handle = run_service(service, port)
     except PortInUse as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if start is not None:
+        start()
     print(f"{service.name} listening on {handle.url}")
     try:
         while True:
@@ -104,22 +107,7 @@ def _cmd_smg(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     gateway = MediationGateway(config)
-    service = SmgService(gateway)
-    try:
-        handle = run_service(service, port)
-    except PortInUse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    gateway.start()
-    print(f"{service.name} listening on {handle.url}")
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.stop()
-    return 0
+    return _serve_forever(SmgService(gateway), port, gateway.start)
 
 
 def _cmd_agent(args: argparse.Namespace) -> int:
@@ -130,22 +118,7 @@ def _cmd_agent(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     agent = Agent(config, f"http://127.0.0.1:{port}")
-    service = AgentService(agent)
-    try:
-        handle = run_service(service, port)
-    except PortInUse as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    agent.start()
-    print(f"{service.name} listening on {handle.url}")
-    try:
-        while True:
-            time.sleep(1.0)
-    except KeyboardInterrupt:
-        pass
-    finally:
-        handle.stop()
-    return 0
+    return _serve_forever(AgentService(agent), port, agent.start)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -97,79 +97,52 @@ class KnowledgeService(JsonHttpService):
 
 
 class KnowledgeClient:
-    """HTTP client with a short-lived positive cache per query.
+    """HTTP client for the three questions the stack asks the server.
 
-    When the server is unreachable the client degrades to syntactic
-    equality (a class is only a subclass of itself), which keeps the
-    caller available at the cost of missing inferred matches.
+    All three read one cache of GET replies keyed by route and class,
+    each kept for CACHE_TTL_SECONDS. Subsumption is read from the
+    superclass's expansion (`/subclasses`), so one request answers it
+    for every subclass of that class. When the server is unreachable the
+    client degrades to syntactic equality (a class is only a subclass of
+    itself) and to no declared classes, which keeps the caller available
+    at the cost of missing inferred matches; that answer is logged and
+    not cached. A non-200 reply caches the same degraded answer.
     """
 
-    def __init__(self, base_url: str, cache_ttl: float = CACHE_TTL_SECONDS):
+    def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
-        self.cache_ttl = cache_ttl
         self._lock = threading.Lock()
-        self._subclass_cache: dict[tuple[str, str], tuple[float, bool]] = {}
-        self._expansion_cache: dict[str, tuple[float, list[str]]] = {}
-        self._classes_cache: tuple[float, set[str]] = (0.0, set())
+        self._cache: dict[tuple[str, str], tuple[float, frozenset[str]]] = {}
 
-    def is_subclass(self, sub: str, sup: str) -> bool:
-        if sub == sup:
-            return True
+    def _fetch(self, route: str, cls: str = "") -> frozenset[str]:
+        """The list a GET of `route` (with `class=cls`, if given) answers
+        under the route's own name, as in `{"subclasses": [...]}`."""
         now = time.monotonic()
-        key = (sub, sup)
+        key = (route, cls)
         with self._lock:
-            hit = self._subclass_cache.get(key)
+            hit = self._cache.get(key)
             if hit and hit[0] > now:
                 return hit[1]
+        query = "?" + urllib.parse.urlencode({"class": cls}) if cls else ""
         try:
-            status, payload = get_json(
-                f"{self.base_url}/is-subclass?"
-                + urllib.parse.urlencode({"sub": sub, "sup": sup})
-            )
+            status, payload = get_json(f"{self.base_url}/{route}{query}")
         except TransportError as exc:
-            log.warning("knowledge server unreachable, assuming no subsumption: %s", exc)
-            return False
-        result = bool(status == 200 and isinstance(payload, dict) and payload.get("result"))
+            log.warning("knowledge server unreachable, answering %s without it: %s", route, exc)
+            return frozenset()
+        ok = status == 200 and isinstance(payload, dict)
+        values = frozenset(payload.get(route) or ()) if ok else frozenset()
         with self._lock:
-            self._subclass_cache[key] = (now + self.cache_ttl, result)
-        return result
+            self._cache[key] = (now + CACHE_TTL_SECONDS, values)
+        return values
+
+    def is_subclass(self, sub: str, sup: str) -> bool:
+        return sub == sup or sub in self._fetch("subclasses", sup)
 
     def subclasses_of(self, cls: str) -> list[str]:
-        now = time.monotonic()
-        with self._lock:
-            hit = self._expansion_cache.get(cls)
-            if hit and hit[0] > now:
-                return list(hit[1])
-        try:
-            status, payload = get_json(
-                f"{self.base_url}/subclasses?" + urllib.parse.urlencode({"class": cls})
-            )
-        except TransportError as exc:
-            log.warning("knowledge server unreachable, expansion limited to %s: %s", cls, exc)
-            return [cls]
-        if status == 200 and isinstance(payload, dict):
-            expansion = sorted(set(payload.get("subclasses") or [cls]) | {cls})
-        else:
-            expansion = [cls]
-        with self._lock:
-            self._expansion_cache[cls] = (now + self.cache_ttl, expansion)
-        return list(expansion)
+        return sorted(self._fetch("subclasses", cls) | {cls})
 
     def declared_class(self, cls: str) -> bool:
-        now = time.monotonic()
-        with self._lock:
-            expires, classes = self._classes_cache
-            if expires > now:
-                return cls in classes
-        try:
-            status, payload = get_json(f"{self.base_url}/classes")
-        except TransportError:
-            return False
-        ok = status == 200 and isinstance(payload, dict)
-        classes = set(payload.get("classes") or []) if ok else set()
-        with self._lock:
-            self._classes_cache = (now + self.cache_ttl, classes)
-        return cls in classes
+        return cls in self._fetch("classes")
 
     def upload(self, ntriples: str, merge: bool = False) -> dict:
         url = f"{self.base_url}/ontology"

@@ -50,31 +50,6 @@ class Rule:
             unsafe |= pattern.variables() - in_body
         return unsafe
 
-    def to_json(self) -> dict:
-        body = [p.text() for p in self.body]
-        body += [f"FILTER {_filter_text(f)}" for f in self.filters]
-        return {"ruleId": self.rule_id, "body": body, "head": [p.text() for p in self.head]}
-
-
-def _filter_text(expr) -> str:
-    # Round-trip rendering for reports and config echoes.
-    from . import sparql
-
-    if isinstance(expr, sparql.Comparison):
-        def oper(op):
-            from .rdf import term_text
-
-            return f"?{op.name}" if isinstance(op, Variable) else term_text(op)
-
-        return f"({oper(expr.left)} {expr.op} {oper(expr.right)})"
-    if isinstance(expr, sparql.Not):
-        return f"(!{_filter_text(expr.inner)})"
-    if isinstance(expr, sparql.And):
-        return "(" + " && ".join(_filter_text(p) for p in expr.parts) + ")"
-    if isinstance(expr, sparql.Or):
-        return "(" + " || ".join(_filter_text(p) for p in expr.parts) + ")"
-    raise TypeError(f"not a filter expression: {expr!r}")
-
 
 @dataclass
 class RuleBase:

@@ -91,32 +91,17 @@ def _report(errors: Iterable[ValidationError], started: float) -> ValidationRepo
 # --- point 1: ontology consistency ---------------------------------------------
 
 
-def _strongly_connected(edges: frozenset[tuple[str, str]]) -> list[frozenset[str]]:
-    """Subclass cycles as SCCs of size >= 2 (quadratic walk; ontologies
-    here are small)."""
-    adjacency: dict[str, set[str]] = {}
-    nodes: set[str] = set()
-    for sub, sup in edges:
-        adjacency.setdefault(sub, set()).add(sup)
-        nodes.update((sub, sup))
-    reach: dict[str, set[str]] = {}
-    for node in nodes:
-        seen: set[str] = set()
-        stack = [node]
-        while stack:
-            for nxt in adjacency.get(stack.pop(), ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        reach[node] = seen
+def _strongly_connected(onto: Ontology) -> list[frozenset[str]]:
+    """Subclass cycles: groups of two or more classes that reach each
+    other (quadratic walk; ontologies here are small)."""
     components: set[frozenset[str]] = set()
-    for node in nodes:
-        group = {other for other in reach[node] if node in reach[other]}
-        if node in reach[node]:
-            group.add(node)
+    for sub, _ in onto.subclass_edges:
+        group = frozenset(
+            sup for sup in onto.superclasses_of(sub) if sub in onto.superclasses_of(sup)
+        )
         if len(group) >= 2:
-            components.add(frozenset(group))
-    return sorted(components, key=lambda g: sorted(g))
+            components.add(group)
+    return sorted(components, key=sorted)
 
 
 def check_ontology(candidate: Graph, reference: Ontology) -> list[ValidationError]:
@@ -124,7 +109,7 @@ def check_ontology(candidate: Graph, reference: Ontology) -> list[ValidationErro
     candidate_onto = load_ontology(candidate)
     merged = candidate_onto.merge(reference)
 
-    for component in _strongly_connected(merged.subclass_edges):
+    for component in _strongly_connected(merged):
         members = sorted(component)
         errors.append(
             ValidationError(

@@ -170,6 +170,43 @@ def test_feedback_dedup_and_suffix(monkeypatch):
     assert len(sent) == 1
 
 
+def _level_rule(rule_id, condition, state):
+    return {
+        "ruleId": rule_id,
+        "body": [f"?tank <{CTX_NS}level> ?n", f"FILTER(?n {condition})"],
+        "head": [f'?tank <{CTX_NS}state> "{state}"'],
+    }
+
+
+def test_a_derived_value_that_returns_is_sent_again(monkeypatch):
+    agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
+                                  _level_rule("low", "< 10", "low")])
+    sent = []
+    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a[3]))
+    for level in (12, 3, 15, 15):
+        agent._apply_notification(_notification("tank1", "level", level))
+        agent.run_rule_pass()
+    assert sent == ["high", "low", "high"]
+    assert agent.stats()["derivedFactsSent"] == 3
+
+
+def test_a_pass_deriving_two_values_for_one_attribute_sends_neither(monkeypatch, caplog):
+    agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
+                                  _level_rule("full", ">= 10", "full")])
+    sent = []
+    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    agent._apply_notification(_notification("tank1", "level", 12))
+    agent.run_rule_pass()
+    agent.run_rule_pass()
+    assert sent == []
+    stats = agent.stats()
+    assert stats["derivedClashes"] == 2
+    assert stats["derivedFactsSent"] == 0
+    clashes = [r.getMessage() for r in caplog.records if "clashing" in r.getMessage()]
+    assert len(clashes) == 2
+    assert not any(m.startswith("derived fact") for m in clashes)
+
+
 def test_self_derived_attributes_are_not_reingested(monkeypatch):
     agent = _offline_agent()
     monkeypatch.setattr(agent, "_send_update", lambda *a: None)

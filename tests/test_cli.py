@@ -121,6 +121,30 @@ def test_serve_reports_port_in_use(capsys):
         blocker.close()
 
 
+def test_smg_and_agent_commands_report_port_in_use(tmp_path, capsys):
+    smg_config = tmp_path / "smg.json"
+    smg_config.write_text(json.dumps({
+        "cseUrl": "http://127.0.0.1:9/cse",
+        "brokerUrl": "http://127.0.0.1:9/broker",
+        "mode": "push",
+        "processes": [{
+            "processId": "identity",
+            "matchQuery": "ASK { ?s ?p ?o }",
+            "conversionId": "identity",
+        }],
+    }), encoding="utf-8")
+    blocker = socket.socket()
+    blocker.bind(("127.0.0.1", 0))
+    port = str(blocker.getsockname()[1])
+    try:
+        for argv in (["smg", "--config", str(smg_config)],
+                     ["agent", "--config", str(SCENARIOS_DIR / "occupancy-agent.json")]):
+            assert main(argv + ["--port", port]) == 2
+            assert capsys.readouterr().err == f"error: port {port} is already in use\n"
+    finally:
+        blocker.close()
+
+
 def test_smg_and_agent_commands_reject_bad_configs(tmp_path, capsys):
     missing = str(tmp_path / "none.json")
     assert main(["smg", "--config", missing]) == 2

@@ -1,10 +1,12 @@
 """Knowledge server wire behaviour and the degrading client."""
 
+import random
 import urllib.parse
 
 import giots.knowledge
 from giots.httpkit import TransportError, get_json, post_json, request_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
+from giots.ontology import Ontology
 
 ONT = "http://wise-iot.example/onto#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -131,19 +133,21 @@ def test_client_upload_and_subsumption(knowledge_server):
     assert client.declared_class(ONT + "Nothing") is False
 
 
-def test_client_caches_positive_answers_until_ttl(knowledge_server):
-    client = KnowledgeClient(knowledge_server.url, cache_ttl=60.0)
+def test_client_caches_positive_answers_until_ttl(knowledge_server, monkeypatch):
+    monkeypatch.setattr(giots.knowledge, "CACHE_TTL_SECONDS", 60.0)
+    client = KnowledgeClient(knowledge_server.url)
     client.upload(MEETING_ROOM)
     assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is True
     # replacing the ontology does not invalidate the client-side entry
     client.upload("")
     assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is True
-    fresh = KnowledgeClient(knowledge_server.url, cache_ttl=60.0)
+    fresh = KnowledgeClient(knowledge_server.url)
     assert fresh.is_subclass(ONT + "MeetingRoom", ONT + "Room") is False
 
 
 def test_client_fetches_the_class_list_once_per_ttl(knowledge_server, monkeypatch):
-    client = KnowledgeClient(knowledge_server.url, cache_ttl=60.0)
+    monkeypatch.setattr(giots.knowledge, "CACHE_TTL_SECONDS", 60.0)
+    client = KnowledgeClient(knowledge_server.url)
     client.upload(MEETING_ROOM)
     real = giots.knowledge.get_json
     fetched = []
@@ -173,3 +177,42 @@ def test_client_degrades_when_server_is_gone():
     assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is False
     assert client.subclasses_of(ONT + "Room") == [ONT + "Room"]
     assert client.declared_class(ONT + "Room") is False
+
+
+def _subclass_text(edges) -> str:
+    return "".join(f"<{ONT}{sub}> <{RDFS}subClassOf> <{ONT}{sup}> .\n" for sub, sup in edges)
+
+
+def test_client_subsumption_agrees_with_the_ontology(knowledge_server):
+    """Random class graphs, cycles and self-loops included, asked about
+    every pair of their classes and of two classes the server never saw."""
+    rng = random.Random(7311)
+    names = [f"C{i}" for i in range(8)]
+    for case in range(25):
+        edges = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 12))}
+        KnowledgeClient(knowledge_server.url).upload(_subclass_text(edges))
+        ontology = Ontology(subclass_edges={(ONT + a, ONT + b) for a, b in edges})
+        client = KnowledgeClient(knowledge_server.url)  # a fresh, empty cache per graph
+        classes = [ONT + name for name in names + ["Unknown", "Other"]]
+        for sub in classes:
+            for sup in classes:
+                assert client.is_subclass(sub, sup) == ontology.is_subclass(sub, sup), (case, sub, sup)
+
+
+def test_client_asks_once_per_superclass(knowledge_server, monkeypatch):
+    edges = [(f"Sub{i}", f"Sup{i % 3}") for i in range(30)]
+    client = KnowledgeClient(knowledge_server.url)
+    client.upload(_subclass_text(edges))
+    real = giots.knowledge.get_json
+    fetched = []
+
+    def counting(url, **kwargs):
+        fetched.append(url)
+        return real(url, **kwargs)
+
+    monkeypatch.setattr(giots.knowledge, "get_json", counting)
+    for i in range(30):
+        for j in range(3):
+            assert client.is_subclass(ONT + f"Sub{i}", ONT + f"Sup{j}") is (i % 3 == j)
+    assert len(fetched) == 3
+    assert all(url.startswith(knowledge_server.url + "/subclasses?") for url in fetched)
