@@ -2,10 +2,22 @@
 mirrors notified values as a triple view, forward-chains its rules and
 feeds derived attributes back into the broker.
 
+The rules' closure over the view is maintained, not rebuilt: each
+notified value or type that changes becomes a removed and an added view
+triple, and the next rule pass applies the batch to the closure
+(``rules.Closure``), so a pass costs what the batch changed. The first
+pass, and the pass after one aborted at the derivation cap, start from an
+empty closure and add the whole view.
+
+SPARQL reads ``view_graph()``: an immutable snapshot of the current view
+plus the facts the last completed pass derived, cached until a
+notification or a pass changes it.
+
 Loop safety: attributes the agent itself derived are ignored when they
 come back as notifications, and a derived value is sent only when it
-differs from the last value sent for its entity and attribute. A pass
-that derives two values for one entity and attribute sends neither.
+differs from the last value delivered for its entity and attribute. A
+value whose delivery fails is not recorded, so the next pass resends it.
+A pass that derives two values for one entity and attribute sends neither.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from .httpkit import (
 )
 from .ngsi import ContextEntity, EntityPattern, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple
-from .rules import ClosureLimitExceeded, RuleBase, forward_chain, parse_rule_json
+from .rules import Closure, ClosureLimitExceeded, RuleBase, parse_rule_json
 from .sparql import (
     SparqlSyntaxError,
     binding_to_json,
@@ -42,6 +54,16 @@ from .sparql import (
 log = logging.getLogger(__name__)
 
 ENTITY_PREFIX = "urn:"
+
+
+def _type_triple(subject: str, type_iri: str | None) -> Triple | None:
+    if not type_iri:
+        return None
+    try:
+        return Triple(IRI(subject), IRI(RDF_TYPE), IRI(type_iri))
+    except ValueError:
+        log.warning("entity %s has a non-IRI type %r", subject[len(ENTITY_PREFIX):], type_iri)
+        return None
 
 
 def _lexical(value: Any) -> str:
@@ -117,7 +139,7 @@ class AgentConfig:
 class Agent:
     """Notifications wait in an inbox; one task at a time on a one-key
     KeyedWorkers pool applies every waiting body to the view, then runs
-    one rule pass."""
+    one rule pass over the changes they made."""
 
     def __init__(self, config: AgentConfig, agent_url: str):
         self.config = config
@@ -126,9 +148,15 @@ class Agent:
         self._lock = threading.Lock()
         self._values: dict[tuple[str, str], str] = {}  # (entity, attribute) -> lexical
         self._types: dict[str, str] = {}
-        self._derived = Graph()
+        self._view: set[Triple] = set()  # the triples of _values and _types
+        self._derived = Graph()  # what the last completed pass derived
+        self._snapshot: Graph | None = None  # view_graph()'s cache
+        self._closure: Closure
+        self._added: set[Triple]  # view changes the next pass applies
+        self._removed: set[Triple]
+        self._reset_closure()
         self._self_derived: set[str] = set()  # attribute names we wrote back
-        self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value sent
+        self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value delivered
         self._inbox: list = []  # notification bodies the next drain applies
         self._pool = KeyedWorkers()
         self._subscription_id: str | None = None
@@ -141,26 +169,23 @@ class Agent:
     # -- view ------------------------------------------------------------
 
     def view_graph(self) -> Graph:
+        """The view plus the last completed pass's derived facts."""
         with self._lock:
-            triples = []
-            for entity_id, type_iri in sorted(self._types.items()):
-                if not type_iri:
-                    continue
-                try:
-                    triples.append(
-                        Triple(IRI(ENTITY_PREFIX + entity_id), IRI(RDF_TYPE), IRI(type_iri))
-                    )
-                except ValueError:
-                    log.warning("entity %s has a non-IRI type %r", entity_id, type_iri)
-            for (entity_id, attribute), lexical in sorted(self._values.items()):
-                triples.append(
-                    Triple(
-                        IRI(ENTITY_PREFIX + entity_id),
-                        IRI(CTX_NS + attribute),
-                        Literal(lexical),
-                    )
-                )
-            return Graph(triples)
+            if self._snapshot is None:
+                self._snapshot = Graph(self._view | self._derived.triples())
+            return self._snapshot
+
+    def _replace(self, old: Triple | None, new: Triple | None) -> None:
+        """Swap one view triple for another (caller holds the lock)."""
+        if old is not None:
+            self._view.discard(old)
+            self._added.discard(old)
+            self._removed.add(old)
+        if new is not None:
+            self._view.add(new)
+            self._removed.discard(new)
+            self._added.add(new)
+        self._snapshot = None
 
     def _apply_notification(self, body: Any) -> bool:
         if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
@@ -173,38 +198,64 @@ class Agent:
             except ValueError as exc:
                 log.warning("malformed notified entity skipped: %s", exc)
                 continue
+            subject = ENTITY_PREFIX + entity.id
             with self._lock:
-                if entity.type:
+                old_type = self._types.get(entity.id)
+                if entity.type and entity.type != old_type:
                     self._types[entity.id] = entity.type
-                else:
-                    self._types.setdefault(entity.id, "")
+                    self._replace(_type_triple(subject, old_type), _type_triple(subject, entity.type))
+                    changed = True
+                elif old_type is None:
+                    self._types[entity.id] = ""
                 for attribute in entity.attributes:
                     if attribute.name in self._self_derived:
                         continue  # loop guard: do not re-ingest our own output
                     key = (entity.id, attribute.name)
+                    old = self._values.get(key)
                     lexical = _lexical(attribute.value)
-                    if self._values.get(key) != lexical:
-                        self._values[key] = lexical
-                        changed = True
+                    if old == lexical:
+                        continue
+                    try:
+                        new = Triple(IRI(subject), IRI(CTX_NS + attribute.name), Literal(lexical))
+                    except ValueError as exc:
+                        log.warning("value of %s.%s skipped: %s", entity.id, attribute.name, exc)
+                        continue
+                    self._values[key] = lexical
+                    self._replace(
+                        None if old is None
+                        else Triple(IRI(subject), IRI(CTX_NS + attribute.name), Literal(old)),
+                        new,
+                    )
+                    changed = True
         return changed
 
     # -- reasoning ---------------------------------------------------------
 
+    def _reset_closure(self) -> None:
+        """An empty closure; the next pass adds the whole view (caller
+        holds the lock, or is the constructor)."""
+        self._closure = Closure(self.config.rules)
+        self._added, self._removed = set(self._view), set()
+
     def run_rule_pass(self) -> list[Triple]:
-        view = self.view_graph()
-        try:
-            derived = forward_chain(view, self.config.rules)
-        except ClosureLimitExceeded as exc:
-            log.error("rule pass aborted: %s", exc)
-            with self._lock:
-                self.rule_passes_aborted += 1
-            return []
+        """Apply the view changes since the last pass to the closure and
+        feed back every derived fact; returns them, in no set order."""
         with self._lock:
+            added, removed = self._added, self._removed
+            self._added, self._removed = set(), set()
+            try:
+                self._closure.update(added, removed)
+            except ClosureLimitExceeded as exc:
+                self._reset_closure()
+                self.rule_passes_aborted += 1
+                log.error("rule pass aborted: %s", exc)
+                return []
             self.rule_passes += 1
-            self._derived = derived
-        new_facts = [t for t in derived if t not in view]
-        self.feed_back(new_facts)
-        return new_facts
+            self._derived = derived = self._closure.derived()
+            self._snapshot = None
+        facts = list(derived.triples())
+        self.feed_back(facts)
+        return facts
 
     def feed_back(self, facts: list[Triple]) -> None:
         derived: dict[tuple[str, str], set[str]] = {}
@@ -229,13 +280,16 @@ class Agent:
             with self._lock:
                 if self._sent.get((entity_id, attribute)) == value:
                     continue
-                self._sent[(entity_id, attribute)] = value
-                self.derived_sent += 1
                 self._self_derived.add(attribute)
                 entity_type = self._types.get(entity_id, "")
-            self._send_update(entity_id, entity_type, attribute, value)
+            if self._send_update(entity_id, entity_type, attribute, value) is False:
+                continue  # dropped: not recorded, so the next pass resends it
+            with self._lock:
+                self._sent[(entity_id, attribute)] = value
+                self.derived_sent += 1
 
-    def _send_update(self, entity_id: str, entity_type: str, attribute: str, value: str) -> None:
+    def _send_update(self, entity_id: str, entity_type: str, attribute: str, value: str) -> bool:
+        """One derived value to the broker; False if it was dropped."""
         body = {
             "action": "APPEND",
             "entities": [
@@ -256,8 +310,10 @@ class Agent:
             ],
         }
         url = self.config.broker_url.rstrip("/") + "/ngsi10/updateContext"
-        if not deliver(lambda: request_json("POST", url, body=body)):
-            log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
+        if deliver(lambda: request_json("POST", url, body=body)):
+            return True
+        log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
+        return False
 
     # -- notifications -----------------------------------------------------------
 
@@ -296,10 +352,7 @@ class Agent:
 
     def answer_sparql(self, text: str) -> dict:
         query = parse_sparql(text)  # SparqlSyntaxError propagates
-        with self._lock:
-            derived = self._derived
-        graph = self.view_graph().union(derived)
-        result = evaluate(query, graph)
+        result = evaluate(query, self.view_graph())
         if isinstance(result, bool):
             return {"result": result}
         return {

@@ -13,7 +13,7 @@ import time
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import CseService
-from .httpkit import PortInUse, run_service
+from .httpkit import PortInUse, TransportError, run_service
 from .knowledge import KnowledgeService
 from .smg import MediationGateway, SmgService, load_gateway_config
 from .validator import (
@@ -42,7 +42,12 @@ def _serve_forever(service, port: int, start=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if start is not None:
-        start()
+        try:
+            start()
+        except (TransportError, ValueError) as exc:
+            handle.stop()
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(f"{service.name} listening on {handle.url}")
     try:
         while True:

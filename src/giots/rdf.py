@@ -3,7 +3,10 @@
 Everything semantic in this project (descriptors, ontologies, rule facts)
 is a set of subject-predicate-object triples. Graphs are immutable value
 objects; mutation returns a new snapshot, so graphs can be shared freely
-across threads.
+across threads. The one exception is :class:`TripleStore`, a graph that
+changes in place for a single owner (the rule engine's maintained
+closure); it matches through the same ``Graph.match`` over indexes it
+keeps up to date, and is not hashable.
 
 The N-Triples dialect is deliberately small: IRIs in angle brackets, blank
 nodes ``_:label``, literals with optional ``^^<datatype>`` or ``@lang``,
@@ -281,6 +284,47 @@ class Graph:
                 results.append(binding)
         results.sort(key=_binding_key)
         return results
+
+
+class TripleStore(Graph):
+    """A graph that changes in place, with its indexes kept up to date.
+
+    Only its owner may change it, and not while another thread reads it:
+    ``triples()`` is the live set, so share an immutable
+    ``Graph(store.triples())`` copy instead. The index entries are sets,
+    so a removal costs O(1), and a term no triple uses any more leaves
+    its index.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # its contents change
+
+    def __init__(self):
+        super().__init__()
+        self._triples = set()
+        self._index = ({}, {}, {})
+
+    def add(self, triple: Triple) -> bool:
+        """Add a triple; False if it was already present."""
+        if triple in self._triples:
+            return False
+        self._triples.add(triple)
+        for term, index in zip((triple.subject, triple.predicate, triple.object), self._index):
+            index.setdefault(term, set()).add(triple)
+        self._sorted = None
+        return True
+
+    def discard(self, triple: Triple) -> None:
+        """Remove a triple if it is present."""
+        if triple not in self._triples:
+            return
+        self._triples.discard(triple)
+        for term, index in zip((triple.subject, triple.predicate, triple.object), self._index):
+            listed = index[term]
+            listed.discard(triple)
+            if not listed:
+                del index[term]
+        self._sorted = None
 
 
 def _unify(pattern: TriplePattern, triple: Triple) -> dict[str, Term] | None:

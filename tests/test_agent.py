@@ -4,11 +4,15 @@ rule-driven feedback with loop protection, and the query endpoint."""
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import giots.agent as agent_module
+from giots import rdf
 from giots.agent import Agent, AgentConfig, AgentService, _lexical
 from giots.broker import BrokerClient
 from giots.httpkit import find_free_port, get_json, post_json, run_service, wait_healthy
-from giots.rdf import CTX_NS, IRI, Literal, RDF_TYPE, Triple
+from giots.rdf import CTX_NS, IRI, Graph, Literal, RDF_TYPE, Triple
+from giots.rules import forward_chain
 
 ONT = "http://wise-iot.example/onto#"
 
@@ -230,6 +234,123 @@ def test_a_pass_over_the_derivation_cap_is_counted_as_aborted(monkeypatch, caplo
     assert stats["rulePassesAborted"] == 1
     assert stats["rulePasses"] == 0
     assert sent == []
+
+
+def test_a_dropped_feedback_value_is_resent_by_the_next_pass(monkeypatch):
+    agent = _offline_agent()
+    outcomes = iter([False, True])
+    bodies = []
+
+    def deliver(send):
+        bodies.append(send)
+        return next(outcomes)
+
+    monkeypatch.setattr(agent_module, "deliver", deliver)
+    agent._apply_notification(_notification("room1", "occupancy", 4))
+    agent.run_rule_pass()  # the broker is down: the value is dropped
+    assert agent.stats()["derivedFactsSent"] == 0
+    agent.run_rule_pass()
+    assert len(bodies) == 2
+    assert agent.stats()["derivedFactsSent"] == 1
+    agent.run_rule_pass()  # delivered, so not sent again
+    assert len(bodies) == 2
+
+
+_TANK = ONT + "Tank"
+_VESSEL = ONT + "Vessel"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from([_TANK, _VESSEL]), st.integers(0, 20)),
+             min_size=1, max_size=4),
+    min_size=1, max_size=6,
+))
+def test_each_pass_derives_what_chaining_the_view_from_scratch_derives(batches):
+    rules = [
+        _level_rule("high", ">= 10", "high"),
+        _level_rule("low", "< 10", "low"),
+        {"ruleId": "tank-alarm",
+         "body": [f"?t <{RDF_TYPE}> <{_TANK}>", f'?t <{CTX_NS}state> "high"'],
+         "head": [f'?t <{CTX_NS}alarm> "on"']},
+        {"ruleId": "alarm-escalates",
+         "body": [f'?t <{CTX_NS}alarm> "on"', f"?t <{CTX_NS}level> ?n"],
+         "head": [f"?t <{CTX_NS}reported> ?n"]},
+    ]
+    agent = _offline_agent(rules=rules)
+    agent._send_update = lambda *a: True
+    types, levels = {}, {}
+    for batch in batches:
+        for tank, tank_type, level in batch:
+            agent._apply_notification(_notification(f"tank{tank}", "level", level, tank_type))
+            types[tank], levels[tank] = tank_type, level
+        facts = agent.run_rule_pass()
+        view = Graph(
+            [Triple(IRI(f"urn:tank{t}"), IRI(RDF_TYPE), IRI(c)) for t, c in types.items()]
+            + [Triple(IRI(f"urn:tank{t}"), IRI(CTX_NS + "level"), Literal(str(n)))
+               for t, n in levels.items()]
+        )
+        expected = forward_chain(view, agent.config.rules)
+        assert Graph(facts) == expected
+        assert agent.view_graph() == view.union(expected)
+
+
+def _occupied_rooms(agent, count):
+    for i in range(count):
+        agent._apply_notification(_notification(f"room{i}", "occupancy", 1))
+
+
+def test_one_changed_value_costs_a_pass_little_matching_work(monkeypatch):
+    agent = _offline_agent()
+    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _occupied_rooms(agent, 1000)
+    assert len(agent.run_rule_pass()) == 1000
+    calls = 0
+    unify = rdf._unify
+
+    def counting(pattern, triple):
+        nonlocal calls
+        calls += 1
+        return unify(pattern, triple)
+
+    monkeypatch.setattr(rdf, "_unify", counting)
+    for value, derived in ((0, 999), (3, 1000), (4, 1000)):
+        calls = 0
+        agent._apply_notification(_notification("room7", "occupancy", value))
+        assert len(agent.run_rule_pass()) == derived
+        assert calls <= 100  # chaining the whole view unifies each of its 1 000 values
+
+
+def test_a_pass_after_an_aborted_one_starts_over_from_the_view(monkeypatch, caplog):
+    agent = _offline_agent()
+    sent = []
+    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a[0]))
+    _occupied_rooms(agent, 1001)
+    assert agent.run_rule_pass() == []
+    assert "rule pass aborted" in caplog.text
+    # one room empties, so 1 000 rooms derive a fact: the closure fits again
+    agent._apply_notification(_notification("room1000", "occupancy", 0))
+    assert len(agent.run_rule_pass()) == 1000
+    assert sorted(sent) == sorted(f"room{i}" for i in range(1000))
+    stats = agent.stats()
+    assert stats["rulePassesAborted"] == 1
+    assert stats["rulePasses"] == 1
+    assert stats["derivedFactsSent"] == 1000
+    occupied = agent.answer_sparql(f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}')
+    assert len(occupied["solutions"]) == 1000
+
+
+def test_sparql_keeps_the_last_completed_pass_after_an_abort(monkeypatch):
+    agent = _offline_agent()
+    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _occupied_rooms(agent, 1000)
+    agent.run_rule_pass()
+    query = f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}'
+    assert len(agent.answer_sparql(query)["solutions"]) == 1000
+    agent._apply_notification(_notification("room1000", "occupancy", 1))
+    assert agent.run_rule_pass() == []  # 1 001 facts: aborted
+    assert len(agent.answer_sparql(query)["solutions"]) == 1000
+    assert agent.view_graph() is agent.view_graph()  # cached until something changes
 
 
 # --- end-to-end against a live broker ---------------------------------------------------

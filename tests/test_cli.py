@@ -145,6 +145,18 @@ def test_smg_and_agent_commands_report_port_in_use(tmp_path, capsys):
         blocker.close()
 
 
+def test_agent_command_without_a_broker_reports_and_frees_its_port(tmp_path, capsys):
+    config = json.loads((SCENARIOS_DIR / "occupancy-agent.json").read_text(encoding="utf-8"))
+    config["brokerUrl"] = f"http://127.0.0.1:{find_free_port()}/broker"  # nothing listens
+    path = tmp_path / "agent.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    port = find_free_port()
+    assert main(["agent", "--config", str(path), "--port", str(port)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", port))  # the agent's service was stopped
+
+
 def test_smg_and_agent_commands_reject_bad_configs(tmp_path, capsys):
     missing = str(tmp_path / "none.json")
     assert main(["smg", "--config", missing]) == 2

@@ -15,6 +15,7 @@ from giots.rdf import (
     NTriplesError,
     Triple,
     TriplePattern,
+    TripleStore,
     Variable,
     XSD_NS,
     parse_ntriples,
@@ -304,6 +305,22 @@ _slots = st.sampled_from(
 def test_indexed_match_equals_a_scan(graph, pattern):
     assert graph.match(pattern) == _scan(graph, pattern)
     assert graph.match(pattern) == _scan(graph, pattern)  # the indexes, now built
+
+
+@given(_small_graphs, _small_graphs, st.builds(TriplePattern, _slots, _slots, _slots))
+def test_a_triple_store_matches_like_the_graph_of_its_triples(added, removed, pattern):
+    store = TripleStore()
+    for triple in added:
+        store.add(triple)
+    for triple in removed:
+        store.discard(triple)
+    expected = added.triples() - removed.triples()
+    assert store == Graph(expected)
+    assert store.match(pattern) == _scan(Graph(expected), pattern)
+    used = {term for t in expected for term in (t.subject, t.predicate, t.object)}
+    assert set().union(*map(set, store._indexes())) <= used  # emptied entries are dropped
+    with pytest.raises(TypeError):
+        hash(store)
 
 
 def test_a_two_pattern_join_unifies_only_index_candidates(monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, parse_ntriples
 from giots.rules import (
+    Closure,
     ClosureLimitExceeded,
     DERIVATION_LIMIT,
     Rule,
@@ -301,3 +302,58 @@ def test_semi_naive_chaining_equals_a_naive_fixpoint(graph, rules, limit):
             forward_chain(graph, list(rules), limit)
         return
     assert forward_chain(graph, list(rules), limit) == expected
+
+
+# --- a maintained closure against chaining from scratch ---------------------------------
+
+
+_rule_sets = st.tuples(
+    st.booleans(),
+    st.integers(0, 2).flatmap(lambda n: st.tuples(*(_rules(f"r{i}") for i in range(n)))),
+).filter(lambda t: t[0] or t[1]).map(lambda t: ((_TRANSITIVE,) if t[0] else ()) + t[1])
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.data(), _rule_sets, st.one_of(st.integers(0, 60), st.just(DERIVATION_LIMIT)))
+def test_a_maintained_closure_equals_chaining_from_scratch(data, rules, limit):
+    """Random batches of added and removed base facts, with recursive and
+    filtered rules: after every batch the closure's derived facts equal a
+    from-scratch chain of its base, and it raises iff that chain raises."""
+    closure = Closure(list(rules), limit)
+    base: set = set()
+    for _ in range(data.draw(st.integers(1, 5), label="batches")):
+        removed = set()
+        if base:
+            removed = set(data.draw(
+                st.lists(st.sampled_from(sorted(base, key=Triple.text)), max_size=4), label="removed"))
+        added = data.draw(st.one_of(_small_graphs, st.just(_CHAIN)), label="added").triples()
+        base = (base - removed) | added
+        try:
+            expected = forward_chain(Graph(base), list(rules), limit)
+        except ClosureLimitExceeded:
+            with pytest.raises(ClosureLimitExceeded):
+                closure.update(added, removed)
+            return
+        closure.update(added, removed)
+        assert closure.derived() == expected
+
+
+def test_a_removed_base_fact_that_still_follows_stays_derived():
+    a, b, c = (IRI(f"urn:{n}") for n in "abc")
+    p = IRI("urn:p")
+    closure = Closure([_TRANSITIVE])
+    closure.update([Triple(a, p, b), Triple(b, p, c), Triple(a, p, c)])
+    assert len(closure.derived()) == 0  # a-c is a base fact
+    closure.update(removed=[Triple(a, p, c)])
+    assert closure.derived() == Graph([Triple(a, p, c)])  # rederived through b
+    closure.update(removed=[Triple(b, p, c)])
+    assert len(closure.derived()) == 0
+
+
+def test_removing_a_middle_edge_deletes_every_pair_across_it():
+    closure = Closure([_TRANSITIVE])
+    closure.update(_CHAIN.triples())
+    middle = Triple(IRI("urn:n5"), IRI("urn:p"), IRI("urn:n6"))
+    closure.update(removed=[middle])
+    assert closure.derived() == forward_chain(_CHAIN.remove(middle), [_TRANSITIVE])
+    assert Triple(IRI("urn:n0"), IRI("urn:p"), IRI("urn:n11")) not in closure.derived()
