@@ -15,8 +15,9 @@ notification or a pass changes it.
 
 Loop safety: attributes the agent itself derived are ignored when they
 come back as notifications, and a derived value is sent only when it
-differs from the last value delivered for its entity and attribute. A
-value whose delivery fails is not recorded, so the next pass resends it.
+differs from the last value the broker accepted for its entity and
+attribute. A value the broker never got is not recorded, so the next pass
+resends it.
 A pass that derives two values for one entity and attribute sends neither.
 """
 
@@ -36,9 +37,7 @@ from .httpkit import (
     KeyedWorkers,
     TransportError,
     bad_request,
-    deliver,
     not_found,
-    request_json,
 )
 from .ngsi import ContextEntity, EntityPattern, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple
@@ -156,7 +155,7 @@ class Agent:
         self._removed: set[Triple]
         self._reset_closure()
         self._self_derived: set[str] = set()  # attribute names we wrote back
-        self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value delivered
+        self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value sent
         self._inbox: list = []  # notification bodies the next drain applies
         self._pool = KeyedWorkers()
         self._subscription_id: str | None = None
@@ -290,27 +289,13 @@ class Agent:
 
     def _send_update(self, entity_id: str, entity_type: str, attribute: str, value: str) -> bool:
         """One derived value to the broker; False if it was dropped."""
-        body = {
-            "action": "APPEND",
-            "entities": [
-                {
-                    "id": entity_id,
-                    "type": entity_type,
-                    "attributes": [
-                        {
-                            "name": attribute,
-                            "value": value,
-                            "metadata": [
-                                {"name": "source", "type": "string",
-                                 "value": self.config.agent_id}
-                            ],
-                        }
-                    ],
-                }
-            ],
+        metadata = [{"name": "source", "type": "string", "value": self.config.agent_id}]
+        entity = {
+            "id": entity_id,
+            "type": entity_type,
+            "attributes": [{"name": attribute, "value": value, "metadata": metadata}],
         }
-        url = self.config.broker_url.rstrip("/") + "/ngsi10/updateContext"
-        if deliver(lambda: request_json("POST", url, body=body)):
+        if self.broker.append([entity]):
             return True
         log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
         return False

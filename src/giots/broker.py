@@ -35,6 +35,7 @@ from .ngsi import (
     parse_attribute_names,
     parse_entities,
     parse_patterns,
+    query_reply,
 )
 
 log = logging.getLogger(__name__)
@@ -152,15 +153,7 @@ class ContextBroker:
                 raise LookupError(
                     f"entity '{update.id}' has no attribute {missing[0]}"
                 )
-        if current is None:
-            stored = ContextEntity(
-                update.id, update.type,
-                tuple(sorted(update.attributes, key=lambda a: a.name)),
-            )
-        else:
-            merged = current.with_attributes({a.name: a for a in update.attributes})
-            new_type = update.type or current.type
-            stored = ContextEntity(update.id, new_type, merged.attributes)
+        stored = (current or ContextEntity(update.id, update.type)).merged(update)
         self._entities[update.id] = stored
         return stored
 
@@ -188,16 +181,10 @@ class ContextBroker:
         if allow_pull and unmatched:
             for entity in self._pull(unmatched, attributes):
                 results.setdefault(entity.id, entity)
-        out = []
-        for entity_id in sorted(results):
-            entity = results[entity_id]
-            if restriction is not None and not restriction.admits(entity):
-                continue
-            projected = entity.project(attributes)
-            if attributes is not None and not projected.attributes:
-                continue
-            out.append(projected)
-        return out
+        return query_reply(
+            (e for e in results.values() if restriction is None or restriction.admits(e)),
+            attributes,
+        )
 
     def _pull(self, patterns: list[EntityPattern], attributes) -> list[ContextEntity]:
         """Federated lookup: ask providers registered for still-unmatched
@@ -439,6 +426,11 @@ class BrokerService(JsonHttpService):
 
 
 class BrokerClient:
+    """The client side of the broker's NGSI-9/10 interface; the agent and
+    the gateway make every NGSI request through it. A refused request
+    raises ValueError and an unreachable broker TransportError, except in
+    ``append``, which retries through deliver() and reports a drop."""
+
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
 
@@ -448,12 +440,14 @@ class BrokerClient:
             raise ValueError(f"{path} failed ({status}): {payload}")
         return payload
 
-    def register(self, entities: list[dict], attributes: list[str], providing: str) -> str:
+    def register(self, entities: list[dict], attributes: list[str], providing: str) -> str | None:
+        """The registration id; any 200 counts as registered, so a reply
+        that names no id gives None."""
         payload = self._post(
             "/ngsi9/registerContext",
             {"entities": entities, "attributes": attributes, "providingApplication": providing},
         )
-        return payload["registrationId"]
+        return payload.get("registrationId") if isinstance(payload, dict) else None
 
     def discover(self, entities: list[dict], attributes: list[str] | None = None) -> list[dict]:
         body: dict[str, Any] = {"entities": entities}
@@ -465,6 +459,13 @@ class BrokerClient:
         return self._post(
             "/ngsi10/updateContext", {"action": action, "entities": entities}
         )["responses"]
+
+    def append(self, entities: list[dict]) -> bool:
+        """One updateContext APPEND, retried through deliver(); False if it
+        was dropped, which the caller logs."""
+        url = self.base_url + "/ngsi10/updateContext"
+        body = {"action": "APPEND", "entities": entities}
+        return deliver(lambda: request_json("POST", url, body=body))
 
     def query(
         self,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 Scalar = str | int | float | bool
 
@@ -138,11 +138,14 @@ class ContextEntity:
                 return attr
         return None
 
-    def with_attributes(self, new_attrs: dict[str, ContextAttribute]) -> "ContextEntity":
-        """Replace/extend attributes by name, keeping stable name order."""
+    def merged(self, update: "ContextEntity") -> "ContextEntity":
+        """NGSI APPEND: the update's attributes replace or extend these by
+        name, kept in name order; the update's type wins unless empty."""
         merged = {a.name: a for a in self.attributes}
-        merged.update(new_attrs)
-        return ContextEntity(self.id, self.type, tuple(merged[n] for n in sorted(merged)))
+        merged.update((a.name, a) for a in update.attributes)
+        return ContextEntity(
+            self.id, update.type or self.type, tuple(merged[n] for n in sorted(merged))
+        )
 
     def project(self, names: list[str] | None) -> "ContextEntity":
         if names is None:
@@ -249,6 +252,18 @@ def parse_patterns(raw: Any, where: str, allow_empty_pattern: bool = True) -> li
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{where}: 'entities' must be a non-empty list of patterns")
     return [EntityPattern.from_json(p, allow_empty=allow_empty_pattern) for p in raw]
+
+
+def query_reply(entities: Iterable[ContextEntity], names: list[str] | None) -> list[ContextEntity]:
+    """A queryContext answer: the entities sorted by id and projected onto
+    ``names``; under a projection, an entity left with no attribute is
+    dropped."""
+    out = []
+    for entity in sorted(entities, key=lambda e: e.id):
+        projected = entity.project(names)
+        if names is None or projected.attributes:
+            out.append(projected)
+    return out
 
 
 def parse_attribute_names(raw: Any, where: str) -> list[str] | None:

@@ -248,16 +248,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples)"
 
-    def insert(self, triple: Triple) -> "Graph":
-        if triple in self._triples:
-            return self
-        return Graph(self._triples | {triple})
-
-    def remove(self, triple: Triple) -> "Graph":
-        if triple not in self._triples:
-            return self
-        return Graph(self._triples - {triple})
-
     def union(self, other: "Graph") -> "Graph":
         return Graph(self._triples | other._triples)
 

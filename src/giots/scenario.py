@@ -248,8 +248,8 @@ class ScenarioRunner:
         configured = self.scenario.services.get(component, 0)
         return configured if configured else find_free_port()
 
-    def _boot(self, component: str, service) -> str:
-        handle = run_service(service, self._port(component))
+    def _boot(self, component: str, service, port: int | None = None) -> str:
+        handle = run_service(service, self._port(component) if port is None else port)
         self.handles[component] = handle
         self.urls[component] = handle.url
         wait_healthy(handle.url)
@@ -312,12 +312,9 @@ class ScenarioRunner:
         except ValueError as exc:
             raise ScenarioError(f"invalid smg config: {exc}") from exc
         gateway = MediationGateway(config)
-        handle = run_service(SmgService(gateway), port)
-        self.handles["smg"] = handle
-        self.urls["smg"] = handle.url
-        wait_healthy(handle.url)
+        smg_url = self._boot("smg", SmgService(gateway), port)
         gateway.start()
-        self._await_instances(handle.url)
+        self._await_instances(smg_url)
 
     def _await_instances(self, smg_url: str) -> None:
         """Hold the replay until every annotated sensor container has a
@@ -351,10 +348,7 @@ class ScenarioRunner:
         key = f"agent-{index}"
         port = self._port(key)
         agent = Agent(config, f"http://127.0.0.1:{port}")
-        handle = run_service(AgentService(agent), port)
-        self.handles[key] = handle
-        self.urls[key] = handle.url
-        wait_healthy(handle.url)
+        self._boot(key, AgentService(agent), port)
         agent.start()
 
     # -- replay --------------------------------------------------------------

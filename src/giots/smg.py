@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import Any, Callable
 
+from .broker import BrokerClient
 from .cse import CseClient
 from .httpkit import (
     HttpRequest,
@@ -26,8 +27,6 @@ from .httpkit import (
     KeyedWorkers,
     TransportError,
     bad_request,
-    deliver,
-    request_json,
 )
 from .knowledge import KnowledgeClient
 from .ngsi import (
@@ -36,6 +35,7 @@ from .ngsi import (
     ContextMetadata,
     parse_attribute_names,
     parse_patterns,
+    query_reply,
 )
 from .rdf import IRI, MED_NS, Graph, Literal, parse_ntriples, term_text
 from .sparql import Query, evaluate, parse_sparql
@@ -470,15 +470,23 @@ class MediationGateway:
 
     Items are converted and published on one KeyedWorkers pool keyed by
     instance id: per-source order, with threads that do not grow with the
-    sources. A push deliver() gives up on is dropped and logged. The
-    re-scan loop picks up annotations added or changed after startup; a
-    rescan costs two CSE listings plus one retrieve per source that is new,
-    not yet settled or whose descriptor changed (see scan_once).
+    sources. The re-scan loop is one long task on the same pool (key
+    "rescan", so it holds one of the pool's threads); it picks up
+    annotations added or changed after startup, and a rescan costs two CSE
+    listings plus one retrieve per source that is new, not yet settled or
+    whose descriptor changed (see scan_once).
+
+    Every NGSI request goes through BrokerClient: push mode appends each
+    update, and a push it gives up on is dropped and logged. Pull mode
+    registers each target with the broker and keeps the updates in a local
+    cache with the broker's APPEND merge (ContextEntity.merged);
+    answer_query replies as the broker's query does (ngsi.query_reply).
     """
 
     def __init__(self, config: GatewayConfig):
         self.config = config
         self.cse = CseClient(config.cse_url)
+        self.broker = BrokerClient(config.broker_url)
         self.knowledge = (
             KnowledgeClient(config.knowledge_url) if config.knowledge_url else None
         )
@@ -494,7 +502,6 @@ class MediationGateway:
         self._counter = 0
         self._cache: dict[str, ContextEntity] = {}  # pull-mode context state
         self._stop = threading.Event()
-        self._rescan_thread: threading.Thread | None = None
         self.scans = 0
 
     # -- pipeline steps ----------------------------------------------------
@@ -655,21 +662,15 @@ class MediationGateway:
         return instance
 
     def _register_provider(self, instance: TransformationInstance) -> None:
-        body = {
-            "entities": [
-                {"id": instance.target.entity_id, "type": instance.target.entity_type}
-            ],
-            "attributes": [instance.target.attribute_name],
-            "providingApplication": self.config.gateway_url,
-        }
+        target = instance.target
         try:
-            status, payload = request_json(
-                "POST", self.config.broker_url.rstrip("/") + "/ngsi9/registerContext", body=body
+            self.broker.register(
+                [{"id": target.entity_id, "type": target.entity_type}],
+                [target.attribute_name],
+                self.config.gateway_url,
             )
-        except TransportError as exc:
+        except (TransportError, ValueError) as exc:
             raise SubscriptionFailed(f"registerContext failed: {exc}") from exc
-        if status != 200:
-            raise SubscriptionFailed(f"registerContext failed ({status}): {payload}")
 
     # -- per-item processing -------------------------------------------------
 
@@ -718,18 +719,10 @@ class MediationGateway:
     def publish(self, update: ContextEntity) -> None:
         if self.config.mode == "pull":
             with self._lock:
-                current = self._cache.get(update.id)
-                if current is None:
-                    self._cache[update.id] = update
-                else:
-                    merged = current.with_attributes({a.name: a for a in update.attributes})
-                    self._cache[update.id] = ContextEntity(
-                        update.id, update.type or current.type, merged.attributes
-                    )
+                current = self._cache.get(update.id) or ContextEntity(update.id, update.type)
+                self._cache[update.id] = current.merged(update)
             return
-        body = {"action": "APPEND", "entities": [update.to_json()]}
-        url = self.config.broker_url.rstrip("/") + "/ngsi10/updateContext"
-        if not deliver(lambda: request_json("POST", url, body=body)):
+        if not self.broker.append([update.to_json()]):
             log.error("update for entity %s dropped: updateContext failed", update.id)
 
     # -- pull-mode provider endpoint ------------------------------------------
@@ -747,22 +740,16 @@ class MediationGateway:
         )
         with self._lock:
             snapshot = list(self._cache.values())
-        out = []
-        for entity in sorted(snapshot, key=lambda e: e.id):
-            if not any(p.matches(entity.id, entity.type, is_subclass) for p in patterns):
-                continue
-            projected = entity.project(attributes)
-            if attributes is not None and not projected.attributes:
-                continue
-            out.append(projected)
-        return out
+        return query_reply(
+            (e for e in snapshot if any(p.matches(e.id, e.type, is_subclass) for p in patterns)),
+            attributes,
+        )
 
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> None:
         self.scan_once()
-        self._rescan_thread = threading.Thread(target=self._rescan_loop, daemon=True)
-        self._rescan_thread.start()
+        self._pool.submit("rescan", self._rescan_loop)
 
     def _rescan_loop(self) -> None:
         period = self.config.rescan_millis / 1000.0
@@ -771,8 +758,6 @@ class MediationGateway:
 
     def stop(self) -> None:
         self._stop.set()
-        if self._rescan_thread is not None:
-            self._rescan_thread.join(timeout=2)
         self._pool.close()
 
     def instances(self) -> list[TransformationInstance]:

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import giots.agent as agent_module
+import giots.broker as broker_module
 from giots import rdf
 from giots.agent import Agent, AgentConfig, AgentService, _lexical
 from giots.broker import BrokerClient
@@ -245,7 +245,7 @@ def test_a_dropped_feedback_value_is_resent_by_the_next_pass(monkeypatch):
         bodies.append(send)
         return next(outcomes)
 
-    monkeypatch.setattr(agent_module, "deliver", deliver)
+    monkeypatch.setattr(broker_module, "deliver", deliver)
     agent._apply_notification(_notification("room1", "occupancy", 4))
     agent.run_rule_pass()  # the broker is down: the value is dropped
     assert agent.stats()["derivedFactsSent"] == 0

@@ -181,11 +181,10 @@ def test_close_returns_promptly_with_a_backlog_queued():
 # --- one worker model ----------------------------------------------------------------
 
 # (module, enclosing function, constructor): the pool's and the HTTP server's
-# threads, and the gateway's rescan loop
+# threads
 ALLOWED_CONSTRUCTIONS = {
     ("httpkit.py", "submit", "Thread"),
     ("httpkit.py", "__init__", "Thread"),
-    ("smg.py", "start", "Thread"),
 }
 
 
@@ -218,3 +217,14 @@ def test_background_work_runs_only_on_the_worker_model():
         found |= visitor.found
     assert ("httpkit.py", "submit", "Thread") in found  # the scan sees constructions
     assert found - ALLOWED_CONSTRUCTIONS == set()
+
+
+def test_the_agent_and_the_gateway_speak_ngsi_only_through_the_broker_client():
+    package = Path(giots.__file__).parent
+    for module in ("agent.py", "smg.py"):
+        tree = ast.parse((package / module).read_text(encoding="utf-8"))
+        used = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert used & {"request_json", "deliver"} == set(), module

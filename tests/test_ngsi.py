@@ -90,10 +90,14 @@ def test_location_metadata_must_be_lon_lat_pair():
             ContextMetadata.from_json({"name": "location", "type": "geo:point", "value": bad}, "t")
 
 
-def test_with_attributes_replaces_by_name():
+def test_merged_replaces_attributes_by_name():
     entity = ContextEntity("x", "T", (ContextAttribute("a", 1), ContextAttribute("b", 2)))
-    updated = entity.with_attributes({"b": ContextAttribute("b", 9), "c": ContextAttribute("c", 3)})
+    updated = entity.merged(
+        ContextEntity("x", "", (ContextAttribute("c", 3), ContextAttribute("b", 9)))
+    )
     assert [(a.name, a.value) for a in updated.attributes] == [("a", 1), ("b", 9), ("c", 3)]
+    assert updated.type == "T"  # an empty type keeps the stored one
+    assert entity.merged(ContextEntity("x", "U")).type == "U"
 
 
 def test_project_keeps_named_attributes_only():

@@ -355,5 +355,5 @@ def test_removing_a_middle_edge_deletes_every_pair_across_it():
     closure.update(_CHAIN.triples())
     middle = Triple(IRI("urn:n5"), IRI("urn:p"), IRI("urn:n6"))
     closure.update(removed=[middle])
-    assert closure.derived() == forward_chain(_CHAIN.remove(middle), [_TRANSITIVE])
+    assert closure.derived() == forward_chain(Graph(_CHAIN.triples() - {middle}), [_TRANSITIVE])
     assert Triple(IRI("urn:n0"), IRI("urn:p"), IRI("urn:n11")) not in closure.derived()

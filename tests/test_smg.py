@@ -8,9 +8,10 @@ import time
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from giots import smg
-from giots.broker import BrokerClient, BrokerService
+from giots.broker import BrokerClient, BrokerService, ContextBroker
 from giots.cse import CseClient
 from giots.httpkit import (
     WORKER_THREADS,
@@ -22,6 +23,7 @@ from giots.httpkit import (
     run_service,
     wait_healthy,
 )
+from giots.ngsi import ContextEntity, parse_attribute_names, parse_patterns
 from giots.rdf import MED_NS, parse_ntriples
 from giots.smg import (
     ConversionError,
@@ -331,7 +333,7 @@ def test_gateway_config_rejects_malformed_documents(doc):
 # --- end-to-end pipelines --------------------------------------------------------------
 
 
-def _boot_gateway(cse_url, broker_url, mode="push", processes=None):
+def _boot_gateway(cse_url, broker_url, mode="push", processes=None, rescan_millis=60000):
     port = find_free_port()
     config = GatewayConfig(
         cse_url=cse_url,
@@ -343,7 +345,7 @@ def _boot_gateway(cse_url, broker_url, mode="push", processes=None):
             TransformationProcess.from_json(p)
             for p in (processes or [CELSIUS_PROCESS, IDENTITY_PROCESS])
         ],
-        rescan_millis=60000,
+        rescan_millis=rescan_millis,
     )
     gateway = MediationGateway(config)
     handle = run_service(SmgService(gateway), port)
@@ -507,6 +509,26 @@ def test_rescan_adopts_late_sources_and_skips_unmatched(cse_server, broker_serve
         )
         assert gateway.scan_once() == 0
         assert len(gateway.instances()) == 1
+    finally:
+        handle.stop()
+
+
+def test_the_rescan_loop_adopts_a_late_source_and_stops_within_the_pools_bound(
+    cse_server, broker_server
+):
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url, rescan_millis=250)
+    try:
+        gateway.start()  # nothing annotated yet
+        assert gateway.instances() == []
+        _seed_container(cse_server.url, _descriptor(unit="celsius"))
+        # adopted by the loop's next scan, with no scan_once from the test
+        assert _poll(lambda: len(gateway.instances()) == 1, timeout=1.0)
+        started = time.monotonic()
+        gateway.stop()
+        assert time.monotonic() - started < 2.0
+        scans = gateway.scans
+        time.sleep(0.6)
+        assert gateway.scans == scans  # the loop has ended
     finally:
         handle.stop()
 
@@ -743,3 +765,52 @@ def test_notification_endpoint_validation(cse_server, broker_server):
         assert status == 200
     finally:
         handle.stop()
+
+
+# --- the pull cache against the broker ----------------------------------------------
+
+_NAMES = st.sampled_from(["x", "y", "z"])
+_UPDATES = st.fixed_dictionaries({
+    "id": st.sampled_from(["a", "ab", "b", "c"]),  # few ids, so APPENDs repeat
+    "type": st.sampled_from(["", "T", "U"]),
+    "attributes": st.dictionaries(
+        _NAMES,
+        st.tuples(
+            st.one_of(st.integers(-3, 3), st.sampled_from(["on", "off"]), st.booleans()),
+            st.sampled_from([[], [{"name": "unit", "type": "string", "value": "kelvin"}]]),
+        ),
+    ).map(lambda attrs: [
+        {"name": name, "value": value, "metadata": metadata}
+        for name, (value, metadata) in attrs.items()
+    ]),
+})
+_TYPES = {"type": st.sampled_from(["T", "U"])}
+_PATTERNS = st.one_of(
+    st.fixed_dictionaries({}, optional={"id": st.sampled_from(["a", "b", "d"]), **_TYPES}),
+    st.fixed_dictionaries({"idPattern": st.sampled_from(["a.*", ".*b", "c|d"])}, optional=_TYPES),
+)
+_PROJECTIONS = st.one_of(st.none(), st.lists(st.sampled_from(["x", "y", "w"]), min_size=1,
+                                              max_size=2, unique=True))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(_UPDATES, min_size=1, max_size=8),
+       st.lists(_PATTERNS, min_size=1, max_size=3), _PROJECTIONS)
+def test_the_pull_cache_merges_and_answers_as_the_broker_does(updates, patterns, projection):
+    gateway = MediationGateway(GatewayConfig(
+        cse_url="http://127.0.0.1:9", broker_url="http://127.0.0.1:9", knowledge_url=None,
+        mode="pull", gateway_url="http://127.0.0.1:9",
+        processes=[TransformationProcess.from_json(IDENTITY_PROCESS)],
+    ))
+    broker = ContextBroker()
+    for raw in updates:
+        gateway.publish(ContextEntity.from_json(raw))
+        broker.update("APPEND", [ContextEntity.from_json(raw)])
+    body = {"entities": patterns}
+    if projection is not None:
+        body["attributes"] = projection
+    expected = broker.query(
+        parse_patterns(patterns, "query"), parse_attribute_names(projection, "query"),
+        restriction=None, allow_pull=False,
+    )
+    assert gateway.answer_query(body) == expected

@@ -170,8 +170,8 @@ def test_single_join_finds_the_meeting_room():
 def test_filter_compares_numbers_across_datatypes():
     query = parse_sparql("PREFIX ont: <%s> SELECT ?r WHERE { ?r ont:temp ?t . FILTER(?t > 20) }" % ONT)
     assert evaluate(query, _room_graph()) == [{"r": IRI("urn:room1")}]
-    also_string = _room_graph().insert(
-        Triple(IRI("urn:attic"), IRI(ONT + "temp"), Literal("30"))
+    also_string = _room_graph().union(
+        Graph([Triple(IRI("urn:attic"), IRI(ONT + "temp"), Literal("30"))])
     )
     rows = evaluate(query, also_string)
     assert {row["r"].value for row in rows} == {"urn:attic", "urn:room1"}
@@ -273,7 +273,7 @@ def test_solutions_grow_monotonically_without_filters():
         query = random_query(rng, graph)
         query = Query("SELECT", None, query.patterns, ())
         before = _canonical(evaluate(query, graph))
-        grown = graph.insert(random_triple(rng))
+        grown = graph.union(Graph([random_triple(rng)]))
         after = _canonical(evaluate(query, grown))
         assert before <= after
 
