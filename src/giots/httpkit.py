@@ -1,7 +1,8 @@
 """Small HTTP plumbing shared by every service: a threaded JSON-over-HTTP
-server with pattern routing, a urllib-based client helper, and the push
-side every service shares: one retry policy (``deliver``) and one worker
-model (``KeyedWorkers``).
+server with pattern routing, the stack's one HTTP client (``request_json``,
+which keeps a few idle connections per peer alive), and the push side
+every service shares: one retry policy (``deliver``) and one worker model
+(``KeyedWorkers``).
 
 Nothing here knows about the domain; each service registers routes and
 raises ApiError for protocol failures.
@@ -10,21 +11,24 @@ raises ApiError for protocol failures.
 from __future__ import annotations
 
 import errno
+import http.client
 import json
 import logging
 import re
+import select
 import socket
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from collections import deque
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Hashable
 
 log = logging.getLogger(__name__)
+
+KEEP_ALIVE_SECONDS = 5  # a server closes a connection idle this long, and says so
+IDLE_PER_PEER = 4  # idle client connections kept per peer; each holds a server thread
 
 
 class ApiError(Exception):
@@ -168,10 +172,18 @@ class JsonHttpService:
 def _make_handler(service: JsonHttpService):
     class RequestHandler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+        timeout = KEEP_ALIVE_SECONDS  # an idle kept-alive connection is closed
+        # headers and body go out in separate sends; with Nagle on, a
+        # kept-alive request waits for the client's delayed ACK (~40 ms)
+        disable_nagle_algorithm = True
 
         def _run(self, method: str) -> None:
             parsed = urllib.parse.urlsplit(self.path)
             length = int(self.headers.get("Content-Length") or 0)
+            if self.headers.get("Transfer-Encoding"):
+                # only Content-Length bodies are read; what is left unread
+                # would be taken for the next request, so the connection ends
+                self.close_connection = True
             body = self.rfile.read(length) if length else b""
             request = HttpRequest(
                 method=method,
@@ -190,6 +202,10 @@ def _make_handler(service: JsonHttpService):
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)
             self.send_header("Content-Length", str(len(data)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
+            else:
+                self.send_header("Keep-Alive", f"timeout={KEEP_ALIVE_SECONDS}")
             self.end_headers()
             if data:
                 self.wfile.write(data)
@@ -212,18 +228,52 @@ def _make_handler(service: JsonHttpService):
     return RequestHandler
 
 
+class _Server(ThreadingHTTPServer):
+    """One thread per connection; it tracks the open ones, because a
+    kept-alive connection outlives shutdown() unless it is ended."""
+
+    daemon_threads = True
+
+    def __init__(self, address, handler):
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address):
+        with self._open_lock:
+            self._open.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._open_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def end_connections(self) -> None:
+        with self._open_lock:
+            connections = list(self._open)
+        for sock in connections:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+
+    def handle_error(self, request, client_address):
+        # a peer that went away, or a connection ended by end_connections()
+        log.debug("connection from %s ended with an error", client_address, exc_info=True)
+
+
 class ServerHandle:
     """A running service bound to a port; stop() is idempotent."""
 
     def __init__(self, service: JsonHttpService, host: str, port: int):
         self.service = service
         try:
-            self._server = ThreadingHTTPServer((host, port), _make_handler(service))
+            self._server = _Server((host, port), _make_handler(service))
         except OSError as exc:
             if exc.errno == errno.EADDRINUSE:
                 raise PortInUse(port) from exc
             raise
-        self._server.daemon_threads = True
         self.host = host
         self.port = self._server.server_address[1]
         self._thread = threading.Thread(
@@ -242,6 +292,7 @@ class ServerHandle:
         self._stopped = True
         self._server.shutdown()
         self._server.server_close()
+        self._server.end_connections()
         self._thread.join(timeout=5)
         self.service.close()
 
@@ -263,7 +314,9 @@ def request_json(
     """Issue a request; JSON bodies in, parsed JSON (or text) out.
 
     4xx/5xx responses are returned, not raised; network-level failures
-    raise TransportError. A string body is sent as text/plain.
+    raise TransportError. A string body is sent as text/plain. The
+    connection is kept for the next request to the same peer only if the
+    peer announced ``Keep-Alive: timeout=N``; a request is never resent.
     """
     data = None
     req_headers = dict(headers or {})
@@ -277,14 +330,80 @@ def request_json(
         else:
             data = json.dumps(body).encode("utf-8")
             req_headers.setdefault("Content-Type", "application/json")
-    request = urllib.request.Request(url, data=data, headers=req_headers, method=method.upper())
+    parts = urllib.parse.urlsplit(url)
+    if parts.scheme not in {"http", "https"} or not parts.hostname:
+        raise TransportError(f"{method} {url}: not an http(s) URL")
+    peer = (parts.scheme, parts.hostname, parts.port)
+    target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+    conn = _checkout(peer, timeout)
     try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.status, _parse_body(response.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, _parse_body(exc.read())
-    except (urllib.error.URLError, socket.timeout, ConnectionError, OSError) as exc:
+        if conn is None:
+            https = parts.scheme == "https"
+            connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+            conn = connection(parts.hostname, parts.port, timeout=timeout)
+        conn.request(method.upper(), target, body=data, headers=req_headers)
+        response = conn.getresponse()
+        payload = response.read()
+    except (OSError, http.client.HTTPException) as exc:
+        if conn is not None:
+            conn.close()
         raise TransportError(f"{method} {url}: {exc}") from exc
+    _checkin(peer, conn, response)
+    return response.status, _parse_body(payload)
+
+
+# Idle connections per (scheme, host, port), newest last, each with the
+# time after which it is not reused.
+_idle: dict[tuple, list[tuple[http.client.HTTPConnection, float]]] = {}
+_idle_lock = threading.Lock()
+
+
+def _checkout(peer: tuple, timeout: float) -> http.client.HTTPConnection | None:
+    """The newest idle connection to the peer that is still fresh and has
+    nothing waiting on it (EOF or stray bytes mean the server is done)."""
+    now = time.monotonic()
+    while True:
+        with _idle_lock:
+            idle = _idle.get(peer)
+            if not idle:
+                return None
+            conn, reuse_until = idle.pop()
+        if now < reuse_until and _quiet(conn.sock):
+            conn.timeout = timeout
+            conn.sock.settimeout(timeout)
+            return conn
+        conn.close()
+
+
+def _quiet(sock: socket.socket) -> bool:
+    """Nothing waits to be read, without blocking; poll, unlike select,
+    takes any file descriptor number."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return not poller.poll(0)
+
+
+def _checkin(peer: tuple, conn: http.client.HTTPConnection, response) -> None:
+    """Keep the connection for half the idle timeout its server announced,
+    so the server never closes it under a request; close it otherwise,
+    and close every idle connection that has gone stale."""
+    announced = re.search(r"timeout=(\d+)", response.getheader("Keep-Alive") or "")
+    now = time.monotonic()
+    stale = []
+    with _idle_lock:
+        if announced and not response.will_close and len(_idle.get(peer, ())) < IDLE_PER_PEER:
+            _idle.setdefault(peer, []).append((conn, now + int(announced.group(1)) / 2))
+            conn = None
+        for key in list(_idle):
+            idle = _idle[key]
+            while idle and idle[0][1] <= now:
+                stale.append(idle.pop(0)[0])
+            if not idle:
+                del _idle[key]
+    for old in stale:
+        old.close()
+    if conn is not None:
+        conn.close()
 
 
 def _parse_body(data: bytes) -> Any:

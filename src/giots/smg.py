@@ -692,11 +692,16 @@ class MediationGateway:
         try:
             update = self.build_update(instance, resource)
         except (ExtractionError, ConversionError) as exc:
-            instance.items_dropped += 1
+            with self._lock:
+                instance.items_dropped += 1
             log.warning("%s: item dropped: %s", instance.instance_id, exc)
             return
-        self.publish(update)
-        instance.items_converted += 1
+        published = self.publish(update)  # a drop is logged once, by publish
+        with self._lock:
+            if published:
+                instance.items_converted += 1
+            else:
+                instance.items_dropped += 1
 
     def build_update(
         self, instance: TransformationInstance, resource: dict
@@ -716,14 +721,17 @@ class MediationGateway:
         attribute = ContextAttribute(target.attribute_name, converted, tuple(metadata))
         return ContextEntity(target.entity_id, target.entity_type, (attribute,))
 
-    def publish(self, update: ContextEntity) -> None:
+    def publish(self, update: ContextEntity) -> bool:
+        """Cache (pull) or push the update; False if the push was dropped."""
         if self.config.mode == "pull":
             with self._lock:
                 current = self._cache.get(update.id) or ContextEntity(update.id, update.type)
                 self._cache[update.id] = current.merged(update)
-            return
+            return True
         if not self.broker.append([update.to_json()]):
             log.error("update for entity %s dropped: updateContext failed", update.id)
+            return False
+        return True
 
     # -- pull-mode provider endpoint ------------------------------------------
 

@@ -462,6 +462,24 @@ def test_push_pipeline_drops_bad_items(cse_server, broker_server):
         handle.stop()
 
 
+def test_a_push_the_broker_never_received_counts_as_dropped(cse_server, caplog):
+    cse, path = _seed_container(cse_server.url, _descriptor(unit="celsius"))
+    closed = f"http://127.0.0.1:{find_free_port()}"
+    gateway, handle = _boot_gateway(cse_server.url, closed)
+    try:
+        gateway.scan_once()
+        with caplog.at_level(logging.WARNING, logger="giots.smg"):
+            cse.create(path, "ContentInstance", {"rn": "cin1", "con": {"value": 25}})
+            assert _poll(lambda: gateway.stats()["itemsDropped"] == 1)
+        assert gateway.stats()["itemsConverted"] == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "giots.smg"]
+        assert [m for m in messages if "dropped" in m] == [
+            "update for entity room123 dropped: updateContext failed"
+        ]
+    finally:
+        handle.stop()
+
+
 def test_descriptor_conversion_hint_overrides_process(cse_server, broker_server):
     text = _descriptor(unit="celsius", extra=f'<urn:src:room1> <{MED_NS}conversion> "scale:0.5" .')
     cse, path = _seed_container(cse_server.url, text)
