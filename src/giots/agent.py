@@ -2,16 +2,14 @@
 mirrors notified values as a triple view, forward-chains its rules and
 feeds derived attributes back into the broker.
 
-The rules' closure over the view is maintained, not rebuilt: each
-notified value or type that changes becomes a removed and an added view
-triple, and the next rule pass applies the batch to the closure
-(``rules.Closure``), so a pass costs what the batch changed. The first
-pass, and the pass after one aborted at the derivation cap, start from an
-empty closure and add the whole view.
-
-SPARQL reads ``view_graph()``: an immutable snapshot of the current view
-plus the facts the last completed pass derived, cached until a
-notification or a pass changes it.
+The rules' closure (``rules.Closure``) is the agent's one store of facts,
+and its base is the view. Each notified value or type that changes becomes
+a removed and an added view triple, and the next rule pass applies the
+batch to the closure, so a pass costs what the batch changed. A pass
+aborted at the derivation cap leaves the closure as it was and keeps its
+batch for the next pass. SPARQL reads the closure under the agent's lock,
+so a query sees the view and its derived facts as of the last completed
+pass; feedback re-reads from it only the keys a pass touched.
 
 Loop safety: attributes the agent itself derived are ignored when they
 come back as notifications, and a derived value is sent only when it
@@ -26,8 +24,8 @@ from __future__ import annotations
 import json
 import logging
 import threading
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import dataclass, replace
+from typing import Any, Iterable
 
 from .broker import BrokerClient
 from .httpkit import (
@@ -40,7 +38,7 @@ from .httpkit import (
     not_found,
 )
 from .ngsi import ContextEntity, EntityPattern, parse_patterns
-from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple
+from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple, TriplePattern, Variable
 from .rules import Closure, ClosureLimitExceeded, RuleBase, parse_rule_json
 from .sparql import (
     SparqlSyntaxError,
@@ -106,14 +104,8 @@ class AgentConfig:
         raw_rules = obj.get("rules", [])
         if not isinstance(raw_rules, list):
             raise ValueError("'rules' must be a list")
-        rules = [parse_rule_json(r, prefixes) for r in raw_rules]
-        for rule in rules:
-            unsafe = rule.unsafe_head_variables()
-            if unsafe:
-                raise ValueError(
-                    f"rule {rule.rule_id!r} is unsafe: head variables "
-                    + ", ".join(sorted(unsafe)) + " missing from body"
-                )
+        rules = RuleBase([parse_rule_json(r, prefixes) for r in raw_rules])
+        Closure(rules)  # raises ValueError for an unsafe rule
         suffix = obj.get("outputEntitySuffix", "")
         if not isinstance(suffix, str):
             raise ValueError("'outputEntitySuffix' must be a string")
@@ -128,7 +120,7 @@ class AgentConfig:
             broker_url=broker_url,
             patterns=patterns,
             attributes=list(raw_attrs),
-            rules=RuleBase(rules),
+            rules=rules,
             output_entity_suffix=suffix,
             sparql_enabled=enabled,
             throttling_millis=throttling,
@@ -147,13 +139,10 @@ class Agent:
         self._lock = threading.Lock()
         self._values: dict[tuple[str, str], str] = {}  # (entity, attribute) -> lexical
         self._types: dict[str, str] = {}
-        self._view: set[Triple] = set()  # the triples of _values and _types
-        self._derived = Graph()  # what the last completed pass derived
-        self._snapshot: Graph | None = None  # view_graph()'s cache
-        self._closure: Closure
-        self._added: set[Triple]  # view changes the next pass applies
-        self._removed: set[Triple]
-        self._reset_closure()
+        self._closure = Closure(config.rules)  # the view and what it derives
+        self._added: set[Triple] = set()  # view changes the next pass applies
+        self._removed: set[Triple] = set()
+        self._unsettled: set[tuple[str, str]] = set()  # (subject, predicate) IRIs feed_back re-reads
         self._self_derived: set[str] = set()  # attribute names we wrote back
         self._sent: dict[tuple[str, str], str] = {}  # (entity, attribute) -> last value sent
         self._inbox: list = []  # notification bodies the next drain applies
@@ -168,23 +157,18 @@ class Agent:
     # -- view ------------------------------------------------------------
 
     def view_graph(self) -> Graph:
-        """The view plus the last completed pass's derived facts."""
-        with self._lock:
-            if self._snapshot is None:
-                self._snapshot = Graph(self._view | self._derived.triples())
-            return self._snapshot
+        """The closure's live store: the view and its derived facts as of the
+        last completed pass. Read it holding the lock (not reentrant, so not taken here)."""
+        return self._closure.facts
 
     def _replace(self, old: Triple | None, new: Triple | None) -> None:
         """Swap one view triple for another (caller holds the lock)."""
         if old is not None:
-            self._view.discard(old)
             self._added.discard(old)
             self._removed.add(old)
         if new is not None:
-            self._view.add(new)
             self._removed.discard(new)
             self._added.add(new)
-        self._snapshot = None
 
     def _apply_notification(self, body: Any) -> bool:
         if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
@@ -220,72 +204,60 @@ class Agent:
                         log.warning("value of %s.%s skipped: %s", entity.id, attribute.name, exc)
                         continue
                     self._values[key] = lexical
-                    self._replace(
-                        None if old is None
-                        else Triple(IRI(subject), IRI(CTX_NS + attribute.name), Literal(old)),
-                        new,
-                    )
+                    self._replace(None if old is None else replace(new, object=Literal(old)), new)
                     changed = True
         return changed
 
     # -- reasoning ---------------------------------------------------------
 
-    def _reset_closure(self) -> None:
-        """An empty closure; the next pass adds the whole view (caller
-        holds the lock, or is the constructor)."""
-        self._closure = Closure(self.config.rules)
-        self._added, self._removed = set(self._view), set()
-
     def run_rule_pass(self) -> list[Triple]:
-        """Apply the view changes since the last pass to the closure and
-        feed back every derived fact; returns them, in no set order."""
+        """Apply the view changes since the last completed pass to the
+        closure and feed back what they touched; returns every derived
+        fact, in no set order. An aborted pass keeps its changes."""
         with self._lock:
-            added, removed = self._added, self._removed
-            self._added, self._removed = set(), set()
             try:
-                self._closure.update(added, removed)
+                touched = self._closure.update(self._added, self._removed)
             except ClosureLimitExceeded as exc:
-                self._reset_closure()
                 self.rule_passes_aborted += 1
                 log.error("rule pass aborted: %s", exc)
                 return []
+            self._added, self._removed = set(), set()
             self.rule_passes += 1
-            self._derived = derived = self._closure.derived()
-            self._snapshot = None
-        facts = list(derived.triples())
-        self.feed_back(facts)
+            facts = list(self._closure.derived().triples())
+        self.feed_back(touched)
         return facts
 
-    def feed_back(self, facts: list[Triple]) -> None:
-        derived: dict[tuple[str, str], set[str]] = {}
-        for triple in facts:
-            if not isinstance(triple.subject, IRI) or not isinstance(triple.object, Literal):
-                continue
-            subject = triple.subject.value
-            predicate = triple.predicate.value
-            if not subject.startswith(ENTITY_PREFIX) or not predicate.startswith(CTX_NS):
-                continue
-            entity_id = subject[len(ENTITY_PREFIX):] + self.config.output_entity_suffix
-            key = (entity_id, predicate[len(CTX_NS):])
-            derived.setdefault(key, set()).add(triple.object.lexical)
-        for (entity_id, attribute), values in sorted(derived.items()):
-            if len(values) > 1:
-                log.warning("clashing derived values for %s.%s, none sent: %s",
-                            entity_id, attribute, ", ".join(sorted(values)))
-                with self._lock:
+    def feed_back(self, facts: Iterable[Triple]) -> None:
+        """Send the derived value of each (entity, attribute) key the facts
+        name, or that a clash or a dropped send left unsettled, as the
+        closure has it now."""
+        with self._lock:
+            keys = self._unsettled | {(t.subject.value, t.predicate.value) for t in facts
+                                      if isinstance(t.subject, IRI) and t.subject.value.startswith(ENTITY_PREFIX)
+                                      and t.predicate.value.startswith(CTX_NS)}
+            self._unsettled, sends = set(), []
+            for subject, predicate in sorted(keys):
+                entity_id = subject[len(ENTITY_PREFIX):] + self.config.output_entity_suffix
+                attribute = predicate[len(CTX_NS):]
+                found = self._closure.derived_matches(TriplePattern(IRI(subject), IRI(predicate), Variable("v")))
+                values = {t.object.lexical for t in found if isinstance(t.object, Literal)}
+                if len(values) > 1:
+                    log.warning("clashing derived values for %s.%s, none sent: %s",
+                                entity_id, attribute, ", ".join(sorted(values)))
                     self.derived_clashes += 1
-                continue
-            (value,) = values
+                    self._unsettled.add((subject, predicate))
+                elif values and self._sent.get((entity_id, attribute)) not in values:
+                    self._self_derived.add(attribute)
+                    entity_type = self._types.get(entity_id, "")
+                    sends.append(((subject, predicate), entity_id, entity_type, attribute, values.pop()))
+        for key, entity_id, entity_type, attribute, value in sends:
+            dropped = self._send_update(entity_id, entity_type, attribute, value) is False
             with self._lock:
-                if self._sent.get((entity_id, attribute)) == value:
-                    continue
-                self._self_derived.add(attribute)
-                entity_type = self._types.get(entity_id, "")
-            if self._send_update(entity_id, entity_type, attribute, value) is False:
-                continue  # dropped: not recorded, so the next pass resends it
-            with self._lock:
-                self._sent[(entity_id, attribute)] = value
-                self.derived_sent += 1
+                if dropped:  # not recorded, so the next pass resends it
+                    self._unsettled.add(key)
+                else:
+                    self._sent[(entity_id, attribute)] = value
+                    self.derived_sent += 1
 
     def _send_update(self, entity_id: str, entity_type: str, attribute: str, value: str) -> bool:
         """One derived value to the broker; False if it was dropped."""
@@ -337,7 +309,8 @@ class Agent:
 
     def answer_sparql(self, text: str) -> dict:
         query = parse_sparql(text)  # SparqlSyntaxError propagates
-        result = evaluate(query, self.view_graph())
+        with self._lock:
+            result = evaluate(query, self.view_graph())
         if isinstance(result, bool):
             return {"result": result}
         return {

@@ -179,20 +179,23 @@ def _make_handler(service: JsonHttpService):
 
         def _run(self, method: str) -> None:
             parsed = urllib.parse.urlsplit(self.path)
-            length = int(self.headers.get("Content-Length") or 0)
-            if self.headers.get("Transfer-Encoding"):
+            length = (self.headers.get("Content-Length") or "0").strip()
+            valid = length.isascii() and length.isdigit()  # 1*DIGIT, RFC 9110 8.6
+            if self.headers.get("Transfer-Encoding") or not valid:
                 # only Content-Length bodies are read; what is left unread
                 # would be taken for the next request, so the connection ends
                 self.close_connection = True
-            body = self.rfile.read(length) if length else b""
-            request = HttpRequest(
-                method=method,
-                path=urllib.parse.unquote(parsed.path),
-                query=urllib.parse.parse_qs(parsed.query),
-                headers={k.lower(): v for k, v in self.headers.items()},
-                body=body,
-            )
-            response = service.handle(request)
+            if valid:
+                response = service.handle(HttpRequest(
+                    method=method,
+                    path=urllib.parse.unquote(parsed.path),
+                    query=urllib.parse.parse_qs(parsed.query),
+                    headers={k.lower(): v for k, v in self.headers.items()},
+                    body=self.rfile.read(int(length)),
+                ))
+            else:
+                message = f"bad Content-Length {length!r}"
+                response = HttpResponse(400, {"error": "BadRequest", "message": message})
             if response.raw is not None:
                 data = response.raw
             elif response.payload is None:

@@ -10,8 +10,9 @@ at fixpoint in one indexed store, and ``Closure.update`` takes a batch of
 added and removed base facts by delete-and-rederive (Gupta, Mumick &
 Subrahmanian, "Maintaining Views Incrementally", SIGMOD 1993): removals
 over-delete what they may support, facts with another derivation are put
-back, and additions run semi-naive insertion. ``forward_chain`` is one
-update of an empty closure, so the semi-naive loop exists once.
+back, and additions run semi-naive insertion; an update is atomic and
+returns the facts it touched. ``forward_chain`` is one update of an empty
+closure, so the semi-naive loop exists once.
 """
 
 from __future__ import annotations
@@ -167,8 +168,8 @@ class Closure:
     Subrahmanian, "Maintaining Views Incrementally", SIGMOD 1993) over
     semi-naive evaluation (Bancilhon & Ramakrishnan, SIGMOD 1986).
 
-    Not thread-safe. After ``update`` raises, the closure is in no defined
-    state; start a new one.
+    Not thread-safe. ``update`` is atomic: if it raises, the closure is
+    as it was before the call.
     """
 
     def __init__(self, rules: list[Rule] | RuleBase, limit: int = DERIVATION_LIMIT):
@@ -184,11 +185,21 @@ class Closure:
         self._facts = TripleStore()  # base and derived facts, one index
         self._base: set[Triple] = set()
 
+    @property
+    def facts(self) -> TripleStore:
+        """Base and derived facts: the live store, which ``update`` changes."""
+        return self._facts
+
     def derived(self) -> Graph:
         """The facts the rules derive that are not base facts."""
         return Graph(self._facts.triples() - self._base)
 
-    def update(self, added: Iterable[Triple] = (), removed: Iterable[Triple] = ()) -> None:
+    def derived_matches(self, pattern: TriplePattern) -> list[Triple]:
+        """The derived facts, not base facts, that match the pattern."""
+        found = (_instantiate(pattern, b) for b in self._facts.match(pattern))
+        return [t for t in found if t not in self._base]
+
+    def update(self, added: Iterable[Triple] = (), removed: Iterable[Triple] = ()) -> set[Triple]:
         """Make the base ``(base - removed) | added`` and restore the fixpoint.
 
         1. Over-delete: fire the rules semi-naively over the removed facts,
@@ -199,22 +210,35 @@ class Closure:
         3. Insert: semi-naive insertion seeded with the added and the
            rederived facts.
 
+        Returns the facts it touched: at least every fact that came, went
+        or moved between base and derived.
+
         Raises ClosureLimitExceeded once more than `limit` facts are
         derived, exactly when chaining the new base from scratch would.
-        Only insertion grows the closure, so only insertion checks.
+        Only insertion grows the closure, so only insertion checks; the
+        update then undoes itself before it raises.
         """
         added = set(added)
         removed = (set(removed) & self._base) - added
         added -= self._base
-        rederived: set[Triple] = set()
-        if removed:
-            gone = self._overdelete(removed)
-            self._base -= removed
-            for triple in gone:
+        gone = self._overdelete(removed)
+        self._base -= removed
+        for triple in gone:
+            self._facts.discard(triple)
+        new: set[Triple] = set()
+        try:
+            self._base |= added
+            self._insert(added | self._rederive(gone), new)
+        except ClosureLimitExceeded:
+            # every add came after every discard: take the adds out first
+            for triple in new:
                 self._facts.discard(triple)
-            rederived = self._rederive(gone)
-        self._base |= added
-        self._insert(added | rederived)
+            for triple in gone:
+                self._facts.add(triple)
+            self._base -= added
+            self._base |= removed
+            raise
+        return gone | new | added
 
     def _overdelete(self, removed: set[Triple]) -> set[Triple]:
         gone = set(removed)
@@ -239,8 +263,18 @@ class Closure:
                 back.update(t for t in _heads(rule, solutions) if t in gone)
         return back
 
-    def _insert(self, seeds: set[Triple]) -> None:
-        self._chain({t for t in seeds if self._add(t)}, self._add)
+    def _insert(self, seeds: set[Triple], new: set[Triple]) -> None:
+        """Semi-naive insertion; every fact it adds goes into `new`."""
+
+        def add(triple: Triple) -> bool:
+            if not self._facts.add(triple):
+                return False
+            new.add(triple)
+            if len(self._facts) - len(self._base) > self._limit:
+                raise ClosureLimitExceeded(self._limit)
+            return True
+
+        self._chain({t for t in seeds if add(t)}, add)
 
     def _chain(self, delta: set[Triple], accept: Callable[[Triple], bool]) -> None:
         """Semi-naive rounds over the facts: fire the rules only through
@@ -255,13 +289,6 @@ class Closure:
                     if accept(triple):
                         fresh.add(triple)
             delta = fresh
-
-    def _add(self, triple: Triple) -> bool:
-        if not self._facts.add(triple):
-            return False
-        if len(self._facts) - len(self._base) > self._limit:
-            raise ClosureLimitExceeded(self._limit)
-        return True
 
 
 def forward_chain(graph: Graph, rules: list[Rule] | RuleBase, limit: int = DERIVATION_LIMIT) -> Graph:

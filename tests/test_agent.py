@@ -1,6 +1,8 @@
 """Knowledge-based processing agent: configuration, context view,
 rule-driven feedback with loop protection, and the query endpoint."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -119,6 +121,7 @@ def _offline_agent(**overrides):
 def test_view_graph_mirrors_notifications():
     agent = _offline_agent()
     agent._apply_notification(_notification("room1", "occupancy", 4))
+    agent.run_rule_pass()  # a query sees the view as of the last completed pass
     view = agent.view_graph()
     assert Triple(IRI("urn:room1"), IRI(RDF_TYPE), IRI(ONT + "Room")) in view
     assert Triple(IRI("urn:room1"), IRI(CTX_NS + "occupancy"), Literal("4")) in view
@@ -134,6 +137,7 @@ def test_view_tolerates_untyped_and_badly_typed_entities():
             {"name": "occupancy", "value": 1, "metadata": []}]}]}
     )
     agent._apply_notification(_notification("room2", "occupancy", 2, entity_type="no spaces al lowed"))
+    agent.run_rule_pass()
     view = agent.view_graph()
     # both values are present; neither entity contributes a type triple
     assert len([t for t in view if t.predicate == IRI(RDF_TYPE)]) == 0
@@ -351,6 +355,91 @@ def test_sparql_keeps_the_last_completed_pass_after_an_abort(monkeypatch):
     assert agent.run_rule_pass() == []  # 1 001 facts: aborted
     assert len(agent.answer_sparql(query)["solutions"]) == 1000
     assert agent.view_graph() is agent.view_graph()  # cached until something changes
+
+
+def test_a_one_value_pass_feeds_back_only_the_keys_it_touched(monkeypatch):
+    agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
+                                  _level_rule("low", "< 10", "low")])
+    sent = []
+    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    for i in range(1000):
+        agent._apply_notification(_notification(f"tank{i}", "level", 12))
+    assert len(agent.run_rule_pass()) == 1000
+    assert len(sent) == 1000
+    read = set()
+
+    class CountingDict(dict):
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            read.add(key)
+            return super().__contains__(key)
+
+    agent._sent = CountingDict(agent._sent)
+    del sent[:]
+    agent._apply_notification(_notification("tank7", "level", 3))
+    assert len(agent.run_rule_pass()) == 1000
+    assert len(read) <= 2  # walking every derived fact reads all 1 000 keys
+    assert sent == [("tank7", ONT + "Room", "state", "low")]
+
+
+def test_a_query_reads_the_closure_as_of_the_last_completed_pass(monkeypatch):
+    agent = _offline_agent()
+    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    view = agent.view_graph()
+    agent._apply_notification(_notification("room1", "occupancy", 4))
+    value = f'ASK {{ <urn:room1> <{CTX_NS}occupancy> "4" }}'
+    occupied = f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}'
+    assert agent.answer_sparql(value) == {"result": False}  # not before a pass
+    assert agent.answer_sparql(occupied)["solutions"] == []
+    agent.run_rule_pass()
+    assert agent.view_graph() is view
+    assert agent.answer_sparql(value) == {"result": True}
+    assert agent.answer_sparql(occupied)["solutions"] == [{"r": {"kind": "iri", "value": "urn:room1"}}]
+
+
+def test_queries_beside_passes_see_only_whole_passes(monkeypatch):
+    """Readers query while a writer flips every room's value and runs a
+    pass: each answer is all rooms occupied or none, never half a pass."""
+    agent = _offline_agent()
+    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    query = f'SELECT ?r ?n WHERE {{ ?r <{CTX_NS}occupied> "true" . ?r <{CTX_NS}occupancy> ?n }}'
+    done, seen, errors = threading.Event(), [], []
+
+    def write():
+        for value in (2, 0) * 15:
+            for i in range(50):
+                agent._apply_notification(_notification(f"room{i}", "occupancy", value))
+            agent.run_rule_pass()
+        done.set()
+
+    def read():
+        try:
+            while not done.is_set():
+                rows = agent.answer_sparql(query)["solutions"]
+                seen.append((len(rows), tuple(sorted({row["n"]["value"] for row in rows}))))
+        except Exception as exc:  # recorded, so the assert below names it
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=write)] + [threading.Thread(target=read) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert seen and set(seen) <= {(0, ()), (50, ("2",))}
 
 
 # --- end-to-end against a live broker ---------------------------------------------------

@@ -218,6 +218,21 @@ def test_a_chunked_body_is_not_read_and_ends_the_connection(service):
     assert counting.bodies == []
 
 
+@pytest.mark.parametrize("length", [b"-1", b"abc", b"1_0", b"+5"])
+def test_a_bad_content_length_is_answered_400_and_ends_the_connection(service, length):
+    counting, handle = service
+    started = time.monotonic()
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock:
+        sock.sendall(b"POST /receipts HTTP/1.1\r\nHost: peer\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: " + length + b'\r\n\r\n{"a": 1}')
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        response.read()
+    assert (response.status, response.getheader("Connection")) == (400, "close")
+    assert time.monotonic() - started < 1.0  # not held until the socket times out
+    assert counting.bodies == []
+
+
 def test_a_hung_peer_fails_within_the_timeout_on_a_pooled_connection(service, connects):
     _, handle = service
     assert request_json("GET", handle.url + "/health")[0] == 200
