@@ -9,13 +9,14 @@ batch to the closure, so a pass costs what the batch changed. A pass
 aborted at the derivation cap leaves the closure as it was and keeps its
 batch for the next pass. SPARQL reads the closure under the agent's lock,
 so a query sees the view and its derived facts as of the last completed
-pass; feedback re-reads from it only the keys a pass touched.
+pass; feedback re-reads from it only the keys a pass touched and sends
+their new values in one updateContext APPEND.
 
 Loop safety: attributes the agent itself derived are ignored when they
 come back as notifications, and a derived value is sent only when it
 differs from the last value the broker accepted for its entity and
-attribute. A value the broker never got is not recorded, so the next pass
-resends it.
+attribute. If the broker never got a pass's APPEND, none of its values
+is recorded, so the next pass resends them all.
 A pass that derives two values for one entity and attribute sends neither.
 """
 
@@ -212,8 +213,8 @@ class Agent:
 
     def run_rule_pass(self) -> list[Triple]:
         """Apply the view changes since the last completed pass to the
-        closure and feed back what they touched; returns every derived
-        fact, in no set order. An aborted pass keeps its changes."""
+        closure and feed back what they touched; returns the derived facts
+        the pass added or re-derived. An aborted pass keeps its changes."""
         with self._lock:
             try:
                 touched = self._closure.update(self._added, self._removed)
@@ -221,21 +222,24 @@ class Agent:
                 self.rule_passes_aborted += 1
                 log.error("rule pass aborted: %s", exc)
                 return []
+            # a touched fact still present is derived unless the pass added it to the view
+            facts = [t for t in touched if t in self._closure.facts and t not in self._added]
             self._added, self._removed = set(), set()
             self.rule_passes += 1
-            facts = list(self._closure.derived().triples())
         self.feed_back(touched)
         return facts
 
     def feed_back(self, facts: Iterable[Triple]) -> None:
-        """Send the derived value of each (entity, attribute) key the facts
-        name, or that a clash or a dropped send left unsettled, as the
-        closure has it now."""
+        """Send, in one APPEND, the derived value of each (entity, attribute)
+        key the facts name, or that a clash or a dropped send left
+        unsettled, as the closure has it now. A key with an empty entity id
+        or attribute name is never sent: the broker rejects the whole APPEND."""
+        metadata = [{"name": "source", "type": "string", "value": self.config.agent_id}]
         with self._lock:
-            keys = self._unsettled | {(t.subject.value, t.predicate.value) for t in facts
-                                      if isinstance(t.subject, IRI) and t.subject.value.startswith(ENTITY_PREFIX)
-                                      and t.predicate.value.startswith(CTX_NS)}
-            self._unsettled, sends = set(), []
+            keys = self._unsettled | {(t.subject.value, t.predicate.value) for t in facts if isinstance(t.subject, IRI)
+                                      and t.subject.value.startswith(ENTITY_PREFIX) and t.subject.value != ENTITY_PREFIX
+                                      and t.predicate.value.startswith(CTX_NS) and t.predicate.value != CTX_NS}
+            self._unsettled, sends, entities = set(), {}, []
             for subject, predicate in sorted(keys):
                 entity_id = subject[len(ENTITY_PREFIX):] + self.config.output_entity_suffix
                 attribute = predicate[len(CTX_NS):]
@@ -248,29 +252,22 @@ class Agent:
                     self._unsettled.add((subject, predicate))
                 elif values and self._sent.get((entity_id, attribute)) not in values:
                     self._self_derived.add(attribute)
-                    entity_type = self._types.get(entity_id, "")
-                    sends.append(((subject, predicate), entity_id, entity_type, attribute, values.pop()))
-        for key, entity_id, entity_type, attribute, value in sends:
-            dropped = self._send_update(entity_id, entity_type, attribute, value) is False
-            with self._lock:
-                if dropped:  # not recorded, so the next pass resends it
-                    self._unsettled.add(key)
-                else:
-                    self._sent[(entity_id, attribute)] = value
-                    self.derived_sent += 1
-
-    def _send_update(self, entity_id: str, entity_type: str, attribute: str, value: str) -> bool:
-        """One derived value to the broker; False if it was dropped."""
-        metadata = [{"name": "source", "type": "string", "value": self.config.agent_id}]
-        entity = {
-            "id": entity_id,
-            "type": entity_type,
-            "attributes": [{"name": attribute, "value": value, "metadata": metadata}],
-        }
-        if self.broker.append([entity]):
-            return True
-        log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
-        return False
+                    value = values.pop()
+                    sends[(subject, predicate)] = ((entity_id, attribute), value)
+                    entities.append({"id": entity_id, "type": self._types.get(entity_id, ""),
+                                     "attributes": [{"name": attribute, "value": value, "metadata": metadata}]})
+        if not entities:
+            return
+        delivered = self.broker.append(entities)
+        with self._lock:
+            if delivered:
+                self._sent.update(sends.values())
+                self.derived_sent += len(sends)
+            else:  # not recorded, so the next pass resends them
+                self._unsettled.update(sends)
+        if not delivered:
+            for (entity_id, attribute), _ in sends.values():
+                log.error("derived fact %s.%s dropped: updateContext failed", entity_id, attribute)
 
     # -- notifications -----------------------------------------------------------
 

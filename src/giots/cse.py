@@ -77,16 +77,6 @@ _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S.%fZ"
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z")
 
 
-def _timestamp(after: str | None = None) -> str:
-    """Now, in ``ct``'s millisecond format; with ``after``, at least one
-    millisecond later than that stamp, so a resource's ``lt`` strictly
-    grows with every update."""
-    now = datetime.now(timezone.utc)
-    if after is not None:
-        now = max(now, _parse_timestamp(after) + timedelta(milliseconds=1))
-    return now.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
-
-
 def _parse_timestamp(text: str) -> datetime:
     if not _TIMESTAMP_RE.fullmatch(text):
         raise ValueError(f"'{text}' is not a timestamp like 2024-01-31T12:00:00.000Z")
@@ -141,11 +131,22 @@ class ResourceTree:
     def __init__(self):
         self._lock = threading.RLock()
         self._counter = 0
+        self._stamped = datetime.min.replace(tzinfo=timezone.utc)  # the last ct or lt issued
         self._by_ri: dict[str, Resource] = {}
         self._by_path: dict[str, str] = {}
         self._children: dict[str, dict[str, str]] = {}  # ri -> name -> child ri
         base = self._new_resource("CSEBase", CSE_BASE_NAME, None, [], {})
         self.base_path = base.path
+
+    def _stamp(self) -> str:
+        """Now, in ``ct``'s millisecond format, but at least one millisecond
+        after the last stamp issued, so no two ct/lt stamps are equal and an
+        inclusive modifiedSince tells every change apart (caller holds the lock)."""
+        now = datetime.now(timezone.utc)
+        now = max(now.replace(microsecond=now.microsecond // 1000 * 1000),
+                  self._stamped + timedelta(milliseconds=1))
+        self._stamped = now
+        return now.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
     def _new_resource(
         self, ty: str, rn: str, parent: Resource | None, lbl: list[str], payload: dict
@@ -153,7 +154,7 @@ class ResourceTree:
         self._counter += 1
         ri = f"{ID_PREFIXES[ty]}-{self._counter:05d}"
         path = f"{parent.path}/{rn}" if parent else f"/{rn}"
-        created = _timestamp()
+        created = self._stamp()
         resource = Resource(
             ri=ri, rn=rn, ty=ty, pi=parent.ri if parent else None, ct=created,
             lt=created, path=path, lbl=lbl, payload=payload,
@@ -249,7 +250,7 @@ class ResourceTree:
             payload_part = {k: v for k, v in body.items() if k != "lbl"}
             if payload_part:
                 resource.payload.update(self._validate_payload(resource.ty, payload_part))
-            resource.lt = _timestamp(after=resource.lt)
+            resource.lt = self._stamp()
             return resource
 
     def delete(self, path: str) -> list[Resource]:

@@ -55,6 +55,18 @@ class PropertyDecl:
         return {"iri": self.iri, "domain": self.domain, "range": self.range, "functional": self.functional}
 
 
+def _reachable(edges: dict[str, set[str]], start: str) -> set[str]:
+    """Every node reachable from start along the edges, start included."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for node in edges.get(stack.pop(), ()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    return seen
+
+
 class Ontology:
     """Classes, subclass edges, property declarations and disjoint pairs.
 
@@ -99,39 +111,14 @@ class Ontology:
         Unknown classes are subclasses only of themselves. Cycles in the
         edge set are tolerated (visited-set walk).
         """
-        if sub == sup:
-            return True
-        seen = {sub}
-        stack = [sub]
-        while stack:
-            for parent in self._supers.get(stack.pop(), ()):
-                if parent == sup:
-                    return True
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return False
+        return sup in self.superclasses_of(sub)
 
     def subclasses_of(self, cls: str) -> set[str]:
         """Every class X with is_subclass(X, cls), including cls itself."""
-        seen = {cls}
-        stack = [cls]
-        while stack:
-            for child in self._subs.get(stack.pop(), ()):
-                if child not in seen:
-                    seen.add(child)
-                    stack.append(child)
-        return seen
+        return _reachable(self._subs, cls)
 
     def superclasses_of(self, cls: str) -> set[str]:
-        seen = {cls}
-        stack = [cls]
-        while stack:
-            for parent in self._supers.get(stack.pop(), ()):
-                if parent not in seen:
-                    seen.add(parent)
-                    stack.append(parent)
-        return seen
+        return _reachable(self._supers, cls)
 
     def lookup_property(self, iri: str) -> PropertyDecl | None:
         return self.properties.get(iri)

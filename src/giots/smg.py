@@ -258,38 +258,21 @@ class ResolvedTarget:
         }
 
 
-def _values(graph: Graph, subject, predicate: IRI) -> list:
-    return [t.object for t in graph if t.subject == subject and t.predicate == predicate]
-
-
-def _single_iri(values: list, what: str) -> str:
+def _single(graph: Graph, subject, predicate: IRI, kind: type[IRI] | type[Literal],
+            required: bool = True) -> str | None:
+    """The text of the one object of (subject, predicate), which must be a
+    `kind` term; None when there is none and it is not required."""
+    values = [t.object for t in graph if t.subject == subject and t.predicate == predicate]
+    what = f"{term_text(subject)}: {predicate.value[len(MED_NS):]}"
     if not values:
-        raise ReasoningFailed(f"missing {what}")
-    if len(values) > 1:
-        raise ReasoningFailed(f"ambiguous {what} (found {len(values)})")
-    if not isinstance(values[0], IRI):
-        raise ReasoningFailed(f"{what} must be an IRI")
-    return values[0].value
-
-
-def _single_literal(values: list, what: str) -> str:
-    if not values:
-        raise ReasoningFailed(f"missing {what}")
-    if len(values) > 1:
-        raise ReasoningFailed(f"ambiguous {what} (found {len(values)})")
-    if not isinstance(values[0], Literal):
-        raise ReasoningFailed(f"{what} must be a literal")
-    return values[0].lexical
-
-
-def _optional_literal(values: list, what: str) -> str | None:
-    if not values:
+        if required:
+            raise ReasoningFailed(f"missing {what}")
         return None
     if len(values) > 1:
         raise ReasoningFailed(f"ambiguous {what} (found {len(values)})")
-    if not isinstance(values[0], Literal):
-        raise ReasoningFailed(f"{what} must be a literal")
-    return values[0].lexical
+    if not isinstance(values[0], kind):
+        raise ReasoningFailed(f"{what} must be {'an IRI' if kind is IRI else 'a literal'}")
+    return values[0].value if kind is IRI else values[0].lexical
 
 
 def ngsi_entity_id(entity_iri: str) -> str:
@@ -315,23 +298,11 @@ def resolve_targets(
     targets = []
     for subject in subjects:
         where = term_text(subject)
-        entity_iri = _single_iri(
-            _values(descriptor, subject, MED_DESCRIBES_ENTITY),
-            f"{where}: describesEntity",
-        )
-        entity_type = _single_iri(
-            _values(descriptor, subject, MED_ENTITY_TYPE),
-            f"{where}: entityType",
-        )
-        attribute_name = _single_literal(
-            _values(descriptor, subject, MED_ATTRIBUTE_NAME), f"{where}: attributeName"
-        )
-        unit = _optional_literal(
-            _values(descriptor, subject, MED_UNIT_OF_MEASURE), f"{where}: unitOfMeasure"
-        )
-        raw_location = _optional_literal(
-            _values(descriptor, subject, MED_LOCATION), f"{where}: location"
-        )
+        entity_iri = _single(descriptor, subject, MED_DESCRIBES_ENTITY, IRI)
+        entity_type = _single(descriptor, subject, MED_ENTITY_TYPE, IRI)
+        attribute_name = _single(descriptor, subject, MED_ATTRIBUTE_NAME, Literal)
+        unit = _single(descriptor, subject, MED_UNIT_OF_MEASURE, Literal, required=False)
+        raw_location = _single(descriptor, subject, MED_LOCATION, Literal, required=False)
         location = None
         if raw_location is not None:
             try:
@@ -339,13 +310,8 @@ def resolve_targets(
                 location = (float(lon_text), float(lat_text))
             except ValueError:
                 log.warning("%s: ignoring malformed location %r", where, raw_location)
-        value_path = (
-            _optional_literal(_values(descriptor, subject, MED_VALUE_PATH), f"{where}: valuePath")
-            or DEFAULT_VALUE_PATH
-        )
-        conversion_hint = _optional_literal(
-            _values(descriptor, subject, MED_CONVERSION), f"{where}: conversion"
-        )
+        value_path = _single(descriptor, subject, MED_VALUE_PATH, Literal, required=False) or DEFAULT_VALUE_PATH
+        conversion_hint = _single(descriptor, subject, MED_CONVERSION, Literal, required=False)
         type_declared = knowledge.declared_class(entity_type) if knowledge else True
         if not type_declared:
             log.warning("%s: entity type %s is not a declared class", where, entity_type)

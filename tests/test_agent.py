@@ -118,6 +118,19 @@ def _offline_agent(**overrides):
     return Agent(config, "http://127.0.0.1:9")
 
 
+def _stub_append(monkeypatch, agent, pick=lambda *value: value):
+    """Stub the broker's APPEND, which accepts every batch; returns the list
+    of pick(entity id, type, attribute, value) for each value sent."""
+    sent = []
+
+    def append(entities):
+        sent.extend(pick(e["id"], e["type"], a["name"], a["value"]) for e in entities for a in e["attributes"])
+        return True
+
+    monkeypatch.setattr(agent.broker, "append", append)
+    return sent
+
+
 def test_view_graph_mirrors_notifications():
     agent = _offline_agent()
     agent._apply_notification(_notification("room1", "occupancy", 4))
@@ -147,8 +160,7 @@ def test_view_tolerates_untyped_and_badly_typed_entities():
 
 def test_sparql_answers_over_view_and_derived_facts(monkeypatch):
     agent = _offline_agent()
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    sent = _stub_append(monkeypatch, agent)
     agent._apply_notification(_notification("room1", "occupancy", 4))
     new_facts = agent.run_rule_pass()
     assert [t.object.lexical for t in new_facts] == ["true"]
@@ -165,8 +177,7 @@ def test_sparql_answers_over_view_and_derived_facts(monkeypatch):
 
 def test_feedback_dedup_and_suffix(monkeypatch):
     agent = _offline_agent(outputEntitySuffix=":status")
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    sent = _stub_append(monkeypatch, agent)
     agent._apply_notification(_notification("room1", "occupancy", 4))
     agent.run_rule_pass()
     agent.run_rule_pass()  # same facts, nothing new to send
@@ -189,8 +200,7 @@ def _level_rule(rule_id, condition, state):
 def test_a_derived_value_that_returns_is_sent_again(monkeypatch):
     agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
                                   _level_rule("low", "< 10", "low")])
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a[3]))
+    sent = _stub_append(monkeypatch, agent, lambda *a: a[3])
     for level in (12, 3, 15, 15):
         agent._apply_notification(_notification("tank1", "level", level))
         agent.run_rule_pass()
@@ -201,8 +211,7 @@ def test_a_derived_value_that_returns_is_sent_again(monkeypatch):
 def test_a_pass_deriving_two_values_for_one_attribute_sends_neither(monkeypatch, caplog):
     agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
                                   _level_rule("full", ">= 10", "full")])
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    sent = _stub_append(monkeypatch, agent)
     agent._apply_notification(_notification("tank1", "level", 12))
     agent.run_rule_pass()
     agent.run_rule_pass()
@@ -217,7 +226,7 @@ def test_a_pass_deriving_two_values_for_one_attribute_sends_neither(monkeypatch,
 
 def test_self_derived_attributes_are_not_reingested(monkeypatch):
     agent = _offline_agent()
-    monkeypatch.setattr(agent, "_send_update", lambda *a: None)
+    _stub_append(monkeypatch, agent)
     agent._apply_notification(_notification("room1", "occupancy", 4))
     agent.run_rule_pass()
     # the derived attribute comes back from the broker; the guard drops it
@@ -228,8 +237,7 @@ def test_self_derived_attributes_are_not_reingested(monkeypatch):
 
 def test_a_pass_over_the_derivation_cap_is_counted_as_aborted(monkeypatch, caplog):
     agent = _offline_agent()
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    sent = _stub_append(monkeypatch, agent)
     for i in range(1001):
         agent._apply_notification(_notification(f"room{i}", "occupancy", 1))
     assert agent.run_rule_pass() == []
@@ -238,6 +246,56 @@ def test_a_pass_over_the_derivation_cap_is_counted_as_aborted(monkeypatch, caplo
     assert stats["rulePassesAborted"] == 1
     assert stats["rulePasses"] == 0
     assert sent == []
+
+
+def test_a_pass_sends_its_feedback_in_one_append(monkeypatch, caplog):
+    agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
+                                  _level_rule("low", "< 10", "low")])
+    requests, statuses = [], iter([200, 400, 200])
+
+    def request_json(method, url, body=None):
+        requests.append(body)
+        return next(statuses), {}
+
+    monkeypatch.setattr(broker_module, "request_json", request_json)
+    tanks = [f"tank{i}" for i in range(50)]
+
+    def values_sent(body):
+        assert body["action"] == "APPEND"
+        return sorted((e["id"], e["attributes"][0]["value"]) for e in body["entities"])
+
+    for tank in tanks:
+        agent._apply_notification(_notification(tank, "level", 12))
+    agent.run_rule_pass()
+    assert len(requests) == 1
+    assert values_sent(requests[0]) == [(tank, "high") for tank in sorted(tanks)]
+    agent.run_rule_pass()  # nothing new: no request
+    assert len(requests) == 1
+    for tank in tanks:
+        agent._apply_notification(_notification(tank, "level", 3))
+    agent.run_rule_pass()  # the broker rejects the batch: all 50 values are dropped
+    drops = [r.getMessage() for r in caplog.records if r.getMessage().startswith("derived fact")]
+    assert sorted(drops) == sorted(f"derived fact {tank}.state dropped: updateContext failed" for tank in tanks)
+    assert agent.stats()["derivedFactsSent"] == 50
+    agent.run_rule_pass()  # nothing changed, but the whole batch is resent
+    assert len(requests) == 3
+    assert values_sent(requests[1]) == values_sent(requests[2]) == [(tank, "low") for tank in sorted(tanks)]
+    assert agent.stats()["derivedFactsSent"] == 100
+
+
+def test_a_key_with_an_empty_entity_id_or_attribute_name_is_not_fed_back(monkeypatch):
+    """The broker answers 400 to an empty name, which would sink the
+    whole APPEND and so every other value of the pass."""
+    agent = _offline_agent(rules=[
+        OCCUPANCY_RULE,
+        {"ruleId": "no-entity", "body": [f"?room <{CTX_NS}occupancy> ?n"], "head": [f'<urn:> <{CTX_NS}x> "v"']},
+        {"ruleId": "no-attribute", "body": [f"?room <{CTX_NS}occupancy> ?n"], "head": [f'?room <{CTX_NS}> "v"']},
+    ])
+    sent = _stub_append(monkeypatch, agent)
+    agent._apply_notification(_notification("room1", "occupancy", 4))
+    agent.run_rule_pass()
+    assert len(agent._closure.derived()) == 3
+    assert sent == [("room1", ONT + "Room", "occupied", "true")]
 
 
 def test_a_dropped_feedback_value_is_resent_by_the_next_pass(monkeypatch):
@@ -282,8 +340,8 @@ def test_each_pass_derives_what_chaining_the_view_from_scratch_derives(batches):
          "head": [f"?t <{CTX_NS}reported> ?n"]},
     ]
     agent = _offline_agent(rules=rules)
-    agent._send_update = lambda *a: True
-    types, levels = {}, {}
+    agent.broker.append = lambda entities: True
+    types, levels, before = {}, {}, set()
     for batch in batches:
         for tank, tank_type, level in batch:
             agent._apply_notification(_notification(f"tank{tank}", "level", level, tank_type))
@@ -295,7 +353,9 @@ def test_each_pass_derives_what_chaining_the_view_from_scratch_derives(batches):
                for t, n in levels.items()]
         )
         expected = forward_chain(view, agent.config.rules)
-        assert Graph(facts) == expected
+        assert agent._closure.derived() == expected
+        assert expected.triples() - before <= set(facts) <= expected.triples()
+        before = expected.triples()
         assert agent.view_graph() == view.union(expected)
 
 
@@ -306,7 +366,7 @@ def _occupied_rooms(agent, count):
 
 def test_one_changed_value_costs_a_pass_little_matching_work(monkeypatch):
     agent = _offline_agent()
-    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _stub_append(monkeypatch, agent)
     _occupied_rooms(agent, 1000)
     assert len(agent.run_rule_pass()) == 1000
     calls = 0
@@ -321,14 +381,14 @@ def test_one_changed_value_costs_a_pass_little_matching_work(monkeypatch):
     for value, derived in ((0, 999), (3, 1000), (4, 1000)):
         calls = 0
         agent._apply_notification(_notification("room7", "occupancy", value))
-        assert len(agent.run_rule_pass()) == derived
+        agent.run_rule_pass()
+        assert len(agent._closure.derived()) == derived
         assert calls <= 100  # chaining the whole view unifies each of its 1 000 values
 
 
 def test_a_pass_after_an_aborted_one_starts_over_from_the_view(monkeypatch, caplog):
     agent = _offline_agent()
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a[0]))
+    sent = _stub_append(monkeypatch, agent, lambda *a: a[0])
     _occupied_rooms(agent, 1001)
     assert agent.run_rule_pass() == []
     assert "rule pass aborted" in caplog.text
@@ -346,7 +406,7 @@ def test_a_pass_after_an_aborted_one_starts_over_from_the_view(monkeypatch, capl
 
 def test_sparql_keeps_the_last_completed_pass_after_an_abort(monkeypatch):
     agent = _offline_agent()
-    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _stub_append(monkeypatch, agent)
     _occupied_rooms(agent, 1000)
     agent.run_rule_pass()
     query = f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}'
@@ -360,8 +420,7 @@ def test_sparql_keeps_the_last_completed_pass_after_an_abort(monkeypatch):
 def test_a_one_value_pass_feeds_back_only_the_keys_it_touched(monkeypatch):
     agent = _offline_agent(rules=[_level_rule("high", ">= 10", "high"),
                                   _level_rule("low", "< 10", "low")])
-    sent = []
-    monkeypatch.setattr(agent, "_send_update", lambda *a: sent.append(a))
+    sent = _stub_append(monkeypatch, agent)
     for i in range(1000):
         agent._apply_notification(_notification(f"tank{i}", "level", 12))
     assert len(agent.run_rule_pass()) == 1000
@@ -384,14 +443,15 @@ def test_a_one_value_pass_feeds_back_only_the_keys_it_touched(monkeypatch):
     agent._sent = CountingDict(agent._sent)
     del sent[:]
     agent._apply_notification(_notification("tank7", "level", 3))
-    assert len(agent.run_rule_pass()) == 1000
+    assert agent.run_rule_pass() == [Triple(IRI("urn:tank7"), IRI(CTX_NS + "state"), Literal("low"))]
+    assert len(agent._closure.derived()) == 1000
     assert len(read) <= 2  # walking every derived fact reads all 1 000 keys
     assert sent == [("tank7", ONT + "Room", "state", "low")]
 
 
 def test_a_query_reads_the_closure_as_of_the_last_completed_pass(monkeypatch):
     agent = _offline_agent()
-    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _stub_append(monkeypatch, agent)
     view = agent.view_graph()
     agent._apply_notification(_notification("room1", "occupancy", 4))
     value = f'ASK {{ <urn:room1> <{CTX_NS}occupancy> "4" }}'
@@ -408,7 +468,7 @@ def test_queries_beside_passes_see_only_whole_passes(monkeypatch):
     """Readers query while a writer flips every room's value and runs a
     pass: each answer is all rooms occupied or none, never half a pass."""
     agent = _offline_agent()
-    monkeypatch.setattr(agent, "_send_update", lambda *a: True)
+    _stub_append(monkeypatch, agent)
     query = f'SELECT ?r ?n WHERE {{ ?r <{CTX_NS}occupied> "true" . ?r <{CTX_NS}occupancy> ?n }}'
     done, seen, errors = threading.Event(), [], []
 

@@ -396,6 +396,20 @@ def test_discover_modified_since_agrees_with_a_filter_on_lt(seed):
         assert discover(tree, "/cse", "Container", modified_since=since) == containers
 
 
+def test_every_stamp_the_tree_issues_is_later_than_the_one_before():
+    """Creates and updates of sibling resources made within one millisecond
+    still get distinct stamps, so an inclusive modifiedSince never returns
+    a resource that was not changed at or after the given stamp."""
+    tree = ResourceTree()
+    tree.create(tree.base_path, "AE", {"rn": "app"})
+    stamps = []
+    for i in range(300):
+        created = tree.create("/cse/app", "Container", {"rn": f"c{i}"})
+        updated = tree.update(created.path, {"lbl": ["seen"]})
+        stamps += [created.ct, updated.lt]
+    assert all(_stamp(a) < _stamp(b) for a, b in zip(stamps, stamps[1:]))
+
+
 def test_discover_modified_since_over_http(cse_server):
     client = _client(cse_server)
     _discovery_fixture(client)

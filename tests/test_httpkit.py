@@ -469,3 +469,11 @@ def test_the_agent_and_the_gateway_speak_ngsi_only_through_the_broker_client():
         used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert used & {"request_json", "deliver"} == set(), module
+    # feedback: one APPEND per rule pass, sent from feed_back, not once per value
+    tree = ast.parse((package / "agent.py").read_text(encoding="utf-8"))
+    appends = [(function.name, node.func.value.attr) for function in ast.walk(tree)
+               if isinstance(function, ast.FunctionDef) for node in ast.walk(function)
+               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "append" and isinstance(node.func.value, ast.Attribute)
+               and node.func.value.attr == "broker"]
+    assert appends == [("feed_back", "broker")]
