@@ -241,7 +241,8 @@ class Agent:
                                       and t.predicate.value.startswith(CTX_NS) and t.predicate.value != CTX_NS}
             self._unsettled, sends, entities = set(), {}, []
             for subject, predicate in sorted(keys):
-                entity_id = subject[len(ENTITY_PREFIX):] + self.config.output_entity_suffix
+                source = subject[len(ENTITY_PREFIX):]
+                entity_id = source + self.config.output_entity_suffix
                 attribute = predicate[len(CTX_NS):]
                 found = self._closure.derived_matches(TriplePattern(IRI(subject), IRI(predicate), Variable("v")))
                 values = {t.object.lexical for t in found if isinstance(t.object, Literal)}
@@ -254,7 +255,7 @@ class Agent:
                     self._self_derived.add(attribute)
                     value = values.pop()
                     sends[(subject, predicate)] = ((entity_id, attribute), value)
-                    entities.append({"id": entity_id, "type": self._types.get(entity_id, ""),
+                    entities.append({"id": entity_id, "type": self._types.get(source, ""),
                                      "attributes": [{"name": attribute, "value": value, "metadata": metadata}]})
         if not entities:
             return

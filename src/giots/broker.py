@@ -242,7 +242,6 @@ class ContextBroker:
         with self._lock:
             if self._subscriptions.pop(sub_id, None) is None:
                 raise LookupError(f"no subscription '{sub_id}'")
-        self._pool.cancel(sub_id)
 
     def _trigger_subscriptions(self, entity: ContextEntity, updated_names: set[str]) -> None:
         with self._lock:

@@ -16,13 +16,7 @@ from .cse import CseService
 from .httpkit import PortInUse, TransportError, run_service
 from .knowledge import KnowledgeService
 from .smg import MediationGateway, SmgService, load_gateway_config
-from .validator import (
-    ValidatorService,
-    validate_annotation,
-    validate_ontology,
-    validate_rule,
-    validate_sparql,
-)
+from .validator import VALIDATION_KINDS, ValidatorService, validate
 
 DEFAULT_PORTS = {
     "knowledge": 7100,
@@ -85,19 +79,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.kind == "ontology":
-        report = validate_ontology(text)
-    elif args.kind == "annotation":
-        report = validate_annotation(text)
-    elif args.kind == "sparql":
-        report = validate_sparql(text)
-    else:
-        try:
-            candidate = json.loads(text)
-        except json.JSONDecodeError as exc:
-            print(f"error: rule file is not valid JSON: {exc}", file=sys.stderr)
-            return 2
-        report = validate_rule(candidate)
+    try:
+        report = validate(args.kind, text)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     return 0 if report.passed else 1
 
@@ -150,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.set_defaults(func=_cmd_scenario)
 
     validate = sub.add_parser("validate", help="validate an artifact from a file")
-    validate.add_argument("kind", choices=["ontology", "annotation", "rule", "sparql"])
+    validate.add_argument("kind", choices=VALIDATION_KINDS)
     validate.add_argument("file")
     validate.set_defaults(func=_cmd_validate)
 

@@ -343,21 +343,21 @@ class NotificationDispatcher:
     """Sends notifications on one KeyedWorkers pool keyed by subscription
     ri: each subscription gets them in creation order, and a slow one holds
     up only its own. A send deliver() gives up on, 4xx included, is
-    dropped and logged."""
+    dropped and logged; one for a subscription gone from the tree is skipped."""
 
-    def __init__(self):
+    def __init__(self, tree: ResourceTree):
+        self._tree = tree
         self._pool = KeyedWorkers()
 
     def submit(self, sub_ri: str, target_url: str, body: dict) -> None:
         self._pool.submit(sub_ri, self._send, sub_ri, target_url, body)
 
     def _send(self, sub_ri: str, target_url: str, body: dict) -> None:
+        if sub_ri not in self._tree._by_ri:
+            return
         if not deliver(lambda: post_json(target_url, body, timeout=5.0)):
             log.error("notification for subscription %s dropped: delivery to %s failed",
                       sub_ri, target_url)
-
-    def cancel(self, sub_ri: str) -> None:
-        self._pool.cancel(sub_ri)
 
     def close(self) -> None:
         self._pool.close()
@@ -369,7 +369,7 @@ class CseService(JsonHttpService):
     def __init__(self):
         super().__init__()
         self.tree = ResourceTree()
-        self.dispatcher = NotificationDispatcher()
+        self.dispatcher = NotificationDispatcher(self.tree)
         self.router.add("POST", "/{rest:path}", self._create)
         self.router.add("GET", "/{rest:path}", self._retrieve_or_discover)
         self.router.add("PUT", "/{rest:path}", self._update)
@@ -452,9 +452,6 @@ class CseService(JsonHttpService):
 
     def _delete(self, request: HttpRequest) -> HttpResponse:
         removed = self.tree.delete(self._path_of(request))
-        for resource in removed:
-            if resource.ty == "Subscription":
-                self.dispatcher.cancel(resource.ri)
         return HttpResponse(200, {"deleted": len(removed)})
 
 

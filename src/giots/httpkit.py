@@ -480,20 +480,21 @@ class KeyedWorkers:
     """At most WORKER_THREADS threads run the submitted tasks; tasks with
     the same key run one at a time, in submit order, and distinct keys
     take turns. A thread starts only when ready keys outnumber idle
-    threads, so a one-key pool holds one; threads live until close()."""
+    threads, so a one-key pool holds one; threads live until close().
+    A key is forgotten once its last task ends. A queued task cannot be
+    withdrawn: one whose target may have gone checks for it as it runs."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self._pending: dict[Hashable, deque] = {}  # queued or running keys
         self._ready: deque = deque()  # keys with a task and none running
-        self._cancelled: set = set()  # running keys whose later tasks are dropped
         self._threads: list[threading.Thread] = []
         self._idle = 0  # threads waiting for a ready key
         self._closed = False
 
     def submit(self, key: Hashable, fn: Callable, *args: Any) -> None:
         with self._cond:
-            if self._closed or key in self._cancelled:
+            if self._closed:
                 return
             if key not in self._pending:
                 self._pending[key] = deque()
@@ -525,19 +526,6 @@ class KeyedWorkers:
                     self._cond.notify()
                 else:
                     del self._pending[key]
-                    self._cancelled.discard(key)
-
-    def cancel(self, key: Hashable) -> None:
-        """Drop the key's queued tasks. While one of its tasks is still
-        running, later submits for the key are dropped too; once it ends,
-        the key is forgotten, so cancelled keys do not pile up."""
-        with self._cond:
-            if key in self._ready:  # queued, not running: forget it
-                self._ready.remove(key)
-                del self._pending[key]
-            elif key in self._pending:  # running: drop what waits behind
-                self._pending[key].clear()
-                self._cancelled.add(key)
 
     def close(self) -> None:
         """Drop every queued task; wait at most 2 s in all for running ones."""

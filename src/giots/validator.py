@@ -8,6 +8,7 @@ Also exposed as a webservice with a minimal built-in submit page.
 
 from __future__ import annotations
 
+import json
 import re
 import time
 import urllib.parse
@@ -330,16 +331,6 @@ def check_rule(
     witness: Graph,
 ) -> list[ValidationError]:
     errors: list[ValidationError] = []
-    unsafe = candidate.unsafe_head_variables()
-    if unsafe:
-        errors.append(
-            ValidationError(
-                SYNTACTIC, candidate.rule_id,
-                "unsafe rule: head variables " + ", ".join(sorted(unsafe))
-                + " do not occur in the body",
-            )
-        )
-        return errors
     if candidate.rule_id in base.ids():
         errors.append(
             ValidationError(
@@ -358,7 +349,7 @@ def check_rule(
             )
         )
         return errors
-    except ValueError as exc:
+    except ValueError as exc:  # an unsafe rule, which the closure refuses
         errors.append(ValidationError(SYNTACTIC, candidate.rule_id, str(exc)))
         return errors
     closure = witness.union(derived)
@@ -436,9 +427,57 @@ def validate_sparql(text: str) -> ValidationReport:
     return _report(errors, started)
 
 
-# --- webservice ---------------------------------------------------------------------
+# --- one way in ---------------------------------------------------------------------
 
 VALIDATION_KINDS = ("ontology", "annotation", "rule", "sparql")
+
+
+def validate(kind: str, text: str, reference: Ontology = EMPTY_ONTOLOGY) -> ValidationReport:
+    """Validate an artifact as the service and the command line receive it.
+    A rule is a JSON document that may carry a ``base`` list of rules, a
+    ``witness`` N-Triples string and ``prefixes``; a bad base rule or
+    witness line is a syntactic error. Raises ValueError for a request
+    that cannot be validated: an unknown kind, a rule document that is not
+    a JSON object, a base that is not a list, a witness that is not a
+    string, or duplicate base rule ids."""
+    if kind not in VALIDATION_KINDS:
+        raise ValueError(f"unknown validation kind '{kind}'; expected one of "
+                         + ", ".join(VALIDATION_KINDS))
+    if kind == "ontology":
+        return validate_ontology(text, reference)
+    if kind == "annotation":
+        return validate_annotation(text, reference)
+    if kind == "sparql":
+        return validate_sparql(text)
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"rule document is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError("rule payload must be a JSON object")
+    raw_base, raw_witness, prefixes = doc.get("base", []), doc.get("witness"), doc.get("prefixes")
+    if not isinstance(raw_base, list):
+        raise ValueError("'base' must be a list of rules")
+    if raw_witness is not None and not isinstance(raw_witness, str):
+        raise ValueError("'witness' must be an N-Triples string")
+    started = time.perf_counter()
+    errors, base_rules, witness = [], [], None
+    for raw_rule in raw_base:
+        try:
+            base_rules.append(parse_rule_json(raw_rule, prefixes))
+        except (RuleFormatError, SparqlSyntaxError, ValueError) as exc:
+            errors.append(ValidationError(SYNTACTIC, "base", str(exc)))
+    if raw_witness is not None:
+        try:
+            witness = parse_ntriples(raw_witness)
+        except NTriplesError as exc:
+            errors.append(ValidationError(SYNTACTIC, f"witness line {exc.line}", str(exc)))
+    if errors:
+        return _report(errors, started)
+    return validate_rule(doc, RuleBase(base_rules), reference, witness, prefixes)
+
+
+# --- webservice ---------------------------------------------------------------------
 
 _SUBMIT_PAGE = """<!DOCTYPE html>
 <html>
@@ -498,54 +537,8 @@ class ValidatorService(JsonHttpService):
         return HttpResponse(200, {"classes": len(self.reference.classes)})
 
     def _validate(self, request: HttpRequest) -> HttpResponse:
-        kind = request.params["kind"]
-        if kind not in VALIDATION_KINDS:
-            raise bad_request(
-                f"unknown validation kind '{kind}'; expected one of "
-                + ", ".join(VALIDATION_KINDS)
-            )
-        if kind == "ontology":
-            report = validate_ontology(request.text(), self.reference)
-        elif kind == "annotation":
-            report = validate_annotation(request.text(), self.reference)
-        elif kind == "sparql":
-            report = validate_sparql(request.text())
-        else:
-            body = request.json()
-            if not isinstance(body, dict):
-                raise bad_request("rule payload must be a JSON object")
-            base_rules = []
-            raw_base = body.get("base", [])
-            prefixes = body.get("prefixes")
-            if not isinstance(raw_base, list):
-                raise bad_request("'base' must be a list of rules")
-            started = time.perf_counter()
-            syntax_errors: list[ValidationError] = []
-            for raw_rule in raw_base:
-                try:
-                    base_rules.append(parse_rule_json(raw_rule, prefixes))
-                except (RuleFormatError, SparqlSyntaxError, ValueError) as exc:
-                    syntax_errors.append(ValidationError(SYNTACTIC, "base", str(exc)))
-            witness = None
-            raw_witness = body.get("witness")
-            if raw_witness is not None:
-                if not isinstance(raw_witness, str):
-                    raise bad_request("'witness' must be an N-Triples string")
-                try:
-                    witness = parse_ntriples(raw_witness)
-                except NTriplesError as exc:
-                    syntax_errors.append(
-                        ValidationError(SYNTACTIC, f"witness line {exc.line}", str(exc))
-                    )
-            if syntax_errors:
-                report = _report(syntax_errors, started)
-            else:
-                try:
-                    base = RuleBase(base_rules)
-                except ValueError as exc:
-                    raise bad_request(str(exc)) from exc
-                report = validate_rule(
-                    body, base=base, onto=self.reference, witness=witness,
-                    prefixes=prefixes,
-                )
+        try:
+            report = validate(request.params["kind"], request.text(), self.reference)
+        except ValueError as exc:
+            raise bad_request(str(exc)) from exc
         return HttpResponse(200, report.to_json())

@@ -189,6 +189,14 @@ def test_feedback_dedup_and_suffix(monkeypatch):
     assert len(sent) == 1
 
 
+def test_a_suffixed_output_entity_carries_its_source_type(monkeypatch):
+    agent = _offline_agent(outputEntitySuffix=":status")
+    sent = _stub_append(monkeypatch, agent)
+    agent._apply_notification(_notification("room1", "occupancy", 4))
+    agent.run_rule_pass()
+    assert sent == [("room1:status", ONT + "Room", "occupied", "true")]
+
+
 def _level_rule(rule_id, condition, state):
     return {
         "ruleId": rule_id,
@@ -555,6 +563,29 @@ def test_agent_derives_and_feeds_back_through_broker(broker_server):
         time.sleep(0.4)
         _, stats = get_json(handle.url + "/stats")
         assert stats["derivedFactsSent"] == 1
+        assert stats["entities"] == 2
+    finally:
+        handle.stop()
+
+
+def test_a_suffixed_value_reaches_a_type_subscription_once_and_the_loop_goes_quiet(broker_server):
+    agent, handle = _boot_agent(broker_server.url, outputEntitySuffix=":status",
+                                subscription={"entities": [{"type": ONT + "Room"}]})
+    try:
+        broker = BrokerClient(broker_server.url)
+        broker.update(
+            "APPEND",
+            [{"id": "room1", "type": ONT + "Room",
+              "attributes": [{"name": "occupancy", "value": 4, "metadata": []}]}],
+        )
+        (entity,) = _poll(lambda: broker.query([{"id": "room1:status"}]))
+        assert entity["type"] == ONT + "Room"
+        assert entity["attributes"][0]["value"] == "true"
+        # the type subscription hands the output back to the agent, which drops it
+        assert _poll(lambda: agent.stats()["notifications"] == 2)
+        time.sleep(0.4)
+        stats = agent.stats()
+        assert (stats["derivedFactsSent"], stats["notifications"], stats["rulePasses"]) == (1, 2, 2)
         assert stats["entities"] == 2
     finally:
         handle.stop()

@@ -12,7 +12,7 @@ import pytest
 from giots.broker import BrokerClient, BrokerService, ContextBroker
 from giots.httpkit import get_json, post_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
-from giots.ngsi import EntityPattern
+from giots.ngsi import ContextEntity, EntityPattern
 
 from conftest import boot
 
@@ -395,13 +395,17 @@ def test_unsubscribe_stops_notifications(broker_server, capture_server):
     assert status == 404
 
 
-def test_removed_subscriptions_leave_no_cancelled_keys_behind():
+def test_removed_subscriptions_leave_nothing_in_the_pool(capture_server):
     broker = ContextBroker()
     try:
-        for _ in range(1000):
-            sub_id = broker.subscribe([EntityPattern(entity_id="room1")], None, "http://127.0.0.1:9/n", 0)
+        for index in range(1000):
+            sub_id = broker.subscribe([EntityPattern(entity_id="room1")], None, capture_server.url, 0)
+            broker.update("APPEND", [ContextEntity.from_json(_entity("room1", value=index))])
             broker.unsubscribe(sub_id)
-        assert broker._pool._cancelled == set()
+        deadline = time.monotonic() + 5.0
+        while broker._pool._pending and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert broker._pool._pending == {} and not broker._pool._ready
     finally:
         broker.close()
 

@@ -16,6 +16,7 @@ from giots.httpkit import (
     Router,
     find_free_port,
     get_json,
+    request_json,
     run_service,
 )
 from giots.knowledge import KnowledgeService
@@ -65,6 +66,42 @@ def test_validate_rule_command_needs_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
     clean = CORPUS_DIR / "rule-clean-occupied.json"
     assert main(["validate", "rule", str(clean)]) == 0
+
+
+@pytest.mark.parametrize("name", ["rule-fault-nonterminating.json", "rule-fault-duplicate-id.json"])
+def test_validate_rule_command_reads_the_witness_and_base(name, capsys):
+    assert main(["validate", "rule", str(CORPUS_DIR / name)]) == 1
+    assert not json.loads(capsys.readouterr().out)["passed"]
+
+
+def test_validate_rule_command_reads_prefixes(tmp_path, capsys):
+    ont, rdf = "http://wise-iot.example/onto#", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps({
+        "ruleId": "wire-rule",
+        "prefixes": {"ont": ont, "rdf": rdf},
+        "body": ["?x rdf:type ont:Room"],
+        "head": ["?x rdf:type ont:Sensor"],
+        "base": [],
+        "witness": f"<urn:w:x> <{rdf}type> <{ont}Room> .\n",
+    }), encoding="utf-8")
+    assert main(["validate", "rule", str(path)]) == 0, capsys.readouterr().out
+
+
+def test_validate_command_and_service_agree_on_every_corpus_file(validator_server, capsys):
+    manifest = json.loads((CORPUS_DIR / "manifest.json").read_text(encoding="utf-8"))
+    for entry in manifest["entries"]:
+        path = CORPUS_DIR / entry["file"]
+        code = main(["validate", entry["kind"], str(path)])
+        from_cli = json.loads(capsys.readouterr().out)
+        status, from_service = request_json(
+            "POST", validator_server.url + f"/validate/{entry['kind']}",
+            body=path.read_text(encoding="utf-8"),
+        )
+        assert status == 200, entry
+        assert code == (0 if from_service["passed"] else 1), entry
+        del from_cli["durationMillis"], from_service["durationMillis"]
+        assert from_cli == from_service, entry
 
 
 def test_validate_annotation_command(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Resource tree CRUDN, discovery and childCreated notifications."""
 
+import json
 import random
 import socket
+import threading
 import time
 import urllib.parse
 from datetime import datetime
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -540,3 +543,39 @@ def test_deleted_subscription_stops_notifying(cse_server, capture_server):
     client.create("/cse/app/c", "ContentInstance", {"rn": "m", "con": 1})
     time.sleep(0.3)
     assert capture_server.delivered() == []
+
+
+def test_a_notification_queued_for_a_deleted_subscription_is_never_sent(cse_server):
+    # the subscriber holds its first delivery until released; the second
+    # notification waits behind it while its subscription is deleted
+    received, first_in, release = [], threading.Event(), threading.Event()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            received.append(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+            first_in.set()
+            release.wait(5)
+            self.send_response(200)
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        client = _client(cse_server)
+        _notify_fixture(client, f"http://127.0.0.1:{server.server_address[1]}/notify")
+        client.create("/cse/app/c", "ContentInstance", {"rn": "m1", "con": 1})
+        assert first_in.wait(5)
+        client.create("/cse/app/c", "ContentInstance", {"rn": "m2", "con": 2})
+        client.delete("/cse/app/c/s")
+        release.set()
+        time.sleep(0.3)
+        assert [body["resource"]["con"] for body in received] == [1]
+    finally:
+        release.set()
+        server.shutdown()
+        server.server_close()

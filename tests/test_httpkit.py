@@ -362,29 +362,6 @@ def test_a_failing_task_does_not_stop_its_key():
         workers.close()
 
 
-def test_cancel_drops_queued_tasks_and_later_submits():
-    workers = KeyedWorkers()
-    started, gate = threading.Event(), threading.Event()
-    ran = []
-    try:
-        workers.submit("a", lambda: (started.set(), gate.wait(5)))
-        assert started.wait(5)
-        for index in range(5):
-            workers.submit("a", ran.append, index)
-        workers.cancel("a")
-        workers.submit("a", ran.append, "late")
-        gate.set()
-        other = threading.Event()
-        workers.submit("b", other.set)
-        assert other.wait(5)
-        time.sleep(0.1)
-        assert ran == []
-        assert workers._cancelled == set()  # forgotten once its last task ended
-    finally:
-        gate.set()
-        workers.close()
-
-
 def test_close_returns_promptly_with_a_backlog_queued():
     workers = KeyedWorkers()
     ran = []

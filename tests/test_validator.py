@@ -13,6 +13,7 @@ from giots.validator import (
     check_rule,
     default_witness,
     lexical_valid,
+    validate,
     validate_annotation,
     validate_ontology,
     validate_rule,
@@ -203,9 +204,14 @@ def test_clean_rule_passes():
 
 
 def test_unsafe_rule_is_syntactic():
-    report = validate_rule(_rule(head=[f'?elsewhere <{ONT}p> "1"']))
-    (error,) = report.errors
+    unsafe = _rule(head=[f'?elsewhere <{ONT}p> "1"'])
+    (error,) = validate_rule(unsafe).errors
     assert error.category == "syntactic" and "unsafe" in error.message
+    # the closure alone checks safety, so a duplicate is reported before it
+    assert (error.location, error.message) == ("r1", "rule 'r1' is unsafe: head variable(s) "
+                                               "elsewhere not bound by the body")
+    (error,) = validate_rule(unsafe, base=RuleBase([parse_rule_json(_rule())])).errors
+    assert "already present" in error.message
 
 
 def test_duplicate_rule_id_is_syntactic():
@@ -373,6 +379,36 @@ def test_rule_endpoint_accepts_base_witness_and_prefixes(validator_server):
     assert status == 400
     status, _ = post_json(url, ["not", "an", "object"])
     assert status == 400
+
+
+def test_a_bad_base_rule_or_witness_line_is_a_syntactic_error_in_a_report(validator_server):
+    rule = _rule(body=[f"?x <{RDF}type> <{ONT}Room>"], head=[f"?x <{RDF}type> <{ONT}Sensor>"])
+    for extra, location in (({"base": [{"ruleId": "half"}]}, "base"),
+                            ({"witness": "<urn:a> <urn:p> .\n"}, "witness line 1")):
+        body = json.dumps({**rule, **extra})
+        status, report = request_json("POST", validator_server.url + "/validate/rule", body=body)
+        assert status == 200
+        assert [(e["category"], e["location"]) for e in report["errors"]] == [("syntactic", location)]
+        assert validate("rule", body).to_json()["errors"] == report["errors"]
+
+
+@pytest.mark.parametrize(
+    ("kind", "body"),
+    [
+        ("recipe", "ASK { ?s ?p ?o }"),
+        ("rule", json.dumps(["not", "an", "object"])),
+        ("rule", json.dumps({**_rule(), "base": "not-a-list"})),
+        ("rule", json.dumps({**_rule(), "witness": 7})),
+        ("rule", json.dumps({**_rule("cand"), "base": [_rule(), _rule()]})),
+    ],
+    ids=["unknown-kind", "rule-not-an-object", "base-not-a-list", "witness-not-a-string",
+         "duplicate-base-ids"],
+)
+def test_an_unusable_validation_request_answers_400(validator_server, kind, body):
+    status, payload = request_json("POST", validator_server.url + f"/validate/{kind}", body=body)
+    assert status == 400 and payload["error"] == "BadRequest"
+    with pytest.raises(ValueError):
+        validate(kind, body)
 
 
 def test_submit_page_served(validator_server):
