@@ -38,7 +38,7 @@ from .httpkit import (
     bad_request,
     not_found,
 )
-from .ngsi import ContextEntity, EntityPattern, parse_patterns
+from .ngsi import ContextEntity, EntityPattern, parse_attribute_names, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple, TriplePattern, Variable
 from .rules import Closure, ClosureLimitExceeded, RuleBase, parse_rule_json
 from .sparql import (
@@ -96,11 +96,7 @@ class AgentConfig:
         if not isinstance(subscription, dict):
             raise ValueError("agent config needs a 'subscription' object")
         patterns = parse_patterns(subscription.get("entities"), "subscription")
-        raw_attrs = subscription.get("attributes", [])
-        if not isinstance(raw_attrs, list) or not all(
-            isinstance(a, str) and a for a in raw_attrs
-        ):
-            raise ValueError("subscription 'attributes' must be a list of names")
+        attributes = parse_attribute_names(subscription.get("attributes"), "subscription")
         prefixes = obj.get("prefixes")
         raw_rules = obj.get("rules", [])
         if not isinstance(raw_rules, list):
@@ -120,7 +116,7 @@ class AgentConfig:
             agent_id=agent_id,
             broker_url=broker_url,
             patterns=patterns,
-            attributes=list(raw_attrs),
+            attributes=attributes or [],
             rules=rules,
             output_entity_suffix=suffix,
             sparql_enabled=enabled,

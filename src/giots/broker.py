@@ -35,7 +35,6 @@ from .ngsi import (
     parse_attribute_names,
     parse_entities,
     parse_patterns,
-    query_reply,
 )
 
 log = logging.getLogger(__name__)
@@ -181,10 +180,12 @@ class ContextBroker:
         if allow_pull and unmatched:
             for entity in self._pull(unmatched, attributes):
                 results.setdefault(entity.id, entity)
-        return query_reply(
+        admitted = sorted(
             (e for e in results.values() if restriction is None or restriction.admits(e)),
-            attributes,
+            key=lambda e: e.id,
         )
+        projected = (e.project(attributes) for e in admitted)
+        return [e for e in projected if attributes is None or e.attributes]
 
     def _pull(self, patterns: list[EntityPattern], attributes) -> list[ContextEntity]:
         """Federated lookup: ask providers registered for still-unmatched
@@ -297,6 +298,23 @@ class ContextBroker:
         self._pool.close()
 
 
+def parse_request(
+    body: Any, where: str, allow_empty_pattern: bool = True
+) -> tuple[list[EntityPattern], list[str] | None]:
+    """The entity patterns and attribute names of an NGSI request body; a
+    body that is not an object, or that holds a bad pattern or attribute
+    list, is a 400."""
+    if not isinstance(body, dict):
+        raise bad_request(f"{where} body must be a JSON object")
+    try:
+        return (
+            parse_patterns(body.get("entities"), where, allow_empty_pattern),
+            parse_attribute_names(body.get("attributes"), where),
+        )
+    except ValueError as exc:
+        raise bad_request(str(exc)) from exc
+
+
 class BrokerService(JsonHttpService):
     name = "broker"
 
@@ -330,14 +348,8 @@ class BrokerService(JsonHttpService):
 
     def _register(self, request: HttpRequest) -> HttpResponse:
         self._count("registerContext")
-        body = self._body(request)
-        try:
-            patterns = parse_patterns(
-                body.get("entities"), "registerContext", allow_empty_pattern=False
-            )
-            attributes = parse_attribute_names(body.get("attributes"), "registerContext")
-        except ValueError as exc:
-            raise bad_request(str(exc)) from exc
+        body = request.json()
+        patterns, attributes = parse_request(body, "registerContext", allow_empty_pattern=False)
         providing = body.get("providingApplication")
         if not valid_url(providing):
             raise bad_request("registerContext needs an absolute 'providingApplication' URL")
@@ -346,14 +358,7 @@ class BrokerService(JsonHttpService):
 
     def _discover(self, request: HttpRequest) -> HttpResponse:
         self._count("discoverContextAvailability")
-        body = self._body(request)
-        try:
-            patterns = parse_patterns(body.get("entities"), "discoverContextAvailability")
-            attributes = parse_attribute_names(
-                body.get("attributes"), "discoverContextAvailability"
-            )
-        except ValueError as exc:
-            raise bad_request(str(exc)) from exc
+        patterns, attributes = parse_request(request.json(), "discoverContextAvailability")
         registrations = self.broker.discover(patterns, attributes)
         return HttpResponse(200, {"registrations": [r.to_json() for r in registrations]})
 
@@ -372,10 +377,9 @@ class BrokerService(JsonHttpService):
 
     def _query(self, request: HttpRequest) -> HttpResponse:
         self._count("queryContext")
-        body = self._body(request)
+        body = request.json()
+        patterns, attributes = parse_request(body, "queryContext")
         try:
-            patterns = parse_patterns(body.get("entities"), "queryContext")
-            attributes = parse_attribute_names(body.get("attributes"), "queryContext")
             restriction = (
                 BoundingBox.from_json(body["restriction"])
                 if body.get("restriction") is not None
@@ -389,12 +393,8 @@ class BrokerService(JsonHttpService):
 
     def _subscribe(self, request: HttpRequest) -> HttpResponse:
         self._count("subscribeContext")
-        body = self._body(request)
-        try:
-            patterns = parse_patterns(body.get("entities"), "subscribeContext")
-            attributes = parse_attribute_names(body.get("attributes"), "subscribeContext")
-        except ValueError as exc:
-            raise bad_request(str(exc)) from exc
+        body = request.json()
+        patterns, attributes = parse_request(body, "subscribeContext")
         reference = body.get("reference")
         if not valid_url(reference):
             raise bad_request("subscribeContext needs an absolute 'reference' URL")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 Scalar = str | int | float | bool
 
@@ -252,18 +252,6 @@ def parse_patterns(raw: Any, where: str, allow_empty_pattern: bool = True) -> li
     if not isinstance(raw, list) or not raw:
         raise ValueError(f"{where}: 'entities' must be a non-empty list of patterns")
     return [EntityPattern.from_json(p, allow_empty=allow_empty_pattern) for p in raw]
-
-
-def query_reply(entities: Iterable[ContextEntity], names: list[str] | None) -> list[ContextEntity]:
-    """A queryContext answer: the entities sorted by id and projected onto
-    ``names``; under a projection, an entity left with no attribute is
-    dropped."""
-    out = []
-    for entity in sorted(entities, key=lambda e: e.id):
-        projected = entity.project(names)
-        if names is None or projected.attributes:
-            out.append(projected)
-    return out
 
 
 def parse_attribute_names(raw: Any, where: str) -> list[str] | None:

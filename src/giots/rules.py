@@ -84,6 +84,10 @@ def parse_rule_json(obj: dict, prefixes: dict[str, str] | None = None) -> Rule:
     """
     if not isinstance(obj, dict):
         raise RuleFormatError("rule must be a JSON object")
+    if prefixes is not None and not (isinstance(prefixes, dict) and all(
+        isinstance(name, str) and isinstance(iri, str) for name, iri in prefixes.items()
+    )):
+        raise RuleFormatError("'prefixes' must be an object of prefix names to IRI strings")
     rule_id = obj.get("ruleId")
     if not isinstance(rule_id, str) or not rule_id:
         raise RuleFormatError("rule needs a non-empty string 'ruleId'")

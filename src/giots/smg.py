@@ -3,9 +3,9 @@ selects a transformation process per source, instantiates one pipeline
 per mapping subject, converts incoming content instances and publishes
 them as context updates.
 
-Push mode writes updateContext(APPEND) to the broker; pull mode keeps a
-local cache, registers the gateway as a context provider and answers
-the broker's queryContext pulls.
+Push mode writes updateContext(APPEND) to the broker; pull mode keeps its
+context in a ContextBroker of its own, registers the gateway as a context
+provider and answers the broker's queryContext pulls from that store.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation, localcontext
 from typing import Any, Callable
 
-from .broker import BrokerClient
+from .broker import BrokerClient, ContextBroker, parse_request
 from .cse import CseClient
 from .httpkit import (
     HttpRequest,
@@ -29,14 +29,7 @@ from .httpkit import (
     bad_request,
 )
 from .knowledge import KnowledgeClient
-from .ngsi import (
-    ContextAttribute,
-    ContextEntity,
-    ContextMetadata,
-    parse_attribute_names,
-    parse_patterns,
-    query_reply,
-)
+from .ngsi import ContextAttribute, ContextEntity, ContextMetadata
 from .rdf import IRI, MED_NS, Graph, Literal, parse_ntriples, term_text
 from .sparql import Query, evaluate, parse_sparql
 
@@ -419,15 +412,21 @@ class GatewayConfig:
         url = gateway_url or obj.get("gatewayUrl")
         if not isinstance(url, str) or not url:
             raise ValueError("gateway config needs a 'gatewayUrl'")
+        knowledge_url = obj.get("knowledgeUrl")
+        if knowledge_url is not None and (not isinstance(knowledge_url, str) or not knowledge_url):
+            raise ValueError("'knowledgeUrl' must be a non-empty string or null")
+        root_path = obj.get("rootPath", "/cse")
+        if not isinstance(root_path, str) or not root_path.startswith("/"):
+            raise ValueError("'rootPath' must be a string that starts with '/'")
         return GatewayConfig(
             cse_url=obj["cseUrl"],
             broker_url=obj["brokerUrl"],
-            knowledge_url=obj.get("knowledgeUrl"),
+            knowledge_url=knowledge_url,
             mode=obj["mode"],
             gateway_url=url.rstrip("/"),
             processes=processes,
             rescan_millis=rescan,
-            root_path=obj.get("rootPath", "/cse"),
+            root_path=root_path,
         )
 
 
@@ -444,9 +443,10 @@ class MediationGateway:
 
     Every NGSI request goes through BrokerClient: push mode appends each
     update, and a push it gives up on is dropped and logged. Pull mode
-    registers each target with the broker and keeps the updates in a local
-    cache with the broker's APPEND merge (ContextEntity.merged);
-    answer_query replies as the broker's query does (ngsi.query_reply).
+    registers each target with the broker and appends the updates to a
+    ContextBroker of its own, which matches types with the gateway's
+    knowledge client; answer_query is that store's query with no
+    restriction and no pull.
     """
 
     def __init__(self, config: GatewayConfig):
@@ -456,6 +456,7 @@ class MediationGateway:
         self.knowledge = (
             KnowledgeClient(config.knowledge_url) if config.knowledge_url else None
         )
+        self._store = ContextBroker(self.knowledge.is_subclass if self.knowledge else None)
         self._lock = threading.Lock()
         self._instances: dict[str, TransformationInstance] = {}
         self._by_subscription: dict[str, TransformationInstance] = {}
@@ -466,7 +467,6 @@ class MediationGateway:
         self._since: str | None = None  # ms of the next descriptor listing
         self._pool = KeyedWorkers()
         self._counter = 0
-        self._cache: dict[str, ContextEntity] = {}  # pull-mode context state
         self._stop = threading.Event()
         self.scans = 0
 
@@ -688,11 +688,9 @@ class MediationGateway:
         return ContextEntity(target.entity_id, target.entity_type, (attribute,))
 
     def publish(self, update: ContextEntity) -> bool:
-        """Cache (pull) or push the update; False if the push was dropped."""
+        """Store (pull) or push the update; False if the push was dropped."""
         if self.config.mode == "pull":
-            with self._lock:
-                current = self._cache.get(update.id) or ContextEntity(update.id, update.type)
-                self._cache[update.id] = current.merged(update)
+            self._store.update("APPEND", [update])
             return True
         if not self.broker.append([update.to_json()]):
             log.error("update for entity %s dropped: updateContext failed", update.id)
@@ -702,22 +700,8 @@ class MediationGateway:
     # -- pull-mode provider endpoint ------------------------------------------
 
     def answer_query(self, body: Any) -> list[ContextEntity]:
-        if not isinstance(body, dict):
-            raise bad_request("queryContext body must be a JSON object")
-        try:
-            patterns = parse_patterns(body.get("entities"), "queryContext")
-            attributes = parse_attribute_names(body.get("attributes"), "queryContext")
-        except ValueError as exc:
-            raise bad_request(str(exc)) from exc
-        is_subclass = (
-            self.knowledge.is_subclass if self.knowledge else (lambda sub, sup: sub == sup)
-        )
-        with self._lock:
-            snapshot = list(self._cache.values())
-        return query_reply(
-            (e for e in snapshot if any(p.matches(e.id, e.type, is_subclass) for p in patterns)),
-            attributes,
-        )
+        patterns, attributes = parse_request(body, "queryContext")
+        return self._store.query(patterns, attributes, None, allow_pull=False)
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -733,6 +717,7 @@ class MediationGateway:
     def stop(self) -> None:
         self._stop.set()
         self._pool.close()
+        self._store.close()
 
     def instances(self) -> list[TransformationInstance]:
         with self._lock:
@@ -746,7 +731,7 @@ class MediationGateway:
                 "instances": len(self._instances),
                 "itemsConverted": sum(i.items_converted for i in self._instances.values()),
                 "itemsDropped": sum(i.items_dropped for i in self._instances.values()),
-                "cachedEntities": len(self._cache),
+                "cachedEntities": len(self._store._entities),
             }
 
 

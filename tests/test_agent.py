@@ -95,6 +95,7 @@ def test_config_expands_prefixes_in_rules():
         _config_doc(outputEntitySuffix=7),
         _config_doc(sparqlEndpointEnabled="yes"),
         _config_doc(throttlingMillis=-1),
+        _config_doc(prefixes=7),
     ],
 )
 def test_config_rejects_malformed_documents(doc):

@@ -77,15 +77,22 @@ def test_validate_rule_command_reads_the_witness_and_base(name, capsys):
 def test_validate_rule_command_reads_prefixes(tmp_path, capsys):
     ont, rdf = "http://wise-iot.example/onto#", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
     path = tmp_path / "rule.json"
-    path.write_text(json.dumps({
+    doc = {
         "ruleId": "wire-rule",
         "prefixes": {"ont": ont, "rdf": rdf},
         "body": ["?x rdf:type ont:Room"],
         "head": ["?x rdf:type ont:Sensor"],
         "base": [],
         "witness": f"<urn:w:x> <{rdf}type> <{ont}Room> .\n",
-    }), encoding="utf-8")
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", "rule", str(path)]) == 0, capsys.readouterr().out
+    capsys.readouterr()
+    for prefixes in (7, {"ont": 5}):  # not an object of prefix names to IRI strings
+        path.write_text(json.dumps({**doc, "prefixes": prefixes}), encoding="utf-8")
+        assert main(["validate", "rule", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [e["category"] for e in report["errors"]] == ["syntactic"]
 
 
 def test_validate_command_and_service_agree_on_every_corpus_file(validator_server, capsys):
@@ -203,6 +210,23 @@ def test_smg_and_agent_commands_reject_bad_configs(tmp_path, capsys):
     assert main(["smg", "--config", str(bad)]) == 2
     assert main(["agent", "--config", str(bad)]) == 2
     capsys.readouterr()
+    smg_config = {
+        "cseUrl": "http://127.0.0.1:9/cse",
+        "brokerUrl": "http://127.0.0.1:9/broker",
+        "mode": "pull",
+        "processes": [{"processId": "identity", "matchQuery": "ASK { ?s ?p ?o }",
+                       "conversionId": "identity"}],
+    }
+    for field in ({"knowledgeUrl": 5}, {"rootPath": 5}):
+        bad.write_text(json.dumps({**smg_config, **field}), encoding="utf-8")
+        assert main(["smg", "--config", str(bad), "--port", str(find_free_port())]) == 2
+        assert capsys.readouterr().err.startswith(f"error: '{next(iter(field))}' must be")
+    agent_config = json.loads((SCENARIOS_DIR / "occupancy-agent.json").read_text(encoding="utf-8"))
+    agent_config["rules"][0]["head"] = ['?room ctx:occupied "true"']  # a rule that uses ctx:
+    for prefixes in (7, {"ctx": 5}):
+        bad.write_text(json.dumps({**agent_config, "prefixes": prefixes}), encoding="utf-8")
+        assert main(["agent", "--config", str(bad), "--port", str(find_free_port())]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 # --- shared HTTP plumbing ------------------------------------------------------------------

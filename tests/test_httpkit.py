@@ -454,3 +454,32 @@ def test_the_agent_and_the_gateway_speak_ngsi_only_through_the_broker_client():
                and node.func.attr == "append" and isinstance(node.func.value, ast.Attribute)
                and node.func.value.attr == "broker"]
     assert appends == [("feed_back", "broker")]
+    # the pull gateway keeps its context in a ContextBroker: no merge, no
+    # entity matching and no subtype test of its own (its one .matches call
+    # is a process's ASK on a descriptor, which takes one argument)
+    tree = ast.parse((package / "smg.py").read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    methods = [(c.func.attr, len(c.args)) for c in calls if isinstance(c.func, ast.Attribute)]
+    assert [m for m in methods if m[0] == "merged"] == []
+    assert {m for m in methods if m[0] == "matches"} == {("matches", 1)}
+    (store,) = [c for c in calls if getattr(c.func, "id", None) == "ContextBroker"]
+    inside = {id(node) for node in ast.walk(store)}
+    named = {getattr(node, key, None) for node in ast.walk(tree) if id(node) not in inside
+             for key in ("attr", "id", "name")}
+    assert {"query_reply", "is_subclass"} & named == set()
+    # one parser reads NGSI request bodies; the agent's config reads its own
+    callers = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+            for function in ast.iter_child_nodes(owner):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    called = getattr(node, "func", None)
+                    if getattr(called, "id", getattr(called, "attr", None)) in {
+                        "parse_patterns", "parse_attribute_names"
+                    }:
+                        callers.add(f"{path.stem}.{prefix}{function.name}")
+    assert callers == {"broker.parse_request", "agent.AgentConfig.from_json"}

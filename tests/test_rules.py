@@ -70,6 +70,13 @@ def test_parse_rule_rejects_malformed_documents(broken):
         parse_rule_json(broken)
 
 
+@pytest.mark.parametrize("prefixes", [7, {"ctx": 5}])
+def test_parse_rule_rejects_prefixes_that_are_not_an_object_of_strings(prefixes):
+    rule = {"ruleId": "r", "body": ["?a ctx:links ?b"], "head": ["?b ctx:linkedFrom ?a"]}
+    with pytest.raises(RuleFormatError, match="'prefixes'"):
+        parse_rule_json(rule, prefixes)
+
+
 def test_rule_base_rejects_duplicate_ids():
     rule = parse_rule_json(OCCUPIED_RULE)
     with pytest.raises(ValueError):

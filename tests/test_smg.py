@@ -323,6 +323,10 @@ def test_gateway_config_parsing():
         _config_doc(rescanPeriodMillis=True),
         _config_doc(gatewayUrl=None),
         [],
+        _config_doc(knowledgeUrl=5),
+        _config_doc(knowledgeUrl=""),
+        _config_doc(rootPath=5),
+        _config_doc(rootPath="cse"),
     ],
 )
 def test_gateway_config_rejects_malformed_documents(doc):

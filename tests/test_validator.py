@@ -368,6 +368,13 @@ def test_rule_endpoint_accepts_base_witness_and_prefixes(validator_server):
     assert status == 200 and not report["passed"]
     assert report["errors"][0]["location"].startswith("witness line")
 
+    for prefixes in (7, {"ont": 5}):  # not an object of prefix names to IRI strings
+        status, report = post_json(url, {**payload, "prefixes": prefixes})
+        assert status == 200
+        assert [(e["category"], e["location"]) for e in report["errors"]] == [
+            ("syntactic", "wire-rule")
+        ]
+
     status, report = post_json(
         url, {**payload, "base": [{"ruleId": "wire-rule", "body": payload["body"],
                                    "head": payload["head"]}]},
