@@ -32,7 +32,7 @@ from .rdf import (
 from .ontology import Ontology, PropertyDecl, StructuralError, load_ontology
 from .rules import (
     ClosureLimitExceeded,
-    DERIVATION_LIMIT,
+    DERIVED_PER_BASE_FACT,
     Rule,
     RuleBase,
     forward_chain,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BlankNode",
     "ClosureLimitExceeded",
-    "DERIVATION_LIMIT",
+    "DERIVED_PER_BASE_FACT",
     "Graph",
     "IRI",
     "Literal",

@@ -6,7 +6,7 @@ The rules' closure (``rules.Closure``) is the agent's one store of facts,
 and its base is the view. Each notified value or type that changes becomes
 a removed and an added view triple, and the next rule pass applies the
 batch to the closure, so a pass costs what the batch changed. A pass
-aborted at the derivation cap leaves the closure as it was and keeps its
+aborted at the derivation bound leaves the closure as it was and keeps its
 batch for the next pass. SPARQL reads the closure under the agent's lock,
 so a query sees the view and its derived facts as of the last completed
 pass; feedback re-reads from it only the keys a pass touched and sends

@@ -333,9 +333,9 @@ def request_json(
         else:
             data = json.dumps(body).encode("utf-8")
             req_headers.setdefault("Content-Type", "application/json")
-    parts = urllib.parse.urlsplit(url)
-    if parts.scheme not in {"http", "https"} or not parts.hostname:
+    if not valid_url(url):
         raise TransportError(f"{method} {url}: not an http(s) URL")
+    parts = urllib.parse.urlsplit(url)
     peer = (parts.scheme, parts.hostname, parts.port)
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
     conn = _checkout(peer, timeout)
@@ -443,8 +443,12 @@ def wait_healthy(base_url: str, timeout: float = 5.0) -> None:
 def valid_url(url: Any) -> bool:
     if not isinstance(url, str):
         return False
-    parsed = urllib.parse.urlparse(url)
-    return parsed.scheme in {"http", "https"} and bool(parsed.netloc)
+    try:
+        parts = urllib.parse.urlsplit(url)  # ValueError for a bad IPv6 host
+        parts.port  # ValueError unless a number from 0 to 65535
+    except ValueError:
+        return False
+    return parts.scheme in {"http", "https"} and bool(parts.hostname)
 
 
 def find_free_port(host: str = "127.0.0.1") -> int:

@@ -105,8 +105,8 @@ class KnowledgeClient:
     for every subclass of that class. When the server is unreachable the
     client degrades to syntactic equality (a class is only a subclass of
     itself) and to no declared classes, which keeps the caller available
-    at the cost of missing inferred matches; that answer is logged and
-    not cached. A non-200 reply caches the same degraded answer.
+    at the cost of missing inferred matches; that answer is logged, and
+    cached like the one to a non-200 reply.
     """
 
     def __init__(self, base_url: str):
@@ -117,22 +117,21 @@ class KnowledgeClient:
     def _fetch(self, route: str, cls: str = "") -> frozenset[str]:
         """The list a GET of `route` (with `class=cls`, if given) answers
         under the route's own name, as in `{"subclasses": [...]}`."""
-        now = time.monotonic()
         key = (route, cls)
         with self._lock:
             hit = self._cache.get(key)
-            if hit and hit[0] > now:
+            if hit and hit[0] > time.monotonic():
                 return hit[1]
         query = "?" + urllib.parse.urlencode({"class": cls}) if cls else ""
         try:
             status, payload = get_json(f"{self.base_url}/{route}{query}")
         except TransportError as exc:
             log.warning("knowledge server unreachable, answering %s without it: %s", route, exc)
-            return frozenset()
+            status, payload = None, None
         ok = status == 200 and isinstance(payload, dict)
         values = frozenset(payload.get(route) or ()) if ok else frozenset()
-        with self._lock:
-            self._cache[key] = (now + CACHE_TTL_SECONDS, values)
+        with self._lock:  # the TTL runs from the answer: a hung server may outlast it
+            self._cache[key] = (time.monotonic() + CACHE_TTL_SECONDS, values)
         return values
 
     def is_subclass(self, sub: str, sup: str) -> bool:

@@ -225,7 +225,6 @@ class ResolvedTarget:
     entity_iri: str
     entity_id: str  # context-broker identifier (URN prefix stripped)
     entity_type: str
-    type_declared: bool
     attribute_name: str
     unit: str | None
     location: tuple[float, float] | None
@@ -305,8 +304,7 @@ def resolve_targets(
                 log.warning("%s: ignoring malformed location %r", where, raw_location)
         value_path = _single(descriptor, subject, MED_VALUE_PATH, Literal, required=False) or DEFAULT_VALUE_PATH
         conversion_hint = _single(descriptor, subject, MED_CONVERSION, Literal, required=False)
-        type_declared = knowledge.declared_class(entity_type) if knowledge else True
-        if not type_declared:
+        if knowledge and not knowledge.declared_class(entity_type):
             log.warning("%s: entity type %s is not a declared class", where, entity_type)
         targets.append(
             ResolvedTarget(
@@ -314,7 +312,6 @@ def resolve_targets(
                 entity_iri=entity_iri,
                 entity_id=ngsi_entity_id(entity_iri),
                 entity_type=entity_type,
-                type_declared=type_declared,
                 attribute_name=attribute_name,
                 unit=unit,
                 location=location,

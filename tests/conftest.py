@@ -25,6 +25,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 CORPUS_DIR = REPO_ROOT / "corpus"
 SCENARIOS_DIR = REPO_ROOT / "scenarios"
 
+# http URLs that do not parse: two ports that are not port numbers, and a bad IPv6 host
+UNPARSABLE_URLS = ["http://127.0.0.1:abc/notify", "http://127.0.0.1:99999/notify", "http://[::1/notify"]
+
 
 class CaptureServer:
     """Records every request it receives, in arrival order.

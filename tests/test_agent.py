@@ -244,11 +244,25 @@ def test_self_derived_attributes_are_not_reingested(monkeypatch):
     assert (("room1", "occupied")) not in agent._values
 
 
+NEAR = "urn:test:nearCrowd"
+
+
+def _crowd_agent():
+    """Rooms holding more than one person all pair up, so n such rooms
+    derive n x n pairs and n occupied facts from 2 n view facts: over the
+    bound, 16 x (2 n + 1), from 32 rooms on. Pairs are not context
+    attributes, so none is fed back."""
+    crowd = {"ruleId": "crowded-rooms-pair-up",
+             "body": [f"?a <{CTX_NS}occupancy> ?n", f"?b <{CTX_NS}occupancy> ?m",
+                      "FILTER(?n > 1)", "FILTER(?m > 1)"],
+             "head": [f"?a <{NEAR}> ?b"]}
+    return _offline_agent(rules=[OCCUPANCY_RULE, crowd])
+
+
 def test_a_pass_over_the_derivation_cap_is_counted_as_aborted(monkeypatch, caplog):
-    agent = _offline_agent()
+    agent = _crowd_agent()
     sent = _stub_append(monkeypatch, agent)
-    for i in range(1001):
-        agent._apply_notification(_notification(f"room{i}", "occupancy", 1))
+    _occupied_rooms(agent, 40, people=2)  # 1 600 pairs and 40 occupied rooms from 80 view facts
     assert agent.run_rule_pass() == []
     assert "rule pass aborted" in caplog.text
     stats = agent.stats()
@@ -368,9 +382,20 @@ def test_each_pass_derives_what_chaining_the_view_from_scratch_derives(batches):
         assert agent.view_graph() == view.union(expected)
 
 
-def _occupied_rooms(agent, count):
+def _occupied_rooms(agent, count, people=1):
     for i in range(count):
-        agent._apply_notification(_notification(f"room{i}", "occupancy", 1))
+        agent._apply_notification(_notification(f"room{i}", "occupancy", people))
+
+
+def test_a_pass_over_ten_thousand_rooms_completes(monkeypatch):
+    agent = _offline_agent()
+    sent = _stub_append(monkeypatch, agent)
+    _occupied_rooms(agent, 10000)
+    assert len(agent.run_rule_pass()) == 10000
+    assert len(sent) == 10000
+    stats = agent.stats()
+    assert stats["rulePassesAborted"] == 0
+    assert stats["derivedFactsSent"] == 10000
 
 
 def test_one_changed_value_costs_a_pass_little_matching_work(monkeypatch):
@@ -396,33 +421,34 @@ def test_one_changed_value_costs_a_pass_little_matching_work(monkeypatch):
 
 
 def test_a_pass_after_an_aborted_one_starts_over_from_the_view(monkeypatch, caplog):
-    agent = _offline_agent()
+    agent = _crowd_agent()
     sent = _stub_append(monkeypatch, agent, lambda *a: a[0])
-    _occupied_rooms(agent, 1001)
+    _occupied_rooms(agent, 40, people=2)
     assert agent.run_rule_pass() == []
     assert "rule pass aborted" in caplog.text
-    # one room empties, so 1 000 rooms derive a fact: the closure fits again
-    agent._apply_notification(_notification("room1000", "occupancy", 0))
-    assert len(agent.run_rule_pass()) == 1000
-    assert sorted(sent) == sorted(f"room{i}" for i in range(1000))
+    # half the rooms clear down to one person: 400 pairs and 40 occupied rooms fit again
+    _occupied_rooms(agent, 20)
+    assert len(agent.run_rule_pass()) == 440
+    assert sorted(sent) == sorted(f"room{i}" for i in range(40))
     stats = agent.stats()
     assert stats["rulePassesAborted"] == 1
     assert stats["rulePasses"] == 1
-    assert stats["derivedFactsSent"] == 1000
+    assert stats["derivedFactsSent"] == 40
     occupied = agent.answer_sparql(f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}')
-    assert len(occupied["solutions"]) == 1000
+    assert len(occupied["solutions"]) == 40
 
 
 def test_sparql_keeps_the_last_completed_pass_after_an_abort(monkeypatch):
-    agent = _offline_agent()
+    agent = _crowd_agent()
     _stub_append(monkeypatch, agent)
-    _occupied_rooms(agent, 1000)
+    _occupied_rooms(agent, 40)
+    _occupied_rooms(agent, 20, people=2)
     agent.run_rule_pass()
-    query = f'SELECT ?r WHERE {{ ?r <{CTX_NS}occupied> "true" }}'
-    assert len(agent.answer_sparql(query)["solutions"]) == 1000
-    agent._apply_notification(_notification("room1000", "occupancy", 1))
-    assert agent.run_rule_pass() == []  # 1 001 facts: aborted
-    assert len(agent.answer_sparql(query)["solutions"]) == 1000
+    query = f"SELECT ?a ?b WHERE {{ ?a <{NEAR}> ?b }}"
+    assert len(agent.answer_sparql(query)["solutions"]) == 400
+    _occupied_rooms(agent, 40, people=2)
+    assert agent.run_rule_pass() == []  # 1 600 pairs: aborted
+    assert len(agent.answer_sparql(query)["solutions"]) == 400
     assert agent.view_graph() is agent.view_graph()  # cached until something changes
 
 

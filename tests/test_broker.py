@@ -14,7 +14,7 @@ from giots.httpkit import get_json, post_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
 from giots.ngsi import ContextEntity, EntityPattern
 
-from conftest import boot
+from conftest import UNPARSABLE_URLS, boot
 
 ONT = "http://wise-iot.example/onto#"
 RDF = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -103,8 +103,9 @@ def test_register_validation(broker_server):
         url, {"entities": [{}], "providingApplication": "http://127.0.0.1:9/"}
     )
     assert status == 400  # a registration pattern may not be empty
-    status, _ = post_json(url, {"entities": [{"id": "a"}], "providingApplication": "ftp://x"})
-    assert status == 400
+    for bad in ["ftp://x"] + UNPARSABLE_URLS:
+        status, _ = post_json(url, {"entities": [{"id": "a"}], "providingApplication": bad})
+        assert status == 400, bad
 
 
 def test_discover_matches_ids_attributes_and_subtypes(stacked):
@@ -413,8 +414,9 @@ def test_removed_subscriptions_leave_nothing_in_the_pool(capture_server):
 def test_subscribe_validation(broker_server):
     url = broker_server.url + "/ngsi10/subscribeContext"
     good = {"entities": [{"id": "x"}], "reference": "http://127.0.0.1:9/n"}
-    status, _ = post_json(url, {**good, "reference": "nope"})
-    assert status == 400
+    for bad in ["nope"] + UNPARSABLE_URLS:
+        status, _ = post_json(url, {**good, "reference": bad})
+        assert status == 400, bad
     status, _ = post_json(url, {**good, "throttlingMillis": -1})
     assert status == 400
     status, _ = post_json(url, {**good, "throttlingMillis": True})

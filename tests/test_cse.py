@@ -14,6 +14,8 @@ import pytest
 from giots.cse import CSE_BASE_NAME, CseClient, ResourceTree, TYPE_CODES, discover
 from giots.httpkit import get_json, request_json
 
+from conftest import UNPARSABLE_URLS
+
 ONT = "http://wise-iot.example/onto#"
 MED = "http://wise-iot.example/mediation#"
 RDF_TYPE = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
@@ -168,10 +170,9 @@ def test_descriptor_round_trips_as_graph(cse_server):
 def test_subscription_requires_absolute_url(cse_server):
     client = _client(cse_server)
     client.create("/cse", "AE", {"rn": "app"})
-    status, _ = _post(
-        cse_server.url, "/cse/app", TYPE_CODES["Subscription"], {"rn": "s", "nu": "not a url"}
-    )
-    assert status == 400
+    for bad in ["not a url"] + UNPARSABLE_URLS:
+        status, _ = _post(cse_server.url, "/cse/app", TYPE_CODES["Subscription"], {"rn": "s", "nu": bad})
+        assert status == 400, bad
 
 
 def test_group_membership_is_checked(cse_server):

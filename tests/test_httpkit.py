@@ -25,7 +25,10 @@ from giots.httpkit import (
     deliver,
     request_json,
     run_service,
+    valid_url,
 )
+
+from conftest import UNPARSABLE_URLS
 
 REFUSED = TransportError("connection refused")
 
@@ -170,6 +173,13 @@ def test_a_server_that_announces_no_keep_alive_gets_a_connection_per_request(con
     finally:
         server.shutdown()
         server.server_close()
+
+
+@pytest.mark.parametrize("url", ["ftp://127.0.0.1/x", "http:///x"] + UNPARSABLE_URLS)
+def test_a_url_that_is_not_a_reachable_http_url_is_a_transport_error(url):
+    assert valid_url(url) is False
+    with pytest.raises(TransportError):
+        request_json("GET", url)
 
 
 def test_a_stopped_service_is_not_answered_over_a_pooled_connection(service):

@@ -1,7 +1,10 @@
 """Knowledge server wire behaviour and the degrading client."""
 
 import random
+import socket
+import time
 import urllib.parse
+from types import SimpleNamespace
 
 import giots.knowledge
 from giots.httpkit import TransportError, get_json, post_json, request_json, run_service
@@ -146,7 +149,8 @@ def test_client_caches_positive_answers_until_ttl(knowledge_server, monkeypatch)
 
 
 def test_client_fetches_the_class_list_once_per_ttl(knowledge_server, monkeypatch):
-    monkeypatch.setattr(giots.knowledge, "CACHE_TTL_SECONDS", 60.0)
+    clock = SimpleNamespace(monotonic=lambda: 0.0)
+    monkeypatch.setattr(giots.knowledge, "time", clock)
     client = KnowledgeClient(knowledge_server.url)
     client.upload(MEETING_ROOM)
     real = giots.knowledge.get_json
@@ -159,11 +163,31 @@ def test_client_fetches_the_class_list_once_per_ttl(knowledge_server, monkeypatc
         return real(url, **kwargs)
 
     monkeypatch.setattr(giots.knowledge, "get_json", refused_once)
-    assert client.declared_class(ONT + "Room") is False  # a transport error is not cached
+    for _ in range(3):  # a transport error is cached like a non-200 reply
+        assert client.declared_class(ONT + "Room") is False
+    clock.monotonic = lambda: giots.knowledge.CACHE_TTL_SECONDS + 0.1
     for _ in range(5):
         assert client.declared_class(ONT + "Room") is True
         assert client.declared_class(ONT + "Nothing") is False
     assert fetched == [knowledge_server.url + "/classes"] * 2
+
+
+def test_a_hung_server_costs_one_wait_per_ttl_not_one_per_call(monkeypatch, caplog):
+    """A server that accepts and never answers: the degraded answer is
+    cached, and its TTL runs from the answer, so a wait longer than the
+    TTL does not leave it stale."""
+    real = giots.knowledge.get_json
+    monkeypatch.setattr(giots.knowledge, "get_json", lambda url: real(url, timeout=2.0))
+    monkeypatch.setattr(giots.knowledge, "CACHE_TTL_SECONDS", 1.0)
+    with socket.socket() as hung:
+        hung.bind(("127.0.0.1", 0))
+        hung.listen()
+        client = KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}")
+        assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is False
+        started = time.monotonic()
+        assert client.is_subclass(ONT + "MeetingRoom", ONT + "Room") is False
+        assert time.monotonic() - started < 1.0
+    assert "knowledge server unreachable" in caplog.text
 
 
 def test_client_degrades_when_server_is_gone():

@@ -1,13 +1,20 @@
 """Rule parsing, safety checking and bounded forward chaining."""
 
+import ast
+import inspect
+from pathlib import Path
+from unittest import mock
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, parse_ntriples
+import giots
+from giots import rules as rules_module
+from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, TripleStore, Variable, parse_ntriples
 from giots.rules import (
     Closure,
     ClosureLimitExceeded,
-    DERIVATION_LIMIT,
+    DERIVED_PER_BASE_FACT,
     Rule,
     RuleBase,
     RuleFormatError,
@@ -174,30 +181,87 @@ def test_head_instantiations_that_are_not_triples_are_skipped():
     assert len(forward_chain(facts, [rule])) == 0
 
 
-def test_derivation_limit_raises():
+_PAIRS = parse_rule_json(
+    {
+        "ruleId": "pairs",
+        "body": [f"?a <{RDF_TYPE}> ?c", f"?x <{RDF_TYPE}> ?d"],
+        "head": [f"?a <{CTX}sees> ?x"],
+    }
+)
+
+
+def _typed(count):
+    return [Triple(IRI(f"urn:node:{i}"), IRI(RDF_TYPE), IRI("urn:Thing")) for i in range(count)]
+
+
+def test_derivation_limit_raises(monkeypatch):
     # 35 typed instances and a rule joining two type patterns derive
-    # 35 * 35 = 1225 pair facts, beyond the 1000-triple bound
-    facts = _facts(
-        "\n".join(f"<urn:node:{i}> <{RDF_TYPE}> <urn:Thing> ." for i in range(35))
-    )
-    rule = parse_rule_json(
-        {
-            "ruleId": "pairs",
-            "body": [f"?a <{RDF_TYPE}> ?c", f"?x <{RDF_TYPE}> ?d"],
-            "head": [f"?a <{CTX}sees> ?x"],
-        }
-    )
-    assert DERIVATION_LIMIT == 1000
+    # 35 * 35 = 1225 pair facts, 34 per base fact (plus one): blow-up
+    added = []
+
+    class CountingStore(TripleStore):
+        def add(self, triple):
+            added.append(triple)
+            return super().add(triple)
+
+    monkeypatch.setattr(rules_module, "TripleStore", CountingStore)
+    assert DERIVED_PER_BASE_FACT == 16
     with pytest.raises(ClosureLimitExceeded) as excinfo:
-        forward_chain(facts, [rule])
-    assert excinfo.value.limit == 1000
+        forward_chain(Graph(_typed(35)), [_PAIRS])
+    assert excinfo.value.limit == 16 * 36
+    assert len(added) == 35 + 16 * 36 + 1  # chaining stops at the first fact over the bound
 
 
 def test_custom_limit_is_honoured():
     facts = _facts(f'<urn:r> <{CTX}occupancy> "3" .')
     rule = parse_rule_json(OCCUPIED_RULE)
+    with mock.patch.object(rules_module, "DERIVED_PER_BASE_FACT", 0):
+        with pytest.raises(ClosureLimitExceeded) as excinfo:
+            forward_chain(facts, [rule])
+    assert excinfo.value.limit == 0
+    assert len(forward_chain(facts, [rule])) == 1
+
+
+def test_the_bound_grows_with_the_base_and_shrinks_with_it():
+    # 20 typed nodes derive 400 pairs: 16 x (20 + 1) = 336 is too few,
+    # and five more base facts that take part in no rule make it 416
+    fillers = [Triple(IRI(f"urn:filler:{i}"), IRI("urn:p"), Literal(str(i))) for i in range(5)]
     with pytest.raises(ClosureLimitExceeded):
-        forward_chain(facts, [rule], limit=0)
+        forward_chain(Graph(_typed(20)), [_PAIRS])
+    closure = Closure([_PAIRS])
+    closure.update(_typed(20) + fillers)
+    assert len(closure.derived()) == 400
+    facts = set(closure.facts.triples())
+    # removing the fillers derives nothing and removes nothing derived,
+    # but it lowers the bound below the 400 derived facts
+    with pytest.raises(ClosureLimitExceeded) as excinfo:
+        closure.update(removed=fillers)
+    assert excinfo.value.limit == 336
+    assert closure.facts.triples() == facts
+    closure.update(removed=_typed(20)[:2])  # 18 x 18 = 324 pairs fit under 16 x (23 + 1)
+    assert len(closure.derived()) == 324
+
+
+def test_only_the_rules_module_bounds_a_closure():
+    """The bound is worked out from the input inside rules.py: no other
+    module reads the constant, and no call to Closure or forward_chain
+    passes more than the rules and the facts."""
+    assert list(inspect.signature(Closure.__init__).parameters) == ["self", "rules"]
+    assert list(inspect.signature(forward_chain).parameters) == ["graph", "rules"]
+    def name(node):
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    arity = {"Closure": 1, "forward_chain": 2}
+    named, calls = set(), set()
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if name(node) == "DERIVED_PER_BASE_FACT":
+                named.add(path.name)
+            if isinstance(node, ast.Call) and name(node.func) in arity:
+                calls.add((path.name, name(node.func), len(node.args), len(node.keywords)))
+    assert named == {"rules.py"}
+    assert {("agent.py", "Closure"), ("validator.py", "forward_chain")} <= {c[:2] for c in calls}
+    assert all(args == arity[func] and not keywords for _, func, args, keywords in calls)
 
 
 def test_chaining_is_deterministic():
@@ -229,8 +293,10 @@ def _scan_join(triples, patterns, binding):
             yield from _scan_join(triples, rest, extended)
 
 
-def _naive_closure(graph, rules, limit):
-    """Reference: fire every rule over every known fact until nothing is new."""
+def _naive_closure(graph, rules, ratio):
+    """Reference: fire every rule over every known fact until nothing is
+    new, and raise once the derived facts outnumber ratio x (facts + 1)."""
+    bound = ratio * (len(graph) + 1)
     known = set(graph.triples())
     derived = set()
     while True:
@@ -251,8 +317,8 @@ def _naive_closure(graph, rules, limit):
             return Graph(derived)
         known |= fresh
         derived |= fresh
-        if len(derived) > limit:
-            raise ClosureLimitExceeded(limit)
+        if len(derived) > bound:
+            raise ClosureLimitExceeded(bound)
 
 
 _NODES = [IRI("urn:a"), IRI("urn:b"), IRI("urn:c"), IRI("urn:d")]
@@ -297,18 +363,20 @@ _CHAIN = Graph(Triple(IRI(f"urn:n{i}"), IRI("urn:p"), IRI(f"urn:n{i + 1}")) for 
 @given(
     _small_graphs,
     st.integers(1, 3).flatmap(lambda n: st.tuples(*(_rules(f"r{i}") for i in range(n)))),
-    st.integers(0, 40),
+    st.integers(0, 5),
 )
-@example(_CHAIN, (_TRANSITIVE,), 100)  # the closure takes four rounds
-@example(_CHAIN, (_TRANSITIVE,), 30)  # the cap is crossed in round three
-def test_semi_naive_chaining_equals_a_naive_fixpoint(graph, rules, limit):
-    try:
-        expected = _naive_closure(graph, rules, limit)
-    except ClosureLimitExceeded:
-        with pytest.raises(ClosureLimitExceeded):
-            forward_chain(graph, list(rules), limit)
-        return
-    assert forward_chain(graph, list(rules), limit) == expected
+# 11 edges derive 10, 27, 49 and 55 paths by the end of rounds one to four
+@example(_CHAIN, (_TRANSITIVE,), 5)  # the closure takes four rounds: 55 <= 5 x 12
+@example(_CHAIN, (_TRANSITIVE,), 3)  # the cap, 3 x 12 = 36, is crossed in round three
+def test_semi_naive_chaining_equals_a_naive_fixpoint(graph, rules, ratio):
+    with mock.patch.object(rules_module, "DERIVED_PER_BASE_FACT", ratio):
+        try:
+            expected = _naive_closure(graph, rules, ratio)
+        except ClosureLimitExceeded:
+            with pytest.raises(ClosureLimitExceeded):
+                forward_chain(graph, list(rules))
+            return
+        assert forward_chain(graph, list(rules)) == expected
 
 
 # --- a maintained closure against chaining from scratch ---------------------------------
@@ -321,38 +389,41 @@ _rule_sets = st.tuples(
 
 
 @settings(deadline=None, max_examples=300)
-@given(st.data(), _rule_sets, st.one_of(st.integers(0, 60), st.just(DERIVATION_LIMIT)))
-def test_a_maintained_closure_equals_chaining_from_scratch(data, rules, limit):
+@given(st.data(), _rule_sets, st.one_of(st.integers(0, 5), st.just(DERIVED_PER_BASE_FACT)))
+def test_a_maintained_closure_equals_chaining_from_scratch(data, rules, ratio):
     """Random batches of added and removed base facts, with recursive and
     filtered rules: after every batch the closure's derived facts equal a
-    from-scratch chain of its base, and it raises iff that chain raises.
+    from-scratch chain of its base, and it raises iff that chain raises,
+    also when a batch only lowers the bound by removing base facts.
     A batch that raises leaves the closure as it was, and the later ones
     still agree; one that succeeds returns at least every fact that came
     or went or moved between base and derived."""
-    closure = Closure(list(rules), limit)
-    base: set = set()
-    for _ in range(data.draw(st.integers(1, 5), label="batches")):
-        removed = set()
-        if base:
-            removed = set(data.draw(
-                st.lists(st.sampled_from(sorted(base, key=Triple.text)), max_size=4), label="removed"))
-        added = data.draw(st.one_of(_small_graphs, st.just(_CHAIN)), label="added").triples()
-        facts, derived = set(closure.facts.triples()), closure.derived()
-        try:
-            expected = forward_chain(Graph((base - removed) | added), list(rules), limit)
-        except ClosureLimitExceeded:
-            with pytest.raises(ClosureLimitExceeded):
-                closure.update(added, removed)
-            assert closure.derived() == derived
-            assert closure.facts.triples() == facts  # so the base is as it was too
-            continue
-        touched = closure.update(added, removed)
-        base = (base - removed) | added
-        assert closure.derived() == expected
-        assert closure.facts.triples() - expected.triples() == base
-        old_base = facts - derived.triples()
-        changed = (facts ^ closure.facts.triples()) | (old_base ^ base)
-        assert changed <= touched
+    with mock.patch.object(rules_module, "DERIVED_PER_BASE_FACT", ratio):
+        closure = Closure(list(rules))
+        base: set = set()
+        for _ in range(data.draw(st.integers(1, 5), label="batches")):
+            removed = set()
+            if base:
+                removed = set(data.draw(
+                    st.lists(st.sampled_from(sorted(base, key=Triple.text)), max_size=4), label="removed"))
+            batch = st.one_of(st.just(Graph()), _small_graphs, st.just(_CHAIN))
+            added = data.draw(batch, label="added").triples()
+            facts, derived = set(closure.facts.triples()), closure.derived()
+            try:
+                expected = forward_chain(Graph((base - removed) | added), list(rules))
+            except ClosureLimitExceeded:
+                with pytest.raises(ClosureLimitExceeded):
+                    closure.update(added, removed)
+                assert closure.derived() == derived
+                assert closure.facts.triples() == facts  # so the base is as it was too
+                continue
+            touched = closure.update(added, removed)
+            base = (base - removed) | added
+            assert closure.derived() == expected
+            assert closure.facts.triples() - expected.triples() == base
+            old_base = facts - derived.triples()
+            changed = (facts ^ closure.facts.triples()) | (old_base ^ base)
+            assert changed <= touched
 
 
 def test_a_removed_base_fact_that_still_follows_stays_derived():

@@ -214,7 +214,6 @@ def test_resolve_targets_reads_all_mapping_facts():
     assert target.value_path == "/readings/0"
     assert target.conversion_hint == "scale:2"
     assert target.source_path == "/cse/app/room1"
-    assert target.type_declared is True  # no knowledge client consulted
 
 
 def test_resolve_targets_defaults_and_malformed_location():
@@ -226,15 +225,31 @@ def test_resolve_targets_defaults_and_malformed_location():
     assert target.conversion_hint is None
 
 
+_HALL_SUBJECT = (
+    f"<urn:src:a> <{MED_NS}describesEntity> <urn:entity:hall> .\n"
+    f"<urn:src:a> <{MED_NS}entityType> <{ONT}Room> .\n"
+    f'<urn:src:a> <{MED_NS}attributeName> "occupancy" .\n'
+)
+
+
 def test_resolve_targets_one_per_subject_sorted():
-    text = _descriptor() + (
-        f"<urn:src:a> <{MED_NS}describesEntity> <urn:entity:hall> .\n"
-        f"<urn:src:a> <{MED_NS}entityType> <{ONT}Room> .\n"
-        f'<urn:src:a> <{MED_NS}attributeName> "occupancy" .\n'
-    )
-    targets = resolve_targets(parse_ntriples(text), "/cse/app/room1")
+    targets = resolve_targets(parse_ntriples(_descriptor() + _HALL_SUBJECT), "/cse/app/room1")
     assert [t.attribute_name for t in targets] == ["occupancy", "temperature"]
     assert [t.entity_id for t in targets] == ["hall", "room123"]
+
+
+def test_resolve_targets_warns_about_an_entity_type_the_knowledge_server_does_not_declare(caplog):
+    class Knowledge:
+        def declared_class(self, cls):
+            return cls == ONT + "Room"
+
+    descriptor = parse_ntriples(_descriptor() + _HALL_SUBJECT)
+    with caplog.at_level(logging.WARNING, logger="giots.smg"):
+        targets = resolve_targets(descriptor, "/cse/app/room1", Knowledge())
+    assert [t.entity_id for t in targets] == ["hall", "room123"]  # resolved all the same
+    assert [r.getMessage() for r in caplog.records if r.name == "giots.smg"] == [
+        f"<urn:src:room1>: entity type {ONT}MeetingRoom is not a declared class"
+    ]
 
 
 @pytest.mark.parametrize(
