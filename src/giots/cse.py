@@ -34,7 +34,7 @@ from .httpkit import (
     valid_url,
 )
 from .rdf import Graph, NTriplesError, parse_ntriples, serialize_ntriples
-from .sparql import Query, SparqlSyntaxError, evaluate, parse_sparql
+from .sparql import SparqlSyntaxError, evaluate, parse_sparql
 
 log = logging.getLogger(__name__)
 
@@ -301,11 +301,6 @@ class ResourceTree:
             return [c for c in self.children_of(resource) if c.ty == "Subscription"]
 
 
-def _filter_matches_graph(query: Query, graph: Graph) -> bool:
-    result = evaluate(query, graph)
-    return result is True or (isinstance(result, list) and bool(result))
-
-
 def discover(
     tree: ResourceTree,
     root_path: str,
@@ -333,7 +328,7 @@ def discover(
             continue
         if query is not None:
             graph = tree.descriptor_graph(candidate)
-            if graph is None or not _filter_matches_graph(query, graph):
+            if graph is None or not evaluate(query, graph):
                 continue
         hits.append(candidate.path)
     return sorted(hits)

@@ -29,6 +29,7 @@ from .rdf import NTriplesError, parse_ntriples
 log = logging.getLogger(__name__)
 
 CACHE_TTL_SECONDS = 5.0
+KNOWLEDGE_TIMEOUT = 2.0  # seconds a hung server may hold a caller
 
 
 class KnowledgeService(JsonHttpService):
@@ -124,7 +125,7 @@ class KnowledgeClient:
                 return hit[1]
         query = "?" + urllib.parse.urlencode({"class": cls}) if cls else ""
         try:
-            status, payload = get_json(f"{self.base_url}/{route}{query}")
+            status, payload = get_json(f"{self.base_url}/{route}{query}", timeout=KNOWLEDGE_TIMEOUT)
         except TransportError as exc:
             log.warning("knowledge server unreachable, answering %s without it: %s", route, exc)
             status, payload = None, None

@@ -177,18 +177,8 @@ class TriplePattern:
     def variables(self) -> set[str]:
         return {s.name for s in self.slots() if isinstance(s, Variable)}
 
-    def text(self) -> str:
-        def token(s: PatternSlot) -> str:
-            return f"?{s.name}" if isinstance(s, Variable) else term_text(s)
-
-        return " ".join(token(s) for s in self.slots())
-
 
 BindingSet = dict  # variable name -> Term
-
-
-def _binding_key(binding: dict[str, Term]) -> tuple:
-    return tuple(sorted((name, term_text(term)) for name, term in binding.items()))
 
 
 class Graph:
@@ -257,8 +247,9 @@ class Graph:
         Ground slots must equal the triple's term; a variable repeated
         within the pattern must bind consistently. Only the shortest index
         list among the pattern's ground slots is unified (every triple
-        when all three slots are variables). Result order is
-        deterministic (sorted by canonical binding text).
+        when all three slots are variables). Result order is unspecified
+        (it follows the indexes): canonical order is made where results
+        leave the core, by ``sparql.evaluate`` and ``__iter__``.
         """
         candidates: Iterable[Triple] = self._triples
         fewest = len(self._triples)
@@ -272,7 +263,6 @@ class Graph:
             binding = _unify(pattern, triple)
             if binding is not None:
                 results.append(binding)
-        results.sort(key=_binding_key)
         return results
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .rdf import Graph, Triple, TriplePattern, TripleStore, Variable
-from .sparql import FilterExpr, eval_filter, join_bgp, match_bgp, parse_filter, parse_pattern
+from .sparql import FilterExpr, join_bgp, match_bgp, parse_filter, parse_pattern
 
 log = logging.getLogger(__name__)
 
@@ -136,10 +136,6 @@ def _instantiate(pattern: TriplePattern, binding) -> Triple | None:
         return None
 
 
-def _passing(rule: Rule, solutions: list) -> list:
-    return [b for b in solutions if all(eval_filter(f, b) for f in rule.filters)]
-
-
 def _fire(rule: Rule, graph: Graph, delta: Graph | None) -> list:
     """The rule's body bindings over the graph. Given a delta, only those in
     which at least one body pattern matched a triple of the delta: that
@@ -151,8 +147,8 @@ def _fire(rule: Rule, graph: Graph, delta: Graph | None) -> list:
         seeds = delta.match(pattern)
         if seeds:
             rest = rule.body[:index] + rule.body[index + 1:]
-            solutions += join_bgp(graph, rest, seeds)
-    return _passing(rule, solutions)
+            solutions += join_bgp(graph, rest, rule.filters, seeds)
+    return solutions
 
 
 def _heads(rule: Rule, bindings: list) -> Iterator[Triple]:
@@ -276,7 +272,7 @@ class Closure:
         for rule in self._rules:
             seeds = [b for pattern in rule.head for b in candidates.match(pattern)]
             if seeds:
-                solutions = _passing(rule, join_bgp(self._facts, rule.body, seeds))
+                solutions = join_bgp(self._facts, rule.body, rule.filters, seeds)
                 back.update(t for t in _heads(rule, solutions) if t in gone)
         return back
 

@@ -30,7 +30,7 @@ from .httpkit import (
 )
 from .knowledge import KnowledgeClient, KnowledgeService
 from .smg import GatewayConfig, MediationGateway, SmgService
-from .validator import ValidatorService
+from .validator import VALIDATION_KINDS, ValidatorService
 
 log = logging.getLogger(__name__)
 
@@ -91,8 +91,11 @@ def load_scenario(path: str | Path) -> Scenario:
     if len(ports) != len(set(ports)):
         raise ScenarioError("service ports must be distinct")
 
+    raw_sensors = raw.get("sensors", [])
+    if not isinstance(raw_sensors, list):
+        raise ScenarioError("'sensors' must be a list")
     sensors = []
-    for index, raw_sensor in enumerate(raw.get("sensors", [])):
+    for index, raw_sensor in enumerate(raw_sensors):
         if not isinstance(raw_sensor, dict):
             raise ScenarioError(f"sensor #{index} must be a JSON object")
         name = raw_sensor.get("name")
@@ -115,16 +118,19 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"sensor '{name}': 'periodMillis' must be >= 0")
         sensors.append(Sensor(name, container, descriptor, values, period))
 
+    agents = raw.get("agents", [])
+    if not isinstance(agents, list) or not all(isinstance(entry, str) for entry in agents):
+        raise ScenarioError("'agents' must be a list of file names")
     agent_paths = []
-    for entry in raw.get("agents", []):
+    for entry in agents:
         agent_path = base_dir / entry
         if not agent_path.is_file():
             raise ScenarioError(f"agent config not found: {agent_path}")
         agent_paths.append(agent_path)
 
     assertions = raw.get("assertions", [])
-    if not isinstance(assertions, list):
-        raise ScenarioError("'assertions' must be a list")
+    if not isinstance(assertions, list) or not all(isinstance(a, dict) for a in assertions):
+        raise ScenarioError("'assertions' must be a list of JSON objects")
 
     quiescence = raw.get("quiescenceMillis", DEFAULT_QUIESCENCE_MILLIS)
     if not isinstance(quiescence, int) or quiescence < 0:
@@ -461,7 +467,7 @@ class ScenarioRunner:
         expected = assertion.get("expected", True)
         kind = request.get("kind")
         file_name = request.get("file")
-        if kind not in {"ontology", "annotation", "rule", "sparql"} or not file_name:
+        if kind not in VALIDATION_KINDS or not file_name:
             return AssertionOutcome(
                 index, "validationPasses", False,
                 detail="request needs 'kind' and 'file'",

@@ -28,7 +28,8 @@ from .rdf import (
     Term,
     TriplePattern,
     Variable,
-    _binding_key,
+    _ESCAPES,
+    term_text,
 )
 
 XSD_INTEGER = XSD_NS + "integer"
@@ -146,7 +147,7 @@ def _tokenize(text: str) -> list[_Token]:
                     if end + 1 >= n:
                         raise SparqlSyntaxError(end, "dangling escape")
                     esc = text[end + 1]
-                    mapped = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}.get(esc)
+                    mapped = _ESCAPES.get(esc)
                     if mapped is None:
                         raise SparqlSyntaxError(end, f"unsupported escape sequence \\{esc}")
                     chars.append(mapped)
@@ -513,29 +514,29 @@ def match_bgp(
 ) -> list[BindingSet]:
     """Join all patterns over the graph and keep solutions passing every filter.
 
-    An index nested-loop join (see :func:`join_bgp`). The result is
-    deterministic but not projected or deduplicated; `evaluate` layers
-    query semantics on top. Also reused by the rule engine.
+    An index nested-loop join (see :func:`join_bgp`). The result is not
+    projected, deduplicated or ordered; `evaluate` layers query semantics
+    on top. Also reused by the rule engine.
     """
-    solutions = join_bgp(graph, patterns, [{}])
-    if filters:
-        solutions = [b for b in solutions if all(eval_filter(f, b) for f in filters)]
-    return solutions
+    return join_bgp(graph, patterns, filters, [{}])
 
 
 def join_bgp(
     graph: Graph,
     patterns: tuple[TriplePattern, ...] | list[TriplePattern],
+    filters: tuple[FilterExpr, ...] | list[FilterExpr],
     solutions: list[BindingSet],
 ) -> list[BindingSet]:
-    """Extend each solution by every way the patterns match the graph.
+    """Extend each solution by every way the patterns match the graph, and
+    keep the extensions that pass every filter.
 
-    Patterns are joined most-selective (most ground slots) first; each one
-    is substituted with a partial binding and looked up through the
-    graph's indexes by :meth:`Graph.match`, so a step costs the matches
-    found rather than a scan of the graph.
+    Patterns are joined most-selective (most ground slots) first, ties in
+    the given order; each one is substituted with a partial binding and
+    looked up through the graph's indexes by :meth:`Graph.match`, so a
+    step costs the matches found rather than a scan of the graph. The
+    order of the result is unspecified.
     """
-    ordered = sorted(patterns, key=lambda p: (-_ground_count(p), p.text()))
+    ordered = sorted(patterns, key=lambda p: -_ground_count(p))
     for pattern in ordered:
         next_solutions: list[BindingSet] = []
         for binding in solutions:
@@ -545,8 +546,14 @@ def join_bgp(
                 next_solutions.append(merged)
         solutions = next_solutions
         if not solutions:
-            break
+            return solutions
+    if filters:
+        solutions = [b for b in solutions if all(eval_filter(f, b) for f in filters)]
     return solutions
+
+
+def _binding_key(binding: BindingSet) -> tuple:
+    return tuple(sorted((name, term_text(term)) for name, term in binding.items()))
 
 
 def evaluate(query: Query, graph: Graph) -> list[BindingSet] | bool:
@@ -558,20 +565,12 @@ def evaluate(query: Query, graph: Graph) -> list[BindingSet] | bool:
     solutions = match_bgp(graph, query.patterns, query.filters)
     if query.form == "ASK":
         return bool(solutions)
-    if query.projected is None:
-        names = sorted(set().union(*(p.variables() for p in query.patterns)))
-    else:
-        names = list(query.projected)
-    seen = set()
-    projected: list[BindingSet] = []
+    names = query_variables(query)
+    rows: dict[tuple, BindingSet] = {}
     for binding in solutions:
         row = {name: binding[name] for name in names if name in binding}
-        key = _binding_key(row)
-        if key not in seen:
-            seen.add(key)
-            projected.append(row)
-    projected.sort(key=_binding_key)
-    return projected
+        rows[_binding_key(row)] = row
+    return [rows[key] for key in sorted(rows)]
 
 
 def query_variables(query: Query) -> list[str]:

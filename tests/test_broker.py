@@ -2,6 +2,7 @@
 and depth-one provider federation."""
 
 import json
+import socket
 import threading
 import time
 import urllib.request
@@ -210,6 +211,22 @@ def test_query_by_type_uses_subsumption(stacked):
     assert [e["id"] for e in stacked.query([{"type": ONT + "Room"}])] == ["m1"]
     assert stacked.query([{"type": ONT + "MeetingRoom"}])[0]["id"] == "m1"
     assert stacked.query([{"type": ONT + "Hall"}]) == []
+
+
+def test_a_query_by_supertype_against_a_hung_knowledge_server_returns_in_time():
+    """A knowledge server that accepts and never answers holds a query for
+    at most the client's timeout, then the match degrades to equality."""
+    with socket.socket() as hung:
+        hung.bind(("127.0.0.1", 0))
+        hung.listen()
+        broker = ContextBroker(KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}").is_subclass)
+        try:
+            broker.update("APPEND", [ContextEntity.from_json(_entity("m1", entity_type=ONT + "MeetingRoom"))])
+            started = time.monotonic()
+            assert broker.query([EntityPattern(entity_type=ONT + "Room")], None, None) == []
+            assert time.monotonic() - started < 5.0
+        finally:
+            broker.close()
 
 
 def test_query_without_knowledge_needs_exact_types(broker_server):

@@ -176,8 +176,6 @@ def test_a_hung_server_costs_one_wait_per_ttl_not_one_per_call(monkeypatch, capl
     """A server that accepts and never answers: the degraded answer is
     cached, and its TTL runs from the answer, so a wait longer than the
     TTL does not leave it stale."""
-    real = giots.knowledge.get_json
-    monkeypatch.setattr(giots.knowledge, "get_json", lambda url: real(url, timeout=2.0))
     monkeypatch.setattr(giots.knowledge, "CACHE_TTL_SECONDS", 1.0)
     with socket.socket() as hung:
         hung.bind(("127.0.0.1", 0))

@@ -245,12 +245,8 @@ def test_match_literal_subject_pattern_matches_nothing():
     assert graph.match(TriplePattern(Literal("x"), Variable("p"), Variable("o"))) == []
 
 
-def test_match_results_are_deterministically_ordered():
-    graph = Graph([_t(i) for i in range(10)])
-    pattern = TriplePattern(Variable("s"), IRI("urn:p"), Variable("o"))
-    results = graph.match(pattern)
-    keys = [sorted((k, term_text(v)) for k, v in r.items()) for r in results]
-    assert keys == sorted(keys)
+def _sorted(bindings):
+    return sorted(bindings, key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
 
 
 def _scan(graph, pattern):
@@ -266,7 +262,7 @@ def _scan(graph, pattern):
                 break
         else:
             results.append(binding)
-    return sorted(results, key=lambda b: sorted((k, term_text(v)) for k, v in b.items()))
+    return _sorted(results)
 
 
 # A few terms, so that random triples share subjects, predicates and objects.
@@ -295,8 +291,9 @@ _slots = st.sampled_from(
 )
 @example(Graph([_t(1)]), TriplePattern(Literal("a"), Variable("p"), Variable("o")))
 def test_indexed_match_equals_a_scan(graph, pattern):
-    assert graph.match(pattern) == _scan(graph, pattern)
-    assert graph.match(pattern) == _scan(graph, pattern)  # the indexes, now built
+    # match's order is unspecified; sorted, a missing or repeated binding still shows
+    assert _sorted(graph.match(pattern)) == _scan(graph, pattern)
+    assert _sorted(graph.match(pattern)) == _scan(graph, pattern)  # the indexes, now built
 
 
 @given(_small_graphs, _small_graphs, st.builds(TriplePattern, _slots, _slots, _slots))
@@ -308,7 +305,7 @@ def test_a_triple_store_matches_like_the_graph_of_its_triples(added, removed, pa
         store.discard(triple)
     expected = added.triples() - removed.triples()
     assert store == Graph(expected)
-    assert store.match(pattern) == _scan(Graph(expected), pattern)
+    assert _sorted(store.match(pattern)) == _scan(Graph(expected), pattern)
     used = {term for t in expected for term in (t.subject, t.predicate, t.object)}
     assert set().union(*map(set, store._indexes())) <= used  # emptied entries are dropped
     with pytest.raises(TypeError):

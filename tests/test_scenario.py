@@ -88,6 +88,10 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
         (_minimal(assertions="all good"), "must be a list"),
         (_minimal(quiescenceMillis=-5), "quiescenceMillis"),
         (_minimal(smg="push"), "'smg' must be a JSON object"),
+        (_minimal(sensors=5), "'sensors' must be a list"),
+        (_minimal(agents=[7]), "'agents' must be a list of file names"),
+        (_minimal(agents="a.json"), "'agents' must be a list of file names"),
+        (_minimal(assertions=[1]), "must be a list of JSON objects"),
     ],
 )
 def test_load_rejects_malformed_scenarios(tmp_path, doc, fragment):

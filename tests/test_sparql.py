@@ -1,11 +1,14 @@
 """Query parsing and evaluation over in-memory graphs."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
-from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, XSD_NS
+import giots
+from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, XSD_NS, term_text
 from giots.sparql import (
     And,
     Comparison,
@@ -288,3 +291,24 @@ def test_evaluator_matches_exhaustive_enumeration():
             assert got is brute_force_ask(query, graph)
         else:
             assert _canonical(got) == brute_force_select(query, graph)
+            # distinct rows in canonical order: the one place order is made
+            keys = [sorted((name, term_text(term)) for name, term in row.items()) for row in got]
+            assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+
+
+def test_only_the_query_engine_filters_and_orders_solutions():
+    """Filters are applied by the join and canonical order is made by
+    `evaluate`, both in sparql.py; no other module of the package filters
+    bindings or keys them for ordering."""
+    users = set()
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                named = {alias.name for alias in node.names}
+            elif isinstance(node, ast.FunctionDef):
+                named = {node.name}
+            else:
+                named = {node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)}
+            if named & {"eval_filter", "_binding_key"}:
+                users.add(path.name)
+    assert users == {"sparql.py"}
