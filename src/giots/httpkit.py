@@ -1,8 +1,8 @@
-"""Small HTTP plumbing shared by every service: a threaded JSON-over-HTTP
-server with pattern routing, the stack's one HTTP client (``request_json``,
-which keeps a few idle connections per peer alive), and the push side
-every service shares: one retry policy (``deliver``) and one worker model
-(``KeyedWorkers``).
+"""Small HTTP plumbing shared by every service: a JSON-over-HTTP server
+with pattern routing and the stack's one HTTP client (``request_json``,
+which keeps a few idle connections per peer alive), both of which frame
+HTTP/1.1 themselves, one send per message; and the push side every service
+shares: one retry policy (``deliver``) and one worker model (``KeyedWorkers``).
 
 Nothing here knows about the domain; each service registers routes and
 raises ApiError for protocol failures.
@@ -10,25 +10,30 @@ raises ApiError for protocol failures.
 
 from __future__ import annotations
 
+import email.utils
 import errno
+import http
 import http.client
 import json
 import logging
 import re
 import select
+import selectors
 import socket
 import threading
 import time
 import urllib.parse
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Hashable
 
 log = logging.getLogger(__name__)
 
 KEEP_ALIVE_SECONDS = 5  # a server closes a connection idle this long, and says so
-IDLE_PER_PEER = 4  # idle client connections kept per peer; each holds a server thread
+IDLE_PER_PEER = 4  # idle connections kept per peer; each holds a server thread and counts toward its cap
+MAX_CONNECTIONS = 64  # open connections per service; one more is answered 503
+MAX_HEADERS = 100  # header lines in a request or reply
+MAX_LINE = 65536  # bytes in a request, status or header line
 
 
 class ApiError(Exception):
@@ -39,6 +44,9 @@ class ApiError(Exception):
         self.status = status
         self.code = code
         self.message = message
+
+    def response(self) -> HttpResponse:
+        return HttpResponse(self.status, {"error": self.code, "message": self.message})
 
 
 def bad_request(message: str) -> ApiError:
@@ -160,7 +168,7 @@ class JsonHttpService:
         try:
             return self.router.dispatch(request)
         except ApiError as exc:
-            return HttpResponse(exc.status, {"error": exc.code, "message": exc.message})
+            return exc.response()
         except Exception:  # pragma: no cover - defensive
             log.exception("%s: unhandled error on %s %s", self.name, request.method, request.path)
             return HttpResponse(500, {"error": "InternalError", "message": "unhandled server error"})
@@ -169,121 +177,30 @@ class JsonHttpService:
         """Release background resources; called when the server stops."""
 
 
-def _make_handler(service: JsonHttpService):
-    class RequestHandler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        timeout = KEEP_ALIVE_SECONDS  # an idle kept-alive connection is closed
-        # headers and body go out in separate sends; with Nagle on, a
-        # kept-alive request waits for the client's delayed ACK (~40 ms)
-        disable_nagle_algorithm = True
-
-        def _run(self, method: str) -> None:
-            parsed = urllib.parse.urlsplit(self.path)
-            length = (self.headers.get("Content-Length") or "0").strip()
-            valid = length.isascii() and length.isdigit()  # 1*DIGIT, RFC 9110 8.6
-            if self.headers.get("Transfer-Encoding") or not valid:
-                # only Content-Length bodies are read; what is left unread
-                # would be taken for the next request, so the connection ends
-                self.close_connection = True
-            if valid:
-                response = service.handle(HttpRequest(
-                    method=method,
-                    path=urllib.parse.unquote(parsed.path),
-                    query=urllib.parse.parse_qs(parsed.query),
-                    headers={k.lower(): v for k, v in self.headers.items()},
-                    body=self.rfile.read(int(length)),
-                ))
-            else:
-                message = f"bad Content-Length {length!r}"
-                response = HttpResponse(400, {"error": "BadRequest", "message": message})
-            if response.raw is not None:
-                data = response.raw
-            elif response.payload is None:
-                data = b""
-            else:
-                data = json.dumps(response.payload, sort_keys=True).encode("utf-8")
-            self.send_response(response.status)
-            self.send_header("Content-Type", response.content_type)
-            self.send_header("Content-Length", str(len(data)))
-            if self.close_connection:
-                self.send_header("Connection", "close")
-            else:
-                self.send_header("Keep-Alive", f"timeout={KEEP_ALIVE_SECONDS}")
-            self.end_headers()
-            if data:
-                self.wfile.write(data)
-
-        def do_GET(self):
-            self._run("GET")
-
-        def do_POST(self):
-            self._run("POST")
-
-        def do_PUT(self):
-            self._run("PUT")
-
-        def do_DELETE(self):
-            self._run("DELETE")
-
-        def log_message(self, fmt, *args):  # route access logs away from stderr
-            log.debug("%s %s", service.name, fmt % args)
-
-    return RequestHandler
-
-
-class _Server(ThreadingHTTPServer):
-    """One thread per connection; it tracks the open ones, because a
-    kept-alive connection outlives shutdown() unless it is ended."""
-
-    daemon_threads = True
-
-    def __init__(self, address, handler):
-        self._open: set[socket.socket] = set()
-        self._open_lock = threading.Lock()
-        super().__init__(address, handler)
-
-    def process_request(self, request, client_address):
-        with self._open_lock:
-            self._open.add(request)
-        super().process_request(request, client_address)
-
-    def shutdown_request(self, request):
-        with self._open_lock:
-            self._open.discard(request)
-        super().shutdown_request(request)
-
-    def end_connections(self) -> None:
-        with self._open_lock:
-            connections = list(self._open)
-        for sock in connections:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-
-    def handle_error(self, request, client_address):
-        # a peer that went away, or a connection ended by end_connections()
-        log.debug("connection from %s ended with an error", client_address, exc_info=True)
-
-
 class ServerHandle:
-    """A running service bound to a port; stop() is idempotent."""
+    """A running service bound to a port; stop() is idempotent. One thread
+    waits, with no timeout, for a connection or for stop()'s wake-up byte,
+    and gives each connection a thread that serves its requests in order;
+    beyond MAX_CONNECTIONS open connections it answers 503 itself."""
 
     def __init__(self, service: JsonHttpService, host: str, port: int):
         self.service = service
         try:
-            self._server = _Server((host, port), _make_handler(service))
+            self._listener = socket.create_server((host, port))
         except OSError as exc:
             if exc.errno == errno.EADDRINUSE:
                 raise PortInUse(port) from exc
             raise
+        self._listener.setblocking(False)  # a peer gone before accept() does not block it
         self.host = host
-        self.port = self._server.server_address[1]
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
-        )
-        self._thread.start()
+        self.port = self._listener.getsockname()[1]
+        self._wake, self._waker = socket.socketpair()
+        self._open: set[socket.socket] = set()
+        self._open_lock = threading.Lock()
+        self._date = (0, "")  # (second, Date header value)
         self._stopped = False
+        self._thread = threading.Thread(target=self._accept, daemon=True)
+        self._thread.start()
 
     @property
     def url(self) -> str:
@@ -293,11 +210,150 @@ class ServerHandle:
         if self._stopped:
             return
         self._stopped = True
-        self._server.shutdown()
-        self._server.server_close()
-        self._server.end_connections()
+        self._waker.send(b"x")
         self._thread.join(timeout=5)
+        for sock in (self._listener, self._wake, self._waker):
+            sock.close()
+        with self._open_lock:
+            connections = list(self._open)
+        for sock in connections:  # a kept-alive connection would outlive the service
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
         self.service.close()
+
+    def _accept(self) -> None:
+        with selectors.PollSelector() as selector:
+            selector.register(self._listener, selectors.EVENT_READ)
+            selector.register(self._wake, selectors.EVENT_READ)
+            while True:
+                selector.select()
+                if self._stopped:
+                    return
+                try:
+                    conn, _ = self._listener.accept()
+                except OSError:  # the peer gave up before the accept
+                    continue
+                with self._open_lock:
+                    full = len(self._open) >= MAX_CONNECTIONS
+                    if not full:
+                        self._open.add(conn)
+                if full:
+                    self._refuse(conn)
+                else:
+                    threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _refuse(self, conn: socket.socket) -> None:
+        refusal = ApiError(503, "ServiceUnavailable", f"{MAX_CONNECTIONS} open connections")
+        try:
+            conn.sendall(self._reply(refusal.response(), True))
+            conn.shutdown(socket.SHUT_WR)
+            conn.recv(MAX_LINE, socket.MSG_DONTWAIT)  # closing on unread bytes resets the reply away
+        except OSError:
+            pass
+        finally:
+            conn.close()
+
+    def _serve(self, conn: socket.socket) -> None:
+        reader = conn.makefile("rb")
+        try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn.settimeout(KEEP_ALIVE_SECONDS)  # an idle kept-alive connection is closed
+            while self._answer(conn, reader):
+                pass
+        except Exception:
+            # a peer that went away, or a connection ended by stop()
+            log.debug("%s: a connection ended with an error", self.service.name, exc_info=True)
+        finally:
+            with self._open_lock:
+                self._open.discard(conn)
+            reader.close()
+            conn.close()
+
+    def _answer(self, conn: socket.socket, reader) -> bool:
+        """Serves one request; False once the connection is to end."""
+        line = reader.readline(MAX_LINE + 1)
+        if not line:
+            return False
+        try:
+            request, close = self._read_request(line, conn, reader)
+        except ApiError as exc:
+            # what is left unread would be taken for the next request
+            conn.sendall(self._reply(exc.response(), True))
+            return False
+        conn.sendall(self._reply(self.service.handle(request), close))
+        return not close
+
+    def _read_request(self, line: bytes, conn: socket.socket, reader) -> tuple[HttpRequest, bool]:
+        """The request that starts with ``line``, and whether the connection
+        ends after its reply. Raises ApiError for a request it cannot frame."""
+        if len(line) > MAX_LINE:
+            raise ApiError(414, "URITooLong", f"request line over {MAX_LINE} bytes")
+        match = _REQUEST_LINE.fullmatch(line)
+        if match is None:
+            raise bad_request(f"malformed request line {line[:80]!r}")
+        method, target, minor = (part.decode("latin-1") for part in match.groups())
+        headers = _read_headers(reader)
+        if method not in {"GET", "POST", "PUT", "DELETE"}:
+            raise ApiError(501, "NotImplemented", f"unsupported method {method}")
+        length = headers.get("content-length", "0")
+        if not (length.isascii() and length.isdigit()):  # 1*DIGIT, RFC 9110 8.6
+            raise bad_request(f"bad Content-Length {length!r}")
+        # only Content-Length bodies are read, so a Transfer-Encoding ends the connection
+        close = (minor == "0" or "transfer-encoding" in headers
+                 or "close" in headers.get("connection", "").lower())
+        if minor == "1" and headers.get("expect", "").lower() == "100-continue":
+            conn.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        body = reader.read(int(length))
+        if len(body) < int(length):
+            raise ConnectionError("the peer closed the connection inside a body")
+        parsed = urllib.parse.urlsplit(target)
+        path, query = urllib.parse.unquote(parsed.path), urllib.parse.parse_qs(parsed.query)
+        return HttpRequest(method, path, query, headers, body), close
+
+    def _reply(self, response: HttpResponse, close: bool) -> bytes:
+        """The whole reply, so it goes out in one send."""
+        if response.raw is not None:
+            data = response.raw
+        elif response.payload is None:
+            data = b""
+        else:
+            data = json.dumps(response.payload, sort_keys=True).encode("utf-8")
+        second = int(time.time())
+        if self._date[0] != second:  # RFC 9110 6.6.1: the Date of a second is one string
+            self._date = (second, email.utils.formatdate(second, usegmt=True))
+        head = (
+            f"HTTP/1.1 {response.status} {_REASONS.get(response.status, '')}\r\n"
+            f"Content-Type: {response.content_type}\r\nContent-Length: {len(data)}\r\n"
+            f"Date: {self._date[1]}\r\n"
+            + ("Connection: close" if close else f"Keep-Alive: timeout={KEEP_ALIVE_SECONDS}")
+            + "\r\n\r\n"
+        )
+        return head.encode("latin-1") + data
+
+
+_REQUEST_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+) (\S+) HTTP/1\.([01])\r?\n")
+_REASONS = {status.value: status.phrase for status in http.HTTPStatus}
+
+
+def _read_headers(reader) -> dict[str, str]:
+    """Header lines up to the blank one, by lowercased name. Raises ApiError
+    for a malformed line or one beyond the limits, ConnectionError at EOF."""
+    headers = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = reader.readline(MAX_LINE + 1)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        if not line:
+            raise ConnectionError("the peer closed the connection inside a header")
+        if len(line) > MAX_LINE:
+            raise ApiError(431, "RequestHeaderFieldsTooLarge", f"header line over {MAX_LINE} bytes")
+        name, colon, value = line.partition(b":")
+        if not colon or not name or name != name.strip():  # RFC 9112 5.1
+            raise bad_request(f"malformed header line {line[:80]!r}")
+        headers[name.decode("latin-1").lower()] = value.strip().decode("latin-1")
+    raise ApiError(431, "RequestHeaderFieldsTooLarge", f"more than {MAX_HEADERS} header lines")
 
 
 def run_service(service: JsonHttpService, port: int, host: str = "127.0.0.1") -> ServerHandle:
@@ -321,7 +377,7 @@ def request_json(
     connection is kept for the next request to the same peer only if the
     peer announced ``Keep-Alive: timeout=N``; a request is never resent.
     """
-    data = None
+    data = b""
     req_headers = dict(headers or {})
     if body is not None:
         if isinstance(body, str):
@@ -336,32 +392,107 @@ def request_json(
     if not valid_url(url):
         raise TransportError(f"{method} {url}: not an http(s) URL")
     parts = urllib.parse.urlsplit(url)
-    peer = (parts.scheme, parts.hostname, parts.port)
+    peer = scheme, host, port = parts.scheme, parts.hostname, parts.port
     target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
-    conn = _checkout(peer, timeout)
+    if _UNSAFE_TARGET.search(target):
+        raise TransportError(f"{method} {url}: a space or control character in the target")
+    request = _frame(method.upper(), host, port, target, req_headers, data)
+    link = _checkout(peer, timeout)
     try:
-        if conn is None:
-            https = parts.scheme == "https"
+        if link is None:  # http.client opens the connection, TLS included
+            https = scheme == "https"
             connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-            conn = connection(parts.hostname, parts.port, timeout=timeout)
-        conn.request(method.upper(), target, body=data, headers=req_headers)
-        response = conn.getresponse()
-        payload = response.read()
-    except (OSError, http.client.HTTPException) as exc:
-        if conn is not None:
-            conn.close()
+            conn = connection(host, port, timeout=timeout)
+            conn.connect()
+            link = _Link(conn.sock)
+        link.sock.sendall(request)
+        status, payload, keep_alive = _read_reply(link.reader)
+    except (OSError, ValueError, ApiError, http.client.HTTPException) as exc:
+        if link is not None:
+            link.close()
         raise TransportError(f"{method} {url}: {exc}") from exc
-    _checkin(peer, conn, response)
-    return response.status, _parse_body(payload)
+    _checkin(peer, link, keep_alive)
+    return status, _parse_body(payload)
+
+
+_UNSAFE_TARGET = re.compile(r"[^\x21-\x7e]")
+_STATUS_LINE = re.compile(rb"HTTP/1\.([01]) (\d{3})(?: [^\r\n]*)?\r?\n")
+
+
+def _frame(method: str, host: str, port: int | None, target: str, headers: dict, data: bytes) -> bytes:
+    """The request line, Host, the headers, Content-Length and the body,
+    for one send. Raises ValueError for a header with a line break."""
+    host = f"[{host}]" if ":" in host else host
+    lines = [f"{method} {target} HTTP/1.1", f"Host: {host}" + (f":{port}" if port else "")]
+    for name, value in headers.items():
+        line = f"{name}: {value}"
+        if "\r" in line or "\n" in line:
+            raise ValueError(f"a line break in header {name!r}")
+        lines.append(line)
+    if data or method in ("POST", "PUT"):
+        lines.append(f"Content-Length: {len(data)}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + data
+
+
+class _Link:
+    """A client connection: its socket and the buffered reader on it."""
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.reader = sock.makefile("rb")
+
+    def close(self) -> None:
+        self.reader.close()
+        self.sock.close()
+
+
+def _read_reply(reader) -> tuple[int, bytes, str]:
+    """Status, body, and the reply's Keep-Alive header if the connection
+    can carry another request ("" if it cannot). Raises ValueError or
+    ApiError for a reply it cannot frame, ConnectionError at EOF."""
+    status = 100
+    while status < 200:  # an interim 1xx reply comes before the final one
+        line = reader.readline(MAX_LINE + 1)
+        match = _STATUS_LINE.fullmatch(line)
+        if match is None:
+            raise ValueError(f"malformed status line {line[:80]!r}" if line else "closed before a reply")
+        minor, status = match.group(1), int(match.group(2))
+        headers = _read_headers(reader)
+    if status in (204, 304):
+        body = b""
+    elif "chunked" in headers.get("transfer-encoding", "").lower():
+        body = _read_chunked(reader)
+    elif "content-length" in headers:
+        length = headers["content-length"]
+        if not (length.isascii() and length.isdigit()):
+            raise ValueError(f"bad Content-Length {length!r}")
+        body = reader.read(int(length))
+        if len(body) < int(length):
+            raise ValueError(f"reply cut short: {len(body)} of {length} bytes")
+    else:
+        return status, reader.read(), ""  # the body ends where the connection does
+    reusable = minor == b"1" and "close" not in headers.get("connection", "").lower()
+    return status, body, headers.get("keep-alive", "") if reusable else ""
+
+
+def _read_chunked(reader) -> bytes:
+    chunks = []
+    while (size := int(reader.readline(MAX_LINE + 1).split(b";", 1)[0], 16)) != 0:
+        chunk = reader.read(size + 2) if size > 0 else b""
+        if len(chunk) != size + 2 or not chunk.endswith(b"\r\n"):
+            raise ValueError(f"malformed chunk of {size} bytes")
+        chunks.append(chunk[:-2])
+    _read_headers(reader)  # the trailer
+    return b"".join(chunks)
 
 
 # Idle connections per (scheme, host, port), newest last, each with the
 # time after which it is not reused.
-_idle: dict[tuple, list[tuple[http.client.HTTPConnection, float]]] = {}
+_idle: dict[tuple, list[tuple[_Link, float]]] = {}
 _idle_lock = threading.Lock()
 
 
-def _checkout(peer: tuple, timeout: float) -> http.client.HTTPConnection | None:
+def _checkout(peer: tuple, timeout: float) -> _Link | None:
     """The newest idle connection to the peer that is still fresh and has
     nothing waiting on it (EOF or stray bytes mean the server is done)."""
     now = time.monotonic()
@@ -370,12 +501,11 @@ def _checkout(peer: tuple, timeout: float) -> http.client.HTTPConnection | None:
             idle = _idle.get(peer)
             if not idle:
                 return None
-            conn, reuse_until = idle.pop()
-        if now < reuse_until and _quiet(conn.sock):
-            conn.timeout = timeout
-            conn.sock.settimeout(timeout)
-            return conn
-        conn.close()
+            link, reuse_until = idle.pop()
+        if now < reuse_until and _quiet(link.sock):
+            link.sock.settimeout(timeout)
+            return link
+        link.close()
 
 
 def _quiet(sock: socket.socket) -> bool:
@@ -386,17 +516,17 @@ def _quiet(sock: socket.socket) -> bool:
     return not poller.poll(0)
 
 
-def _checkin(peer: tuple, conn: http.client.HTTPConnection, response) -> None:
+def _checkin(peer: tuple, link: _Link, keep_alive: str) -> None:
     """Keep the connection for half the idle timeout its server announced,
     so the server never closes it under a request; close it otherwise,
     and close every idle connection that has gone stale."""
-    announced = re.search(r"timeout=(\d+)", response.getheader("Keep-Alive") or "")
+    announced = re.search(r"timeout=(\d+)", keep_alive)
     now = time.monotonic()
     stale = []
     with _idle_lock:
-        if announced and not response.will_close and len(_idle.get(peer, ())) < IDLE_PER_PEER:
-            _idle.setdefault(peer, []).append((conn, now + int(announced.group(1)) / 2))
-            conn = None
+        if announced and len(_idle.get(peer, ())) < IDLE_PER_PEER:
+            _idle.setdefault(peer, []).append((link, now + int(announced.group(1)) / 2))
+            link = None
         for key in list(_idle):
             idle = _idle[key]
             while idle and idle[0][1] <= now:
@@ -405,8 +535,8 @@ def _checkin(peer: tuple, conn: http.client.HTTPConnection, response) -> None:
                 del _idle[key]
     for old in stale:
         old.close()
-    if conn is not None:
-        conn.close()
+    if link is not None:
+        link.close()
 
 
 def _parse_body(data: bytes) -> Any:

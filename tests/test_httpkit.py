@@ -3,12 +3,15 @@ policy (deliver) and the keyed worker pool every service runs its
 deliveries on."""
 
 import ast
+import email.utils
 import http.client
+import json
+import selectors
 import socket
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -253,6 +256,210 @@ def test_a_hung_peer_fails_within_the_timeout_on_a_pooled_connection(service, co
     assert connects[0] == 1  # the hung request went out on the pooled connection
 
 
+# --- framing ---------------------------------------------------------------------------
+
+
+def _post(body: bytes, version: bytes = b"1.1") -> bytes:
+    return (b"POST /receipts HTTP/" + version + b"\r\nHost: peer\r\n"
+            b"Content-Type: application/json\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+
+
+def _read_reply(reader):
+    """(status, headers, body) of one reply read from a raw socket's reader."""
+    status = int(reader.readline().split()[1])
+    headers = {}
+    while (line := reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.lower()] = value.strip()
+    return status, headers, reader.read(int(headers.get("content-length", 0)))
+
+
+def _closed(sock, reader) -> bool:
+    """The server ended the connection: the next read is EOF, not a wait."""
+    sock.settimeout(1.0)
+    return reader.read(1) == b""
+
+
+def test_two_pipelined_requests_get_two_replies_in_order(service):
+    counting, handle = service
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(_post(b'{"n": 1}') + _post(b'{"n": 2}'))
+        replies = [_read_reply(reader) for _ in range(2)]
+    assert [(status, json.loads(body)) for status, _, body in replies] == [
+        (200, {"n": 1}), (200, {"n": 2})]
+    assert counting.bodies == [{"n": 1}, {"n": 2}]
+
+
+def test_an_http_1_0_request_is_answered_with_connection_close(service):
+    _, handle = service
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(_post(b'{"n": 1}', version=b"1.0"))
+        status, headers, _ = _read_reply(reader)
+        assert (status, headers.get("connection")) == (200, "close")
+        assert _closed(sock, reader)
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(service):
+    counting, handle = service
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(b"POST /receipts HTTP/1.1\r\nHost: peer\r\nExpect: 100-continue\r\n"
+                     b"Content-Type: application/json\r\nContent-Length: 8\r\n\r\n")
+        assert _read_reply(reader)[0] == 100
+        sock.sendall(b'{"n": 1}')
+        status, _, body = _read_reply(reader)
+    assert (status, json.loads(body)) == (200, {"n": 1})
+    assert counting.bodies == [{"n": 1}]
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /health extra HTTP/1.1\r\n\r\n", 400),
+    (b"GET /health HTTP/1.1\r\n" + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+     431),
+    (b"PATCH /health HTTP/1.1\r\nHost: peer\r\n\r\n", 501),
+], ids=["garbage-request-line", "101-header-lines", "unsupported-method"])
+def test_a_malformed_request_is_refused_and_ends_the_connection(service, request_bytes, status):
+    _, handle = service
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(request_bytes)
+        assert _read_reply(reader)[0] == status
+        assert _closed(sock, reader)
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    (b"GET /health HTTP/1.1\r\nHost: peer\r\n\r\n", 200),
+    (b"GET /no/such/path HTTP/1.1\r\nHost: peer\r\n\r\n", 404),
+    (b"POST /receipts HTTP/1.1\r\nHost: peer\r\nContent-Length: x\r\n\r\n", 400),
+])
+def test_every_reply_carries_a_date(service, request_bytes, status):
+    _, handle = service
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(request_bytes)
+        answered, headers, _ = _read_reply(reader)
+    assert answered == status
+    stamp = email.utils.parsedate_to_datetime(headers["date"]).timestamp()
+    assert abs(stamp - time.time()) < 5
+
+
+@pytest.mark.parametrize("headers", [
+    {"X-Note": "a\r\nX-Injected: 1"},
+    {"X-Note\r\nX-Injected": "1"},
+    {"X-Note": "a\nb"},
+])
+def test_a_header_with_a_line_break_is_refused_before_anything_is_sent(service, headers):
+    counting, handle = service
+    with pytest.raises(ValueError):
+        request_json("POST", handle.url + "/receipts", body={"n": 1}, headers=headers)
+    assert request_json("POST", handle.url + "/receipts", body={"n": 2})[0] == 200
+    assert counting.bodies == [{"n": 2}]
+
+
+@pytest.mark.parametrize("path", ["/receipts\x01", "/rec eipts", "/receipts\x7f"])
+def test_a_target_with_a_space_or_control_character_is_a_transport_error(service, path):
+    counting, handle = service
+    with pytest.raises(TransportError):
+        request_json("POST", handle.url + path, body={"n": 1})
+    assert counting.bodies == []
+
+
+def test_a_chunked_reply_is_decoded_and_its_connection_reused(connects):
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+        timeout = 2.0
+
+        def do_GET(self):
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Transfer-Encoding", "chunked")
+            self.send_header("Keep-Alive", "timeout=5")
+            self.end_headers()
+            for piece in (b'{"a": ', b"[1, 2]", b"}"):
+                self.wfile.write(b"%x;note=1\r\n%s\r\n" % (len(piece), piece))
+            self.wfile.write(b"0\r\nX-Trailer: t\r\n\r\n")
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                     daemon=True).start()
+    url = f"http://127.0.0.1:{server.server_address[1]}/"
+    try:
+        assert request_json("GET", url) == (200, {"a": [1, 2]})
+        assert request_json("GET", url) == (200, {"a": [1, 2]})
+        assert connects[0] == 1  # the chunked framing was read to its end
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_a_reply_cut_short_of_its_length_is_a_transport_error_and_not_pooled():
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def answer_short():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(65536)
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                         b"Content-Length: 10\r\nKeep-Alive: timeout=5\r\n\r\n{}")
+
+    thread = threading.Thread(target=answer_short, daemon=True)
+    thread.start()
+    try:
+        with pytest.raises(TransportError):
+            request_json("GET", f"http://127.0.0.1:{port}/", timeout=2)
+        assert ("http", "127.0.0.1", port) not in httpkit._idle
+    finally:
+        thread.join(5)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def test_connections_beyond_the_cap_are_answered_503_until_some_close(service):
+    _, handle = service
+    held = [socket.create_connection(("127.0.0.1", handle.port), timeout=5)
+            for _ in range(httpkit.MAX_CONNECTIONS)]
+    try:
+        started = time.monotonic()
+        status, payload = request_json("GET", handle.url + "/health", timeout=1.0)
+        assert time.monotonic() - started < 1.0
+        assert (status, payload["error"]) == (503, "ServiceUnavailable")
+    finally:
+        for sock in held:
+            sock.close()
+    assert _wait(lambda: request_json("GET", handle.url + "/health")[0] == 200)
+
+
+def test_an_idle_service_never_wakes_and_stops_at_once(monkeypatch):
+    calls = []  # (thread, "enter" or "return")
+    original = selectors.PollSelector.select
+
+    def counted(self, timeout=None):
+        calls.append((threading.current_thread(), "enter"))
+        try:
+            return original(self, timeout)
+        finally:
+            calls.append((threading.current_thread(), "return"))
+
+    monkeypatch.setattr(selectors.PollSelector, "select", counted)
+    handle = run_service(JsonHttpService(), 0)
+    try:
+        time.sleep(0.5)
+        seen = [event for thread, event in list(calls) if thread is handle._thread]
+        assert "enter" in seen  # the accept thread waits through the wrapped call
+        assert seen.count("return") == 0
+    finally:
+        started = time.monotonic()
+        handle.stop()
+    assert time.monotonic() - started < 0.2
+    assert not handle._thread.is_alive()
+
+
 # --- deliver -----------------------------------------------------------------------
 
 
@@ -395,6 +602,7 @@ def test_close_returns_promptly_with_a_backlog_queued():
 ALLOWED_CONSTRUCTIONS = {
     ("httpkit.py", "submit", "Thread"),
     ("httpkit.py", "__init__", "Thread"),
+    ("httpkit.py", "_accept", "Thread"),
 }
 
 
@@ -445,6 +653,19 @@ def test_the_stack_has_one_http_client():
             if named in {"HTTPConnection", "HTTPSConnection"}:
                 clients.add(path.name)
     assert clients == {"httpkit.py"}
+
+
+def test_the_stack_frames_http_itself_on_the_server_side():
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported = {node.module or ""} | {f"{node.module}.{a.name}" for a in node.names}
+            else:
+                continue
+            assert imported & {"http.server", "socketserver"} == set(), path.name
 
 
 def test_the_agent_and_the_gateway_speak_ngsi_only_through_the_broker_client():
