@@ -16,7 +16,7 @@ import threading
 import urllib.parse
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from typing import Any
+from typing import Any, NamedTuple
 
 from .httpkit import (
     HttpRequest,
@@ -40,36 +40,33 @@ log = logging.getLogger(__name__)
 
 CSE_BASE_NAME = "cse"
 
-TYPE_CODES = {
-    "AE": 2,
-    "Container": 3,
-    "ContentInstance": 4,
-    "CSEBase": 5,
-    "Group": 9,
-    "Subscription": 23,
-    "SemanticDescriptor": 24,
-}
-CODE_TYPES = {code: name for name, code in TYPE_CODES.items()}
 
-ID_PREFIXES = {
-    "CSEBase": "cb",
-    "AE": "ae",
-    "Container": "cnt",
-    "ContentInstance": "cin",
-    "Subscription": "sub",
-    "SemanticDescriptor": "smd",
-    "Group": "grp",
-}
+class ResourceType(NamedTuple):
+    """What the CSE knows of one resource type: its wire code, the prefix
+    of its ri, the types it may hold as children, and the attributes a PUT
+    may set besides ``lbl`` (None: a PUT is refused)."""
 
-LEGAL_CHILDREN = {
-    "CSEBase": {"AE", "Container", "Subscription", "Group"},
-    "AE": {"Container", "SemanticDescriptor", "Subscription", "Group"},
-    "Container": {"Container", "ContentInstance", "SemanticDescriptor", "Subscription"},
-    "ContentInstance": {"SemanticDescriptor"},
-    "Group": {"SemanticDescriptor"},
-    "SemanticDescriptor": set(),
-    "Subscription": set(),
+    code: int
+    prefix: str
+    children: set[str]
+    mutable: set[str] | None
+
+
+RESOURCE_TYPES = {
+    "AE": ResourceType(
+        2, "ae", {"Container", "SemanticDescriptor", "Subscription", "Group"}, set()
+    ),
+    "Container": ResourceType(
+        3, "cnt", {"Container", "ContentInstance", "SemanticDescriptor", "Subscription"}, set()
+    ),
+    "ContentInstance": ResourceType(4, "cin", {"SemanticDescriptor"}, None),
+    "CSEBase": ResourceType(5, "cb", {"AE", "Container", "Subscription", "Group"}, set()),
+    "Group": ResourceType(9, "grp", {"SemanticDescriptor"}, {"mid"}),
+    "Subscription": ResourceType(23, "sub", set(), {"nu"}),
+    "SemanticDescriptor": ResourceType(24, "smd", set(), {"dsp"}),
 }
+TYPE_CODES = {name: rt.code for name, rt in RESOURCE_TYPES.items()}
+CODE_TYPES = {rt.code: name for name, rt in RESOURCE_TYPES.items()}
 
 _NAME_PATTERN = "[A-Za-z0-9_.~-]{1,64}"
 _NAME_RE = re.compile(_NAME_PATTERN)
@@ -83,6 +80,14 @@ def _parse_timestamp(text: str) -> datetime:
     return datetime.strptime(text, _TIMESTAMP_FORMAT).replace(tzinfo=timezone.utc)
 
 
+def _type_of(code: str) -> str:
+    """The type name for an ``X-M2M-TY`` header or a ``ty`` query value."""
+    try:
+        return CODE_TYPES[int(code)]
+    except (ValueError, KeyError):
+        raise bad_request(f"unknown resource type code '{code}'") from None
+
+
 @dataclass
 class Resource:
     ri: str
@@ -93,10 +98,12 @@ class Resource:
     lt: str  # lastModifiedTime: ct until the first update
     path: str
     lbl: list[str] = field(default_factory=list)
-    payload: dict[str, Any] = field(default_factory=dict)  # per-type extras
+    attrs: dict[str, Any] = field(default_factory=dict)  # the type's attributes, in wire form
+    graph: Graph | None = None  # a descriptor's dsp, parsed
+    children: dict[str, Resource] = field(default_factory=dict, repr=False, compare=False)
 
     def to_json(self) -> dict:
-        out: dict[str, Any] = {
+        return {
             "rn": self.rn,
             "ri": self.ri,
             "ty": TYPE_CODES[self.ty],
@@ -104,17 +111,8 @@ class Resource:
             "lt": self.lt,
             "lbl": list(self.lbl),
             "pi": self.pi,
+            **self.attrs,
         }
-        if self.ty == "ContentInstance":
-            out["con"] = self.payload["con"]
-            out["cnf"] = self.payload["cnf"]
-        elif self.ty == "SemanticDescriptor":
-            out["dsp"] = serialize_ntriples(self.payload["graph"])
-        elif self.ty == "Subscription":
-            out["nu"] = self.payload["nu"]
-        elif self.ty == "Group":
-            out["mid"] = list(self.payload["mid"])
-        return out
 
 
 def _check_labels(raw: Any) -> list[str]:
@@ -133,8 +131,7 @@ class ResourceTree:
         self._counter = 0
         self._stamped = datetime.min.replace(tzinfo=timezone.utc)  # the last ct or lt issued
         self._by_ri: dict[str, Resource] = {}
-        self._by_path: dict[str, str] = {}
-        self._children: dict[str, dict[str, str]] = {}  # ri -> name -> child ri
+        self._by_path: dict[str, Resource] = {}
         base = self._new_resource("CSEBase", CSE_BASE_NAME, None, [], {})
         self.base_path = base.path
 
@@ -148,39 +145,38 @@ class ResourceTree:
         self._stamped = now
         return now.strftime("%Y-%m-%dT%H:%M:%S.%f")[:-3] + "Z"
 
-    def _new_resource(
-        self, ty: str, rn: str, parent: Resource | None, lbl: list[str], payload: dict
-    ) -> Resource:
+    def _new_resource(self, ty: str, rn: str, parent: Resource | None, lbl: list[str],
+                      attrs: dict, graph: Graph | None = None) -> Resource:
         self._counter += 1
-        ri = f"{ID_PREFIXES[ty]}-{self._counter:05d}"
-        path = f"{parent.path}/{rn}" if parent else f"/{rn}"
         created = self._stamp()
         resource = Resource(
-            ri=ri, rn=rn, ty=ty, pi=parent.ri if parent else None, ct=created,
-            lt=created, path=path, lbl=lbl, payload=payload,
+            ri=f"{RESOURCE_TYPES[ty].prefix}-{self._counter:05d}", rn=rn, ty=ty,
+            pi=parent.ri if parent else None, ct=created, lt=created,
+            path=f"{parent.path}/{rn}" if parent else f"/{rn}", lbl=lbl, attrs=attrs, graph=graph,
         )
-        self._by_ri[ri] = resource
-        self._by_path[path] = ri
-        self._children[ri] = {}
+        self._by_ri[resource.ri] = resource
+        self._by_path[resource.path] = resource
         if parent:
-            self._children[parent.ri][rn] = ri
+            parent.children[rn] = resource
         return resource
 
     def lookup(self, path: str) -> Resource:
         with self._lock:
-            ri = self._by_path.get(path)
-            if ri is None:
+            resource = self._by_path.get(path)
+            if resource is None:
                 raise not_found(f"no such resource: {path}")
-            return self._by_ri[ri]
+            return resource
 
-    def _validate_payload(self, ty: str, body: dict) -> dict:
+    def _attributes(self, ty: str, body: dict) -> tuple[dict[str, Any], Graph | None]:
+        """The type's attributes in a create or update body, checked and in
+        wire form, and a descriptor's parsed graph."""
         if ty == "ContentInstance":
             if "con" not in body:
                 raise bad_request("a ContentInstance needs a 'con' value")
             cnf = body.get("cnf", "application/json")
             if not isinstance(cnf, str) or not cnf:
                 raise bad_request("'cnf' must be a non-empty media-type string")
-            return {"con": body["con"], "cnf": cnf}
+            return {"con": body["con"], "cnf": cnf}, None
         if ty == "SemanticDescriptor":
             dsp = body.get("dsp")
             if not isinstance(dsp, str):
@@ -189,12 +185,12 @@ class ResourceTree:
                 graph = parse_ntriples(dsp)
             except NTriplesError as exc:
                 raise bad_request(f"descriptor does not parse: {exc}") from exc
-            return {"graph": graph}
+            return {"dsp": serialize_ntriples(graph)}, graph
         if ty == "Subscription":
             nu = body.get("nu")
             if not valid_url(nu):
                 raise bad_request("a Subscription needs an absolute http(s) 'nu' URL")
-            return {"nu": nu}
+            return {"nu": nu}, None
         if ty == "Group":
             mid = body.get("mid")
             if not isinstance(mid, list) or not all(isinstance(m, str) for m in mid):
@@ -202,55 +198,40 @@ class ResourceTree:
             for member in mid:
                 if member not in self._by_ri:
                     raise bad_request(f"group member '{member}' does not exist")
-            return {"mid": list(mid)}
-        return {}
+            return {"mid": list(mid)}, None
+        return {}, None
 
     def create(self, parent_path: str, ty: str, body: dict) -> Resource:
         with self._lock:
             parent = self.lookup(parent_path)
-            if ty not in LEGAL_CHILDREN[parent.ty]:
+            if ty not in RESOURCE_TYPES[parent.ty].children:
                 raise bad_request(f"a {ty} cannot be created under a {parent.ty}")
             rn = body.get("rn")
             if not isinstance(rn, str) or not _NAME_RE.fullmatch(rn):
                 raise bad_request(f"'rn' must match {_NAME_PATTERN}")
-            if rn in self._children[parent.ri]:
+            if rn in parent.children:
                 raise conflict(f"'{rn}' already exists under {parent_path}")
-            if ty == "SemanticDescriptor":
-                for child_ri in self._children[parent.ri].values():
-                    if self._by_ri[child_ri].ty == "SemanticDescriptor":
-                        raise bad_request(
-                            f"{parent_path} already has a semantic descriptor"
-                        )
+            if ty == "SemanticDescriptor" and self._children_of_type(parent, ty):
+                raise bad_request(f"{parent_path} already has a semantic descriptor")
             lbl = _check_labels(body.get("lbl"))
-            payload = self._validate_payload(ty, body)
-            return self._new_resource(ty, rn, parent, lbl, payload)
-
-    _MUTABLE_KEYS = {
-        "CSEBase": set(),
-        "AE": set(),
-        "Container": set(),
-        "Group": {"mid"},
-        "Subscription": {"nu"},
-        "SemanticDescriptor": {"dsp"},
-    }
+            attrs, graph = self._attributes(ty, body)
+            return self._new_resource(ty, rn, parent, lbl, attrs, graph)
 
     def update(self, path: str, body: dict) -> Resource:
+        """Checks the whole body before it changes anything."""
         with self._lock:
             resource = self.lookup(path)
-            if resource.ty == "ContentInstance":
+            mutable = RESOURCE_TYPES[resource.ty].mutable
+            if mutable is None:
                 raise method_not_allowed("content instances are immutable")
-            allowed = self._MUTABLE_KEYS[resource.ty] | {"lbl"}
-            unknown = set(body) - allowed
+            unknown = set(body) - mutable - {"lbl"}
             if unknown:
-                raise bad_request(
-                    f"cannot update {sorted(unknown)} on a {resource.ty}"
-                )
-            if "lbl" in body:
-                resource.lbl = _check_labels(body["lbl"])
-            payload_part = {k: v for k, v in body.items() if k != "lbl"}
-            if payload_part:
-                resource.payload.update(self._validate_payload(resource.ty, payload_part))
-            resource.lt = self._stamp()
+                raise bad_request(f"cannot update {sorted(unknown)} on a {resource.ty}")
+            lbl = _check_labels(body["lbl"]) if "lbl" in body else resource.lbl
+            if set(body) - {"lbl"}:
+                attrs, resource.graph = self._attributes(resource.ty, body)
+                resource.attrs = {**resource.attrs, **attrs}
+            resource.lbl, resource.lt = lbl, self._stamp()
             return resource
 
     def delete(self, path: str) -> list[Resource]:
@@ -259,46 +240,35 @@ class ResourceTree:
             resource = self.lookup(path)
             if resource.ty == "CSEBase":
                 raise method_not_allowed("the CSE base cannot be deleted")
-            removed: list[Resource] = []
-            stack = [resource]
-            while stack:
-                current = stack.pop()
-                removed.append(current)
-                for child_ri in self._children[current.ri].values():
-                    stack.append(self._by_ri[child_ri])
+            removed = [resource, *self.descendants(resource)]
             for gone in removed:
                 del self._by_ri[gone.ri]
                 del self._by_path[gone.path]
-                del self._children[gone.ri]
-            parent = self._by_ri.get(resource.pi or "")
-            if parent:
-                self._children[parent.ri].pop(resource.rn, None)
+            del self._by_ri[resource.pi].children[resource.rn]
             return removed
-
-    def children_of(self, resource: Resource) -> list[Resource]:
-        with self._lock:
-            return [self._by_ri[ri] for ri in self._children[resource.ri].values()]
 
     def descendants(self, root: Resource) -> list[Resource]:
         with self._lock:
             found: list[Resource] = []
-            stack = list(self._children[root.ri].values())
+            stack = list(root.children.values())
             while stack:
-                current = self._by_ri[stack.pop()]
+                current = stack.pop()
                 found.append(current)
-                stack.extend(self._children[current.ri].values())
+                stack.extend(current.children.values())
             return found
+
+    @staticmethod
+    def _children_of_type(resource: Resource, ty: str) -> list[Resource]:
+        return [child for child in resource.children.values() if child.ty == ty]
 
     def descriptor_graph(self, resource: Resource) -> Graph | None:
         with self._lock:
-            for child in self.children_of(resource):
-                if child.ty == "SemanticDescriptor":
-                    return child.payload["graph"]
-            return None
+            descriptors = self._children_of_type(resource, "SemanticDescriptor")
+            return descriptors[0].graph if descriptors else None
 
     def subscriptions_on(self, resource: Resource) -> list[Resource]:
         with self._lock:
-            return [c for c in self.children_of(resource) if c.ty == "Subscription"]
+            return self._children_of_type(resource, "Subscription")
 
 
 def discover(
@@ -381,10 +351,7 @@ class CseService(JsonHttpService):
         raw_ty = request.header("X-M2M-TY")
         if raw_ty is None:
             raise bad_request("create requires the X-M2M-TY header")
-        try:
-            ty = CODE_TYPES[int(raw_ty)]
-        except (ValueError, KeyError):
-            raise bad_request(f"unknown resource type code '{raw_ty}'") from None
+        ty = _type_of(raw_ty)
         if ty == "CSEBase":
             raise bad_request("a CSE hosts exactly one CSE base")
         body = request.json()
@@ -402,7 +369,7 @@ class CseService(JsonHttpService):
         resource = created.to_json()
         for sub in self.tree.subscriptions_on(parent):
             body = {"event": "childCreated", "resource": resource, "subscriptionRef": sub.ri}
-            self.dispatcher.submit(sub.ri, sub.payload["nu"], body)
+            self.dispatcher.submit(sub.ri, sub.attrs["nu"], body)
 
     def _retrieve_or_discover(self, request: HttpRequest) -> HttpResponse:
         path = self._path_of(request)
@@ -411,13 +378,8 @@ class CseService(JsonHttpService):
         return HttpResponse(200, self.tree.lookup(path).to_json())
 
     def _discover(self, request: HttpRequest, path: str) -> HttpResponse:
-        resource_type = None
         raw_ty = request.query_first("ty")
-        if raw_ty is not None:
-            try:
-                resource_type = CODE_TYPES[int(raw_ty)]
-            except (ValueError, KeyError):
-                raise bad_request(f"unknown resource type code '{raw_ty}'") from None
+        resource_type = _type_of(raw_ty) if raw_ty is not None else None
         labels = request.query.get("lbl") or []
         smf = request.query_first("smf")
         ms = request.query_first("ms")

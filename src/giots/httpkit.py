@@ -16,6 +16,7 @@ import http
 import http.client
 import json
 import logging
+import math
 import re
 import select
 import selectors
@@ -75,6 +76,18 @@ class TransportError(ConnectionError):
     """The peer could not be reached (connection, DNS or timeout failure)."""
 
 
+def _finite(text: str) -> float:
+    """A JSON number as a float. NaN, Infinity and a literal too large for a
+    float are refused: a reply holding one would not be JSON (RFC 8259)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+_JSON_DECODER = json.JSONDecoder(parse_constant=_finite, parse_float=_finite)
+
+
 @dataclass
 class HttpRequest:
     method: str
@@ -99,8 +112,8 @@ class HttpRequest:
         if not text.strip():
             raise bad_request("expected a JSON body")
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
+            return _JSON_DECODER.decode(text)
+        except ValueError as exc:  # JSONDecodeError, _finite, or an int over the digit limit
             raise bad_request(f"malformed JSON body: {exc}") from exc
 
     def header(self, name: str) -> str | None:

@@ -298,8 +298,10 @@ def resolve_targets(
         location = None
         if raw_location is not None:
             try:
-                lon_text, lat_text = raw_location.split(",")
-                location = (float(lon_text), float(lat_text))
+                lon, lat = map(float, raw_location.split(","))
+                if not (math.isfinite(lon) and math.isfinite(lat)):
+                    raise ValueError(raw_location)
+                location = (lon, lat)
             except ValueError:
                 log.warning("%s: ignoring malformed location %r", where, raw_location)
         value_path = _single(descriptor, subject, MED_VALUE_PATH, Literal, required=False) or DEFAULT_VALUE_PATH

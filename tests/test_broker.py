@@ -193,6 +193,16 @@ def test_update_wire_validation(broker_server):
     assert status == 400
 
 
+def test_update_refuses_a_value_that_is_not_a_finite_number(broker_server):
+    url = broker_server.url + "/ngsi10/updateContext"
+    for value in (float("nan"), float("inf"), float("-inf")):
+        body = {"action": "APPEND", "entities": [_entity("room1", value)]}
+        status, payload = post_json(url, body)
+        assert status == 400, value
+        assert "not a finite number" in payload["message"]
+    assert BrokerClient(broker_server.url).query([{"id": "room1"}]) == []
+
+
 # --- queryContext ---------------------------------------------------------------------
 
 

@@ -219,6 +219,65 @@ def test_update_labels_and_descriptor_graph(cse_server):
     assert status == 400
 
 
+@pytest.mark.parametrize(
+    ("rn", "ty", "body", "refused"),
+    [
+        ("d", "SemanticDescriptor", {"dsp": CELSIUS_DESCRIPTOR}, {"dsp": "<broken"}),
+        ("s", "Subscription", {"nu": "http://127.0.0.1:1/n"}, {"nu": "not a url"}),
+        ("g", "Group", {"mid": []}, {"mid": ["missing-ri"]}),
+    ],
+)
+def test_a_refused_update_changes_nothing(cse_server, rn, ty, body, refused):
+    client = _client(cse_server)
+    client.create("/cse", "AE", {"rn": "app"})
+    before = client.create("/cse/app", ty, {"rn": rn, "lbl": ["kept"], **body})
+    status, _ = request_json(
+        "PUT", cse_server.url + f"/cse/app/{rn}", body={"lbl": ["changed"], **refused}
+    )
+    assert status == 400
+    assert client.retrieve(f"/cse/app/{rn}") == before
+
+
+COMMON_KEYS = {"rn", "ri", "ty", "ct", "lt", "lbl", "pi"}
+
+
+@pytest.mark.parametrize(
+    ("ty", "parent", "body", "update", "own_keys"),
+    [
+        ("CSEBase", None, None, {"lbl": ["x"]}, set()),
+        ("AE", "/cse", {"rn": "w"}, {"lbl": ["x"]}, set()),
+        ("Container", "/cse/app", {"rn": "w"}, {"lbl": ["x"]}, set()),
+        ("ContentInstance", "/cse/app/c", {"rn": "w", "con": 1}, {"lbl": ["x"]}, {"con", "cnf"}),
+        ("Group", "/cse", {"rn": "w", "mid": []}, {"lbl": ["x"], "mid": []}, {"mid"}),
+        ("Subscription", "/cse/app/c", {"rn": "w", "nu": "http://127.0.0.1:1/n"},
+         {"nu": "http://127.0.0.1:2/n"}, {"nu"}),
+        ("SemanticDescriptor", "/cse/app/c", {"rn": "w", "dsp": CELSIUS_DESCRIPTOR},
+         {"dsp": FAHRENHEIT_DESCRIPTOR}, {"dsp"}),
+    ],
+)
+def test_each_type_has_one_wire_form(cse_server, ty, parent, body, update, own_keys):
+    """Create, retrieve and update answer with exactly the common attributes
+    and the type's own; nothing kept beside them reaches the wire."""
+    client = _client(cse_server)
+    client.create("/cse", "AE", {"rn": "app"})
+    client.create("/cse/app", "Container", {"rn": "c"})
+    keys = COMMON_KEYS | own_keys
+    path = "/cse"
+    if parent is not None:
+        path = f"{parent}/w"
+        assert set(client.create(parent, ty, body)) == keys
+    retrieved = client.retrieve(path)
+    assert set(retrieved) == keys
+    assert retrieved["ty"] == TYPE_CODES[ty]
+    status, updated = request_json("PUT", cse_server.url + path, body=update)
+    if ty == "ContentInstance":
+        assert status == 405
+    else:
+        assert status == 200
+        assert set(updated) == keys
+    assert set(client.retrieve(path)) == keys
+
+
 def test_update_missing_resource_is_404(cse_server):
     status, _ = request_json("PUT", cse_server.url + "/cse/nope", body={"lbl": []})
     assert status == 404

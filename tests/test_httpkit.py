@@ -246,6 +246,16 @@ def test_a_bad_content_length_is_answered_400_and_ends_the_connection(service, l
     assert counting.bodies == []
 
 
+@pytest.mark.parametrize("body", ["NaN", "[Infinity]", '{"a": -Infinity}', "1e999", "1" * 5000],
+                         ids=["nan", "infinity", "minus-infinity", "overflow", "5000-digits"])
+def test_a_number_no_json_reply_could_carry_is_refused_with_400(service, body):
+    counting, handle = service
+    status, payload = request_json("POST", handle.url + "/receipts", body=body)
+    assert status == 400
+    assert "malformed JSON body" in payload["message"]
+    assert counting.bodies == []
+
+
 def test_a_hung_peer_fails_within_the_timeout_on_a_pooled_connection(service, connects):
     _, handle = service
     assert request_json("GET", handle.url + "/health")[0] == 200

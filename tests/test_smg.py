@@ -217,12 +217,13 @@ def test_resolve_targets_reads_all_mapping_facts():
 
 
 def test_resolve_targets_defaults_and_malformed_location():
-    text = _descriptor(extra=f'<urn:src:room1> <{MED_NS}location> "somewhere" .')
-    (target,) = resolve_targets(parse_ntriples(text), "/cse/app/room1")
-    assert target.value_path == "/value"
-    assert target.unit is None
-    assert target.location is None  # malformed coordinates are dropped, not fatal
-    assert target.conversion_hint is None
+    for location in ("somewhere", "nan,0", "inf,1"):
+        text = _descriptor(extra=f'<urn:src:room1> <{MED_NS}location> "{location}" .')
+        (target,) = resolve_targets(parse_ntriples(text), "/cse/app/room1")
+        assert target.value_path == "/value"
+        assert target.unit is None
+        assert target.location is None  # malformed coordinates are dropped, not fatal
+        assert target.conversion_hint is None
 
 
 _HALL_SUBJECT = (
