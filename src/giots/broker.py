@@ -5,10 +5,13 @@ registers context providers, federates unmatched queries to providers
 
 Subtype checks go through the knowledge server via a caching client;
 without a configured knowledge URL only exact type matches succeed.
+Entities are indexed by id and by type, so a query by id reads one entry
+and a query by type reads the entities of each subclass of that type.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import threading
 import time
@@ -81,14 +84,26 @@ class ContextBroker:
     its pool thread.
     """
 
-    def __init__(self, is_subclass: Callable[[str, str], bool] | None = None):
+    def __init__(
+        self,
+        subclasses_of: Callable[[str], list[str]] | None = None,
+        *,
+        is_subclass: Callable[[str, str], bool] | None = None,
+    ):
+        """``subclasses_of(cls)`` lists cls and every subclass of it (only
+        cls, if None). ``is_subclass`` answers one pair, where a
+        subscription, a registration or a pulled entity is tested; it
+        defaults to ``sub == sup or sub in subclasses_of(sup)``."""
         self._lock = threading.Lock()
         self._entities: dict[str, ContextEntity] = {}
+        self._by_type: dict[str, dict[str, ContextEntity]] = {}  # type -> id -> entity
         self._registrations: dict[str, Registration] = {}
         self._subscriptions: dict[str, Subscription] = {}
         self._reg_counter = 0
         self._sub_counter = 0
-        self.is_subclass = is_subclass or (lambda sub, sup: sub == sup)
+        self.subclasses_of = subclasses_of or (lambda cls: [cls])
+        self.is_subclass = is_subclass or (
+            lambda sub, sup: sub == sup or sub in self.subclasses_of(sup))
         self._pool = KeyedWorkers()
 
     # -- registrations ---------------------------------------------------
@@ -105,19 +120,18 @@ class ContextBroker:
     def discover(self, patterns, attributes) -> list[Registration]:
         with self._lock:
             candidates = list(self._registrations.values())
-        hits = []
-        for reg in candidates:
-            if not self._registration_matches(reg, patterns, attributes):
-                continue
-            hits.append(reg)
+        is_subclass = functools.cache(self.is_subclass)  # registrations share a few types
+        hits = [reg for reg in candidates
+                if self._registration_matches(reg, patterns, attributes, is_subclass)]
         return sorted(hits, key=lambda r: r.registration_id)
 
-    def _registration_matches(self, reg: Registration, patterns, attributes) -> bool:
+    @staticmethod
+    def _registration_matches(reg: Registration, patterns, attributes, is_subclass) -> bool:
         if attributes and reg.attributes and not (set(attributes) & set(reg.attributes)):
             return False
         for wanted in patterns:
             for advertised in reg.patterns:
-                if advertised.intersects(wanted, self.is_subclass):
+                if advertised.intersects(wanted, is_subclass):
                     return True
         return False
 
@@ -154,6 +168,12 @@ class ContextBroker:
                 )
         stored = (current or ContextEntity(update.id, update.type)).merged(update)
         self._entities[update.id] = stored
+        if current is not None and current.type != stored.type:
+            same_type = self._by_type[current.type]
+            del same_type[update.id]
+            if not same_type:
+                del self._by_type[current.type]
+        self._by_type.setdefault(stored.type, {})[update.id] = stored
         return stored
 
     # -- queries ---------------------------------------------------------
@@ -165,17 +185,19 @@ class ContextBroker:
         restriction: BoundingBox | None,
         allow_pull: bool = True,
     ) -> list[ContextEntity]:
+        # the expansions may ask the knowledge server, so not under the lock
+        expanded = [
+            None if p.entity_type is None else set(self.subclasses_of(p.entity_type))
+            for p in patterns
+        ]
         with self._lock:
-            snapshot = list(self._entities.values())
+            found = [self._stored(p, types) for p, types in zip(patterns, expanded)]
         results: dict[str, ContextEntity] = {}
         unmatched: list[EntityPattern] = []
-        for pattern in patterns:
-            found = False
-            for entity in snapshot:
-                if pattern.matches(entity.id, entity.type, self.is_subclass):
-                    results.setdefault(entity.id, entity)
-                    found = True
-            if not found:
+        for pattern, hits in zip(patterns, found):
+            for entity in hits:
+                results.setdefault(entity.id, entity)
+            if not hits:
                 unmatched.append(pattern)
         if allow_pull and unmatched:
             for entity in self._pull(unmatched, attributes):
@@ -187,11 +209,28 @@ class ContextBroker:
         projected = (e.project(attributes) for e in admitted)
         return [e for e in projected if attributes is None or e.attributes]
 
+    def _stored(self, pattern: EntityPattern, types: set[str] | None) -> list[ContextEntity]:
+        """The stored entities the pattern matches, ``types`` being its
+        type's expansion (caller holds the lock). An id is one read and a
+        type one index read per expanded type; only a pattern with neither
+        scans the store."""
+        if pattern.entity_id is not None:
+            entity = self._entities.get(pattern.entity_id)
+            if entity is None or (types is not None and entity.type not in types):
+                return []
+            return [entity]
+        if types is None:
+            candidates = self._entities.values()
+        else:
+            candidates = [e for t in types for e in self._by_type.get(t, {}).values()]
+        return [e for e in candidates if pattern.admits_id(e.id)]
+
     def _pull(self, patterns: list[EntityPattern], attributes) -> list[ContextEntity]:
         """Federated lookup: ask providers registered for still-unmatched
         patterns; recursion stops at depth 1 via a hop header."""
         pulled: list[ContextEntity] = []
         seen: set[tuple[str, str]] = set()
+        is_subclass = functools.cache(self.is_subclass)  # pulled entities share a few types
         for pattern in patterns:
             for reg in self.discover([pattern], attributes):
                 key = (reg.providing_application, str(sorted(pattern.to_json().items())))
@@ -223,7 +262,7 @@ class ContextBroker:
                     except ValueError as exc:
                         log.warning("discarding malformed pulled entity: %s", exc)
                         continue
-                    if pattern.matches(entity.id, entity.type, self.is_subclass):
+                    if pattern.matches(entity.id, entity.type, is_subclass):
                         pulled.append(entity)
         return pulled
 
@@ -321,8 +360,10 @@ class BrokerService(JsonHttpService):
     def __init__(self, knowledge_url: str | None = None):
         super().__init__()
         self.knowledge = KnowledgeClient(knowledge_url) if knowledge_url else None
-        is_subclass = self.knowledge.is_subclass if self.knowledge else None
-        self.broker = ContextBroker(is_subclass)
+        knowledge = self.knowledge
+        self.broker = ContextBroker(
+            knowledge and knowledge.subclasses_of, is_subclass=knowledge and knowledge.is_subclass
+        )
         self._metrics_lock = threading.Lock()
         self.metrics: dict[str, int] = {}
         self.router.add("POST", "/ngsi9/registerContext", self._register)
@@ -418,7 +459,9 @@ class BrokerService(JsonHttpService):
 
     def _metrics(self, request: HttpRequest) -> HttpResponse:
         with self._metrics_lock:
-            return HttpResponse(200, dict(self.metrics))
+            metrics = dict(self.metrics)
+        metrics["knowledgeDegraded"] = self.knowledge.degraded if self.knowledge else 0
+        return HttpResponse(200, metrics)
 
 
 # --- client helper -------------------------------------------------------------

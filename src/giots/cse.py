@@ -33,7 +33,7 @@ from .httpkit import (
     request_json,
     valid_url,
 )
-from .rdf import Graph, NTriplesError, parse_ntriples, serialize_ntriples
+from .rdf import Graph, NTriplesError, Term, Variable, parse_ntriples, serialize_ntriples
 from .sparql import SparqlSyntaxError, evaluate, parse_sparql
 
 log = logging.getLogger(__name__)
@@ -124,7 +124,12 @@ def _check_labels(raw: Any) -> list[str]:
 
 
 class ResourceTree:
-    """The CSE's resource store; all mutations run under one lock."""
+    """The CSE's resource store; all mutations run under one lock.
+
+    Besides the ri and path maps it keeps the resources of each type, in
+    creation order, and posts each term of a descriptor's graph under the
+    ri of the resource the descriptor describes, so discovery reads
+    candidates instead of walking the subtree."""
 
     def __init__(self):
         self._lock = threading.RLock()
@@ -132,6 +137,8 @@ class ResourceTree:
         self._stamped = datetime.min.replace(tzinfo=timezone.utc)  # the last ct or lt issued
         self._by_ri: dict[str, Resource] = {}
         self._by_path: dict[str, Resource] = {}
+        self._by_type: dict[str, dict[str, Resource]] = {ty: {} for ty in RESOURCE_TYPES}
+        self._by_term: dict[Term, set[str]] = {}  # descriptor term -> ris of described resources
         base = self._new_resource("CSEBase", CSE_BASE_NAME, None, [], {})
         self.base_path = base.path
 
@@ -156,9 +163,27 @@ class ResourceTree:
         )
         self._by_ri[resource.ri] = resource
         self._by_path[resource.path] = resource
+        self._by_type[ty][resource.ri] = resource
+        self._post_terms(resource, True)
         if parent:
             parent.children[rn] = resource
         return resource
+
+    def _post_terms(self, descriptor: Resource, add: bool) -> None:
+        """Post (or withdraw) every term of a descriptor's graph under its
+        parent's ri; a term no descriptor holds any more leaves the map."""
+        if descriptor.graph is None:
+            return
+        terms = {term for triple in descriptor.graph.triples()
+                 for term in (triple.subject, triple.predicate, triple.object)}
+        for term in terms:
+            if add:
+                self._by_term.setdefault(term, set()).add(descriptor.pi)
+                continue
+            ris = self._by_term[term]
+            ris.discard(descriptor.pi)
+            if not ris:
+                del self._by_term[term]
 
     def lookup(self, path: str) -> Resource:
         with self._lock:
@@ -229,7 +254,10 @@ class ResourceTree:
                 raise bad_request(f"cannot update {sorted(unknown)} on a {resource.ty}")
             lbl = _check_labels(body["lbl"]) if "lbl" in body else resource.lbl
             if set(body) - {"lbl"}:
-                attrs, resource.graph = self._attributes(resource.ty, body)
+                attrs, graph = self._attributes(resource.ty, body)
+                self._post_terms(resource, False)
+                resource.graph = graph
+                self._post_terms(resource, True)
                 resource.attrs = {**resource.attrs, **attrs}
             resource.lbl, resource.lt = lbl, self._stamp()
             return resource
@@ -244,6 +272,8 @@ class ResourceTree:
             for gone in removed:
                 del self._by_ri[gone.ri]
                 del self._by_path[gone.path]
+                del self._by_type[gone.ty][gone.ri]
+                self._post_terms(gone, False)
             del self._by_ri[resource.pi].children[resource.rn]
             return removed
 
@@ -256,6 +286,30 @@ class ResourceTree:
                 found.append(current)
                 stack.extend(current.children.values())
             return found
+
+    def candidates(self, root: Resource, ty: str | None,
+                   terms: set[Term] | None) -> list[Resource]:
+        """The descendants of root of type ``ty`` (any, if None) that could
+        pass a semantic filter whose ground terms are ``terms`` (None: no
+        filter): those described by a descriptor that holds every term. A
+        ground slot matches by equality, so no other resource can pass."""
+        with self._lock:
+            if terms is None and ty is None:
+                return self.descendants(root)
+            if terms is None:
+                found = self._by_type.get(ty, {}).values()
+            else:
+                if terms:
+                    ris = set.intersection(*sorted(
+                        (self._by_term.get(term, set()) for term in terms), key=len))
+                else:
+                    ris = {d.pi for d in self._by_type["SemanticDescriptor"].values()}
+                found = map(self._by_ri.__getitem__, ris)
+            prefix = root.path + "/"
+            return [
+                resource for resource in found
+                if (ty is None or resource.ty == ty) and resource.path.startswith(prefix)
+            ]
 
     @staticmethod
     def _children_of_type(resource: Resource, ty: str) -> list[Resource]:
@@ -283,15 +337,16 @@ def discover(
     filter; label filter matches any-of; ``modified_since`` (a timestamp in
     ``ct``'s format) keeps candidates whose ``lt`` is at or after it; the
     semantic filter succeeds on candidates whose descriptor child satisfies
-    the query."""
+    the query, and is evaluated only where that descriptor holds every
+    ground term of the query's patterns."""
     root = tree.lookup(root_path)
-    query = None
+    query = terms = None
     if semantic_filter is not None:
         query = parse_sparql(semantic_filter)  # SparqlSyntaxError escapes to caller
+        terms = {slot for pattern in query.patterns for slot in pattern.slots()
+                 if not isinstance(slot, Variable)}
     hits = []
-    for candidate in tree.descendants(root):
-        if resource_type is not None and candidate.ty != resource_type:
-            continue
+    for candidate in tree.candidates(root, resource_type, terms):
         if labels and not (set(labels) & set(candidate.lbl)):
             continue
         if modified_since is not None and candidate.lt < modified_since:

@@ -107,13 +107,14 @@ class KnowledgeClient:
     client degrades to syntactic equality (a class is only a subclass of
     itself) and to no declared classes, which keeps the caller available
     at the cost of missing inferred matches; that answer is logged, and
-    cached like the one to a non-200 reply.
+    cached like the one to a non-200 reply. ``degraded`` counts both.
     """
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
         self._lock = threading.Lock()
         self._cache: dict[tuple[str, str], tuple[float, frozenset[str]]] = {}
+        self.degraded = 0  # answers cached from an unreachable server or a non-200 reply
 
     def _fetch(self, route: str, cls: str = "") -> frozenset[str]:
         """The list a GET of `route` (with `class=cls`, if given) answers
@@ -133,6 +134,8 @@ class KnowledgeClient:
         values = frozenset(payload.get(route) or ()) if ok else frozenset()
         with self._lock:  # the TTL runs from the answer: a hung server may outlast it
             self._cache[key] = (time.monotonic() + CACHE_TTL_SECONDS, values)
+            if not ok:
+                self.degraded += 1
         return values
 
     def is_subclass(self, sub: str, sup: str) -> bool:

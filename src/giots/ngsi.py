@@ -209,13 +209,15 @@ class EntityPattern:
         entity_type: str,
         is_subclass: Callable[[str, str], bool],
     ) -> bool:
+        if not self.admits_id(entity_id):
+            return False
+        return self.entity_type is None or is_subclass(entity_type, self.entity_type)
+
+    def admits_id(self, entity_id: str) -> bool:
+        """Does the id pass the pattern's id and idPattern constraints?"""
         if self.entity_id is not None and entity_id != self.entity_id:
             return False
-        if self._regex is not None and not self._regex.fullmatch(entity_id):
-            return False
-        if self.entity_type is not None and not is_subclass(entity_type, self.entity_type):
-            return False
-        return True
+        return self._regex is None or bool(self._regex.fullmatch(entity_id))
 
     def intersects(self, other: "EntityPattern", is_subclass: Callable[[str, str], bool]) -> bool:
         """Could any entity satisfy both patterns? Over-approximates for

@@ -92,7 +92,10 @@ def _to_decimal(value: Any) -> Decimal:
 def _from_decimal(dec: Decimal) -> int | float:
     if dec == dec.to_integral_value() and abs(dec) < Decimal(10) ** 15:
         return int(dec)
-    return float(dec)
+    value = float(dec)
+    if math.isinf(value):
+        raise ConversionError(f"{dec} is past the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -455,7 +458,10 @@ class MediationGateway:
         self.knowledge = (
             KnowledgeClient(config.knowledge_url) if config.knowledge_url else None
         )
-        self._store = ContextBroker(self.knowledge.is_subclass if self.knowledge else None)
+        knowledge = self.knowledge
+        self._store = ContextBroker(
+            knowledge and knowledge.subclasses_of, is_subclass=knowledge and knowledge.is_subclass
+        )
         self._lock = threading.Lock()
         self._instances: dict[str, TransformationInstance] = {}
         self._by_subscription: dict[str, TransformationInstance] = {}

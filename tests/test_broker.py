@@ -9,9 +9,10 @@ import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from giots.broker import BrokerClient, BrokerService, ContextBroker
-from giots.httpkit import get_json, post_json, run_service
+from giots.httpkit import find_free_port, get_json, post_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
 from giots.ngsi import ContextEntity, EntityPattern
 
@@ -229,7 +230,7 @@ def test_a_query_by_supertype_against_a_hung_knowledge_server_returns_in_time():
     with socket.socket() as hung:
         hung.bind(("127.0.0.1", 0))
         hung.listen()
-        broker = ContextBroker(KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}").is_subclass)
+        broker = ContextBroker(KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}").subclasses_of)
         try:
             broker.update("APPEND", [ContextEntity.from_json(_entity("m1", entity_type=ONT + "MeetingRoom"))])
             started = time.monotonic()
@@ -546,3 +547,99 @@ def test_metrics_count_operations_including_rejected_ones(broker_server):
     assert metrics["updateContext"] == 2
     assert metrics["queryContext"] == 2
     assert "registerContext" not in metrics
+
+
+def test_metrics_count_knowledge_answers_given_without_the_server():
+    broker = boot(BrokerService(knowledge_url=f"http://127.0.0.1:{find_free_port()}"))
+    try:
+        client = BrokerClient(broker.url)
+        client.update("APPEND", [_entity("m1", entity_type=ONT + "MeetingRoom")])
+        assert get_json(broker.url + "/metrics")[1]["knowledgeDegraded"] == 0
+        assert client.query([{"type": ONT + "Room"}]) == []  # degraded to equality
+        assert get_json(broker.url + "/metrics")[1]["knowledgeDegraded"] == 1
+    finally:
+        broker.stop()
+
+
+# --- indexed reads ---------------------------------------------------------------------------
+
+_CLASSES = [f"urn:class:C{i}" for i in range(6)]
+
+
+def _class_tree(parent_picks: list[int]) -> dict[str, str]:
+    """Each class after the first gets one parent among the classes before it."""
+    return {cls: _CLASSES[pick % i] for i, (cls, pick) in enumerate(zip(_CLASSES, parent_picks)) if i}
+
+
+def _brute_subclasses_of(parents: dict[str, str]):
+    def subclasses_of(cls: str) -> list[str]:
+        below = {cls}
+        for candidate in _CLASSES:
+            walk = candidate
+            while walk in parents:
+                walk = parents[walk]
+                if walk == cls:
+                    below.add(candidate)
+        return sorted(below)
+
+    return subclasses_of
+
+
+_INDEX_IDS = ["a", "b", "c", "d", "e"]
+_INDEX_TYPES = [*_CLASSES, "urn:class:Unknown", ""]
+_INDEX_PATTERNS = st.fixed_dictionaries({}, optional={
+    "id": st.sampled_from(_INDEX_IDS),
+    "type": st.sampled_from(_INDEX_TYPES[:-1]),
+}) | st.fixed_dictionaries({"idPattern": st.sampled_from(["a|b", "[c-e]", ".*", "z"])},
+                           optional={"type": st.sampled_from(_INDEX_TYPES[:-1])})
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.integers(0, 5), min_size=6, max_size=6),
+       st.lists(st.tuples(st.sampled_from(_INDEX_IDS), st.sampled_from(_INDEX_TYPES),
+                          st.sampled_from(["x", "y"])), min_size=1, max_size=12),
+       st.lists(_INDEX_PATTERNS, min_size=1, max_size=3))
+def test_an_indexed_query_answers_as_a_scan_of_every_stored_entity(picks, appends, raw_patterns):
+    """Type-changing APPENDs included: the index by id and type gives what
+    testing every stored entity against every pattern gives."""
+    subclasses_of = _brute_subclasses_of(_class_tree(picks))
+    broker = ContextBroker(subclasses_of)
+    for entity_id, entity_type, name in appends:
+        broker.update("APPEND", [ContextEntity.from_json(
+            _entity(entity_id, name=name, entity_type=entity_type))])
+    patterns = [EntityPattern.from_json(raw) for raw in raw_patterns]
+
+    def is_subclass(sub, sup):
+        return sub == sup or sub in subclasses_of(sup)
+
+    stored = list(broker._entities.values())
+    expected = {e.id: e for p in patterns for e in stored if p.matches(e.id, e.type, is_subclass)}
+    found = broker.query(patterns, None, None, allow_pull=False)
+    assert found == [expected[i] for i in sorted(expected)]
+
+
+def test_a_supertype_query_expands_each_pattern_once_and_tests_no_entity():
+    calls = {"subclasses_of": 0, "is_subclass": 0}
+
+    def subclasses_of(cls):
+        calls["subclasses_of"] += 1
+        return sorted({cls, ONT + "MeetingRoom"}) if cls == ONT + "Room" else [cls]
+
+    def is_subclass(sub, sup):
+        calls["is_subclass"] += 1
+        return sub in subclasses_of(sup)
+
+    broker = ContextBroker(subclasses_of, is_subclass=is_subclass)
+    broker.update("APPEND", [
+        ContextEntity(f"r{i:04d}", ONT + ("MeetingRoom" if i % 2 else "Hall"), ())
+        for i in range(1000)
+    ])
+    assert calls == {"subclasses_of": 0, "is_subclass": 0}
+    found = broker.query([EntityPattern(entity_type=ONT + "Room")], None, None, allow_pull=False)
+    assert len(found) == 500
+    assert calls == {"subclasses_of": 1, "is_subclass": 0}
+    two = [EntityPattern(entity_type=ONT + "Hall"), EntityPattern.from_json({"idPattern": "r000."})]
+    assert len(broker.query(two, None, None, allow_pull=False)) == 505
+    assert calls == {"subclasses_of": 2, "is_subclass": 0}
+    assert [e.id for e in broker.query([EntityPattern("r0007")], None, None)] == ["r0007"]
+    assert calls == {"subclasses_of": 2, "is_subclass": 0}

@@ -10,9 +10,12 @@ from datetime import datetime
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from giots import cse
 from giots.cse import CSE_BASE_NAME, CseClient, ResourceTree, TYPE_CODES, discover
-from giots.httpkit import get_json, request_json
+from giots.httpkit import ApiError, get_json, request_json
+from giots.sparql import evaluate, parse_sparql
 
 from conftest import UNPARSABLE_URLS
 
@@ -391,6 +394,107 @@ def test_discovery_reflects_descriptor_updates(cse_server):
     )
     found = client.discover("/cse", resource_type="Container", semantic_filter=ASK_CELSIUS)
     assert found == ["/cse/app/room1", "/cse/app/room2"]
+
+
+def test_a_selective_semantic_filter_is_evaluated_only_where_its_terms_are(monkeypatch):
+    tree = ResourceTree()
+    tree.create("/cse", "AE", {"rn": "app"})
+    for i in range(100):
+        container = tree.create("/cse/app", "Container", {"rn": f"c{i:03d}"})
+        dsp = FAHRENHEIT_DESCRIPTOR if i % 10 == 0 else CELSIUS_DESCRIPTOR
+        tree.create(container.path, "SemanticDescriptor", {"rn": "d", "dsp": dsp})
+    evaluated = []
+    monkeypatch.setattr(cse, "evaluate", lambda query, graph: evaluated.append(graph)
+                        or evaluate(query, graph))
+    ask = 'ASK { ?m <%sunitOfMeasure> "fahrenheit" }' % MED
+    hits = discover(tree, "/cse", "Container", semantic_filter=ask)
+    assert hits == [f"/cse/app/c{i:03d}" for i in range(0, 100, 10)]
+    assert len(evaluated) == 10
+    # a term no descriptor holds: nothing to evaluate
+    absent = 'ASK { ?m <%sunitOfMeasure> "kelvin" }' % MED
+    assert discover(tree, "/cse", "Container", semantic_filter=absent) == []
+    assert len(evaluated) == 10
+
+
+_SUBJECTS = ["<urn:s1>", "<urn:s2>"]
+_PREDICATES = ["<urn:p1>", "<urn:p2>"]
+_OBJECTS = ["<urn:s1>", "<urn:o1>", '"a"', '"b"']
+_TRIPLES = st.lists(st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES),
+                              st.sampled_from(_OBJECTS)), max_size=3)
+_VARIABLES = ["?x", "?y"]
+_QUERY_PATTERNS = st.lists(st.tuples(
+    st.sampled_from(_VARIABLES + _SUBJECTS + ["<urn:none>"]),
+    st.sampled_from(_VARIABLES + _PREDICATES),
+    st.sampled_from(_VARIABLES + _OBJECTS),
+), min_size=1, max_size=2)
+_FILTERS = st.sampled_from(["", 'FILTER(?y = "a")', "FILTER(?x != <urn:s1>)"])
+_OPS = st.lists(st.tuples(
+    st.sampled_from(["container", "instance", "descriptor", "put", "delete"]),
+    st.integers(0, 40), _TRIPLES,
+), max_size=25)
+_DISCOVERIES = st.lists(st.tuples(
+    st.integers(0, 40),
+    st.sampled_from([None, "AE", "Container", "ContentInstance", "SemanticDescriptor"]),
+    st.none() | st.tuples(st.sampled_from(["ASK", "SELECT *"]), _QUERY_PATTERNS, _FILTERS),
+), min_size=1, max_size=4)
+
+
+def _walk(resource):
+    stack = list(resource.children.values())
+    while stack:
+        current = stack.pop()
+        yield current
+        stack.extend(current.children.values())
+
+
+def _dsp(triples) -> str:
+    return "".join(f"{s} {p} {o} .\n" for s, p, o in triples)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_OPS, _DISCOVERIES)
+def test_indexed_discovery_answers_as_evaluating_every_descendant(ops, discoveries):
+    """Over descriptor creates, dsp PUTs and deletes, discovery by type and
+    semantic filter finds what a walk of the subtree that evaluates every
+    candidate's descriptor finds."""
+    tree = ResourceTree()
+    tree.create("/cse", "AE", {"rn": "app"})
+    base = tree.lookup("/cse")
+    for i, (op, pick, triples) in enumerate(ops):
+        live = [base, *_walk(base)]
+        chosen = live[pick % len(live)]
+        try:
+            if op == "container" and chosen.ty in ("CSEBase", "AE", "Container"):
+                tree.create(chosen.path, "Container", {"rn": f"n{i}"})
+            elif op == "instance" and chosen.ty == "Container":
+                tree.create(chosen.path, "ContentInstance", {"rn": f"n{i}", "con": i})
+            elif op == "descriptor":
+                tree.create(chosen.path, "SemanticDescriptor", {"rn": f"n{i}", "dsp": _dsp(triples)})
+            elif op == "put" and chosen.ty == "SemanticDescriptor":
+                tree.update(chosen.path, {"dsp": _dsp(triples)})
+            elif op == "delete":
+                tree.delete(chosen.path)
+        except ApiError:
+            pass  # not legal here; the tree is unchanged
+    for pick, ty, spec in discoveries:
+        roots = [base, *_walk(base)]
+        root = roots[pick % len(roots)]
+        smf = None
+        if spec is not None:
+            form, patterns, where = spec
+            body = " . ".join(" ".join(slots) for slots in patterns)
+            smf = f"{form} {'WHERE ' if form != 'ASK' else ''}{{ {body} {where} }}"
+        query = parse_sparql(smf) if smf is not None else None
+        expected = []
+        for candidate in _walk(root):
+            if ty is not None and candidate.ty != ty:
+                continue
+            if query is not None:
+                described = [c for c in candidate.children.values() if c.ty == "SemanticDescriptor"]
+                if not described or not evaluate(query, described[0].graph):
+                    continue
+            expected.append(candidate.path)
+        assert discover(tree, root.path, ty, semantic_filter=smf) == sorted(expected), smf
 
 
 # --- lastModifiedTime and modifiedSince ----------------------------------------------------

@@ -140,6 +140,14 @@ def test_identity_and_string_to_number():
         s2n.convert("inf")
 
 
+def test_a_result_past_the_float_range_is_a_conversion_error():
+    with pytest.raises(ConversionError, match="past the float range"):
+        resolve_routine("scale:10").convert(1e308)
+    with pytest.raises(ConversionError, match="past the float range"):
+        resolve_routine("string_to_number").convert("1e400")
+    assert resolve_routine("scale:10").convert(1e307) == 1e308
+
+
 def test_numeric_routines_reject_non_numbers():
     routine = resolve_routine("celsius_to_kelvin")
     for bad in ("25", True, None, [1], math.nan, math.inf):
@@ -496,6 +504,26 @@ def test_a_push_the_broker_never_received_counts_as_dropped(cse_server, caplog):
         assert [m for m in messages if "dropped" in m] == [
             "update for entity room123 dropped: updateContext failed"
         ]
+    finally:
+        handle.stop()
+
+
+def test_a_reading_converted_past_the_float_range_is_dropped_as_a_conversion_error(
+    cse_server, broker_server, caplog
+):
+    text = _descriptor(unit="celsius", extra=f'<urn:src:room1> <{MED_NS}conversion> "scale:10" .')
+    cse, path = _seed_container(cse_server.url, text)
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url)
+    try:
+        gateway.scan_once()
+        with caplog.at_level(logging.WARNING, logger="giots.smg"):
+            cse.create(path, "ContentInstance", {"rn": "cin1", "con": {"value": 1e308}})
+            assert _poll(lambda: gateway.stats()["itemsDropped"] == 1)
+        assert gateway.stats()["itemsConverted"] == 0
+        messages = [r.getMessage() for r in caplog.records if r.name == "giots.smg"]
+        (dropped,) = [m for m in messages if "dropped" in m]
+        assert dropped.endswith(": item dropped: 1.0E+309 is past the float range")
+        assert BrokerClient(broker_server.url).query([{"id": "room123"}]) == []
     finally:
         handle.stop()
 
