@@ -11,12 +11,11 @@ and a query by type reads the entities of each subclass of that type.
 
 from __future__ import annotations
 
-import functools
 import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
 
 from .httpkit import (
     HttpRequest,
@@ -84,16 +83,11 @@ class ContextBroker:
     its pool thread.
     """
 
-    def __init__(
-        self,
-        subclasses_of: Callable[[str], list[str]] | None = None,
-        *,
-        is_subclass: Callable[[str, str], bool] | None = None,
-    ):
-        """``subclasses_of(cls)`` lists cls and every subclass of it (only
-        cls, if None). ``is_subclass`` answers one pair, where a
-        subscription, a registration or a pulled entity is tested; it
-        defaults to ``sub == sup or sub in subclasses_of(sup)``."""
+    def __init__(self, knowledge: KnowledgeClient | None = None):
+        """``knowledge`` answers subtyping: ``subclasses_of`` expands a
+        query's type for the index, ``is_subclass`` tests one pair where a
+        subscription, a registration or a pulled entity is matched. Without
+        it a type matches only itself."""
         self._lock = threading.Lock()
         self._entities: dict[str, ContextEntity] = {}
         self._by_type: dict[str, dict[str, ContextEntity]] = {}  # type -> id -> entity
@@ -101,9 +95,8 @@ class ContextBroker:
         self._subscriptions: dict[str, Subscription] = {}
         self._reg_counter = 0
         self._sub_counter = 0
-        self.subclasses_of = subclasses_of or (lambda cls: [cls])
-        self.is_subclass = is_subclass or (
-            lambda sub, sup: sub == sup or sub in self.subclasses_of(sup))
+        self.subclasses_of = knowledge.subclasses_of if knowledge else (lambda cls: [cls])
+        self.is_subclass = knowledge.is_subclass if knowledge else (lambda sub, sup: sub == sup)
         self._pool = KeyedWorkers()
 
     # -- registrations ---------------------------------------------------
@@ -120,18 +113,19 @@ class ContextBroker:
     def discover(self, patterns, attributes) -> list[Registration]:
         with self._lock:
             candidates = list(self._registrations.values())
-        is_subclass = functools.cache(self.is_subclass)  # registrations share a few types
-        hits = [reg for reg in candidates
-                if self._registration_matches(reg, patterns, attributes, is_subclass)]
+        hits = []
+        for reg in candidates:
+            if not self._registration_matches(reg, patterns, attributes):
+                continue
+            hits.append(reg)
         return sorted(hits, key=lambda r: r.registration_id)
 
-    @staticmethod
-    def _registration_matches(reg: Registration, patterns, attributes, is_subclass) -> bool:
+    def _registration_matches(self, reg: Registration, patterns, attributes) -> bool:
         if attributes and reg.attributes and not (set(attributes) & set(reg.attributes)):
             return False
         for wanted in patterns:
             for advertised in reg.patterns:
-                if advertised.intersects(wanted, is_subclass):
+                if advertised.intersects(wanted, self.is_subclass):
                     return True
         return False
 
@@ -230,7 +224,6 @@ class ContextBroker:
         patterns; recursion stops at depth 1 via a hop header."""
         pulled: list[ContextEntity] = []
         seen: set[tuple[str, str]] = set()
-        is_subclass = functools.cache(self.is_subclass)  # pulled entities share a few types
         for pattern in patterns:
             for reg in self.discover([pattern], attributes):
                 key = (reg.providing_application, str(sorted(pattern.to_json().items())))
@@ -262,7 +255,7 @@ class ContextBroker:
                     except ValueError as exc:
                         log.warning("discarding malformed pulled entity: %s", exc)
                         continue
-                    if pattern.matches(entity.id, entity.type, is_subclass):
+                    if pattern.matches(entity.id, entity.type, self.is_subclass):
                         pulled.append(entity)
         return pulled
 
@@ -360,10 +353,7 @@ class BrokerService(JsonHttpService):
     def __init__(self, knowledge_url: str | None = None):
         super().__init__()
         self.knowledge = KnowledgeClient(knowledge_url) if knowledge_url else None
-        knowledge = self.knowledge
-        self.broker = ContextBroker(
-            knowledge and knowledge.subclasses_of, is_subclass=knowledge and knowledge.is_subclass
-        )
+        self.broker = ContextBroker(self.knowledge)
         self._metrics_lock = threading.Lock()
         self.metrics: dict[str, int] = {}
         self.router.add("POST", "/ngsi9/registerContext", self._register)

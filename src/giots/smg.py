@@ -458,10 +458,7 @@ class MediationGateway:
         self.knowledge = (
             KnowledgeClient(config.knowledge_url) if config.knowledge_url else None
         )
-        knowledge = self.knowledge
-        self._store = ContextBroker(
-            knowledge and knowledge.subclasses_of, is_subclass=knowledge and knowledge.is_subclass
-        )
+        self._store = ContextBroker(self.knowledge)
         self._lock = threading.Lock()
         self._instances: dict[str, TransformationInstance] = {}
         self._by_subscription: dict[str, TransformationInstance] = {}

@@ -230,7 +230,7 @@ def test_a_query_by_supertype_against_a_hung_knowledge_server_returns_in_time():
     with socket.socket() as hung:
         hung.bind(("127.0.0.1", 0))
         hung.listen()
-        broker = ContextBroker(KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}").subclasses_of)
+        broker = ContextBroker(KnowledgeClient(f"http://127.0.0.1:{hung.getsockname()[1]}"))
         try:
             broker.update("APPEND", [ContextEntity.from_json(_entity("m1", entity_type=ONT + "MeetingRoom"))])
             started = time.monotonic()
@@ -571,18 +571,31 @@ def _class_tree(parent_picks: list[int]) -> dict[str, str]:
     return {cls: _CLASSES[pick % i] for i, (cls, pick) in enumerate(zip(_CLASSES, parent_picks)) if i}
 
 
-def _brute_subclasses_of(parents: dict[str, str]):
-    def subclasses_of(cls: str) -> list[str]:
-        below = {cls}
-        for candidate in _CLASSES:
-            walk = candidate
-            while walk in parents:
-                walk = parents[walk]
-                if walk == cls:
-                    below.add(candidate)
-        return sorted(below)
+class _Subtyping:
+    """A knowledge source over a fixed class tree that counts its calls;
+    ``below`` maps each class to its subclasses, itself included."""
 
-    return subclasses_of
+    def __init__(self, below: dict[str, set[str]]):
+        self.below = below
+        self.calls = {"subclasses_of": 0, "is_subclass": 0}
+
+    def subclasses_of(self, cls: str) -> list[str]:
+        self.calls["subclasses_of"] += 1
+        return sorted(self.below.get(cls, {cls}))
+
+    def is_subclass(self, sub: str, sup: str) -> bool:
+        self.calls["is_subclass"] += 1
+        return sub == sup or sub in self.below.get(sup, ())
+
+
+def _brute_subtyping(parents: dict[str, str]) -> _Subtyping:
+    below = {cls: {cls} for cls in _CLASSES}
+    for candidate in _CLASSES:
+        walk = candidate
+        while walk in parents:
+            walk = parents[walk]
+            below[walk].add(candidate)
+    return _Subtyping(below)
 
 
 _INDEX_IDS = ["a", "b", "c", "d", "e"]
@@ -602,34 +615,23 @@ _INDEX_PATTERNS = st.fixed_dictionaries({}, optional={
 def test_an_indexed_query_answers_as_a_scan_of_every_stored_entity(picks, appends, raw_patterns):
     """Type-changing APPENDs included: the index by id and type gives what
     testing every stored entity against every pattern gives."""
-    subclasses_of = _brute_subclasses_of(_class_tree(picks))
-    broker = ContextBroker(subclasses_of)
+    subtyping = _brute_subtyping(_class_tree(picks))
+    broker = ContextBroker(subtyping)
     for entity_id, entity_type, name in appends:
         broker.update("APPEND", [ContextEntity.from_json(
             _entity(entity_id, name=name, entity_type=entity_type))])
     patterns = [EntityPattern.from_json(raw) for raw in raw_patterns]
-
-    def is_subclass(sub, sup):
-        return sub == sup or sub in subclasses_of(sup)
-
     stored = list(broker._entities.values())
-    expected = {e.id: e for p in patterns for e in stored if p.matches(e.id, e.type, is_subclass)}
+    expected = {e.id: e for p in patterns for e in stored
+                if p.matches(e.id, e.type, subtyping.is_subclass)}
     found = broker.query(patterns, None, None, allow_pull=False)
     assert found == [expected[i] for i in sorted(expected)]
 
 
 def test_a_supertype_query_expands_each_pattern_once_and_tests_no_entity():
-    calls = {"subclasses_of": 0, "is_subclass": 0}
-
-    def subclasses_of(cls):
-        calls["subclasses_of"] += 1
-        return sorted({cls, ONT + "MeetingRoom"}) if cls == ONT + "Room" else [cls]
-
-    def is_subclass(sub, sup):
-        calls["is_subclass"] += 1
-        return sub in subclasses_of(sup)
-
-    broker = ContextBroker(subclasses_of, is_subclass=is_subclass)
+    subtyping = _Subtyping({ONT + "Room": {ONT + "Room", ONT + "MeetingRoom"}})
+    calls = subtyping.calls
+    broker = ContextBroker(subtyping)
     broker.update("APPEND", [
         ContextEntity(f"r{i:04d}", ONT + ("MeetingRoom" if i % 2 else "Hall"), ())
         for i in range(1000)
