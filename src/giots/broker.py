@@ -85,9 +85,9 @@ class ContextBroker:
 
     def __init__(self, knowledge: KnowledgeClient | None = None):
         """``knowledge`` answers subtyping: ``subclasses_of`` expands a
-        query's type for the index, ``is_subclass`` tests one pair where a
-        subscription, a registration or a pulled entity is matched. Without
-        it a type matches only itself."""
+        query's type for the index and for the entities it pulls,
+        ``is_subclass`` tests one pair where a subscription or a
+        registration is matched. Without it a type matches only itself."""
         self._lock = threading.Lock()
         self._entities: dict[str, ContextEntity] = {}
         self._by_type: dict[str, dict[str, ContextEntity]] = {}  # type -> id -> entity
@@ -187,12 +187,12 @@ class ContextBroker:
         with self._lock:
             found = [self._stored(p, types) for p, types in zip(patterns, expanded)]
         results: dict[str, ContextEntity] = {}
-        unmatched: list[EntityPattern] = []
-        for pattern, hits in zip(patterns, found):
+        unmatched: list[tuple[EntityPattern, set[str] | None]] = []
+        for pattern, types, hits in zip(patterns, expanded, found):
             for entity in hits:
                 results.setdefault(entity.id, entity)
             if not hits:
-                unmatched.append(pattern)
+                unmatched.append((pattern, types))
         if allow_pull and unmatched:
             for entity in self._pull(unmatched, attributes):
                 results.setdefault(entity.id, entity)
@@ -219,12 +219,15 @@ class ContextBroker:
             candidates = [e for t in types for e in self._by_type.get(t, {}).values()]
         return [e for e in candidates if pattern.admits_id(e.id)]
 
-    def _pull(self, patterns: list[EntityPattern], attributes) -> list[ContextEntity]:
+    def _pull(
+        self, patterns: list[tuple[EntityPattern, set[str] | None]], attributes
+    ) -> list[ContextEntity]:
         """Federated lookup: ask providers registered for still-unmatched
-        patterns; recursion stops at depth 1 via a hop header."""
+        patterns, each with its type's expansion, which a pulled entity's
+        type must be in; recursion stops at depth 1 via a hop header."""
         pulled: list[ContextEntity] = []
         seen: set[tuple[str, str]] = set()
-        for pattern in patterns:
+        for pattern, types in patterns:
             for reg in self.discover([pattern], attributes):
                 key = (reg.providing_application, str(sorted(pattern.to_json().items())))
                 if key in seen:
@@ -255,7 +258,7 @@ class ContextBroker:
                     except ValueError as exc:
                         log.warning("discarding malformed pulled entity: %s", exc)
                         continue
-                    if pattern.matches(entity.id, entity.type, self.is_subclass):
+                    if pattern.admits_id(entity.id) and (types is None or entity.type in types):
                         pulled.append(entity)
         return pulled
 

@@ -2,7 +2,8 @@
 with pattern routing and the stack's one HTTP client (``request_json``,
 which keeps a few idle connections per peer alive), both of which frame
 HTTP/1.1 themselves, one send per message; and the push side every service
-shares: one retry policy (``deliver``) and one worker model (``KeyedWorkers``).
+shares: one retry policy (``deliver``) and one worker model (``KeyedWorkers``),
+which also serves the server's connections.
 
 Nothing here knows about the domain; each service registers routes and
 raises ApiError for protocol failures.
@@ -35,6 +36,7 @@ IDLE_PER_PEER = 4  # idle connections kept per peer; each holds a server thread 
 MAX_CONNECTIONS = 64  # open connections per service; one more is answered 503
 MAX_HEADERS = 100  # header lines in a request or reply
 MAX_LINE = 65536  # bytes in a request, status or header line
+MAX_BODY = 16 * 1024 * 1024  # bytes in a request body; a longer one is answered 413
 
 
 class ApiError(Exception):
@@ -193,8 +195,10 @@ class JsonHttpService:
 class ServerHandle:
     """A running service bound to a port; stop() is idempotent. One thread
     waits, with no timeout, for a connection or for stop()'s wake-up byte,
-    and gives each connection a thread that serves its requests in order;
-    beyond MAX_CONNECTIONS open connections it answers 503 itself."""
+    and hands each connection to the service's pool, keyed by connection,
+    whose thread serves its requests in order and then serves the next
+    connection; beyond MAX_CONNECTIONS open connections it answers 503
+    itself."""
 
     def __init__(self, service: JsonHttpService, host: str, port: int):
         self.service = service
@@ -211,6 +215,7 @@ class ServerHandle:
         self._open: set[socket.socket] = set()
         self._open_lock = threading.Lock()
         self._date = (0, "")  # (second, Date header value)
+        self._pool = KeyedWorkers(MAX_CONNECTIONS)  # so no open connection waits for a thread
         self._stopped = False
         self._thread = threading.Thread(target=self._accept, daemon=True)
         self._thread.start()
@@ -234,6 +239,7 @@ class ServerHandle:
                 sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        self._pool.close()
         self.service.close()
 
     def _accept(self) -> None:
@@ -255,7 +261,7 @@ class ServerHandle:
                 if full:
                     self._refuse(conn)
                 else:
-                    threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+                    self._pool.submit(conn, self._serve, conn)
 
     def _refuse(self, conn: socket.socket) -> None:
         refusal = ApiError(503, "ServiceUnavailable", f"{MAX_CONNECTIONS} open connections")
@@ -313,6 +319,8 @@ class ServerHandle:
         length = headers.get("content-length", "0")
         if not (length.isascii() and length.isdigit()):  # 1*DIGIT, RFC 9110 8.6
             raise bad_request(f"bad Content-Length {length!r}")
+        if int(length) > MAX_BODY:
+            raise ApiError(413, "ContentTooLarge", f"a body over {MAX_BODY} bytes")
         # only Content-Length bodies are read, so a Transfer-Encoding ends the connection
         close = (minor == "0" or "transfer-encoding" in headers
                  or "close" in headers.get("connection", "").lower())
@@ -604,7 +612,7 @@ def find_free_port(host: str = "127.0.0.1") -> int:
 
 DELIVERY_ATTEMPTS = 3
 DELIVERY_RETRY_DELAY = 0.1
-WORKER_THREADS = 8  # per pool; 8 hung peers stall it for attempts x timeout
+WORKER_THREADS = 8  # a pool's default cap; 8 hung peers stall it for attempts x timeout
 
 
 def deliver(send: Callable[[], tuple[int, Any]]) -> bool:
@@ -624,42 +632,51 @@ def deliver(send: Callable[[], tuple[int, Any]]) -> bool:
 
 
 class KeyedWorkers:
-    """At most WORKER_THREADS threads run the submitted tasks; tasks with
+    """At most ``threads`` threads run the submitted tasks; tasks with
     the same key run one at a time, in submit order, and distinct keys
-    take turns. A thread starts only when ready keys outnumber idle
-    threads, so a one-key pool holds one; threads live until close().
+    take turns. A thread starts only when a key is ready and no thread
+    is idle, so a one-key pool holds one. A ready key wakes the thread
+    idle the shortest time, so the others can wait KEEP_ALIVE_SECONDS
+    with no ready key, and then they end; close() ends the rest.
     A key is forgotten once its last task ends. A queued task cannot be
     withdrawn: one whose target may have gone checks for it as it runs."""
 
-    def __init__(self):
-        self._cond = threading.Condition()
+    def __init__(self, threads: int = WORKER_THREADS):
+        self._lock = threading.Lock()
         self._pending: dict[Hashable, deque] = {}  # queued or running keys
         self._ready: deque = deque()  # keys with a task and none running
-        self._threads: list[threading.Thread] = []
-        self._idle = 0  # threads waiting for a ready key
+        self._threads: set[threading.Thread] = set()  # live threads only
+        self._cap = threads
+        self._idle: list[threading.Condition] = []  # one per waiting thread, the latest idle last
         self._closed = False
 
     def submit(self, key: Hashable, fn: Callable, *args: Any) -> None:
-        with self._cond:
+        with self._lock:
             if self._closed:
                 return
             if key not in self._pending:
                 self._pending[key] = deque()
                 self._ready.append(key)
-                self._cond.notify()
-                if len(self._ready) > self._idle and len(self._threads) < WORKER_THREADS:
-                    self._threads.append(threading.Thread(target=self._run, daemon=True))
-                    self._threads[-1].start()
+                if self._idle:
+                    self._idle.pop().notify()
+                elif len(self._threads) < self._cap:
+                    thread = threading.Thread(target=self._run, daemon=True)
+                    self._threads.add(thread)
+                    thread.start()
             self._pending[key].append((fn, args))
 
     def _run(self) -> None:
+        wake = threading.Condition(self._lock)
         while True:
-            with self._cond:
-                self._idle += 1
-                while not self._ready and not self._closed:
-                    self._cond.wait()
-                self._idle -= 1
-                if self._closed:
+            with self._lock:
+                deadline = time.monotonic() + KEEP_ALIVE_SECONDS
+                while not (self._ready or self._closed) and (left := deadline - time.monotonic()) > 0:
+                    self._idle.append(wake)
+                    wake.wait(left)
+                    if wake in self._idle:  # not woken by submit
+                        self._idle.remove(wake)
+                if self._closed or not self._ready:
+                    self._threads.discard(threading.current_thread())
                     return
                 key = self._ready.popleft()
                 fn, args = self._pending[key].popleft()
@@ -667,18 +684,18 @@ class KeyedWorkers:
                 fn(*args)
             except Exception:
                 log.exception("task for %r failed", key)
-            with self._cond:
+            with self._lock:
                 if self._pending[key]:
                     self._ready.append(key)
-                    self._cond.notify()
                 else:
                     del self._pending[key]
 
     def close(self) -> None:
         """Drop every queued task; wait at most 2 s in all for running ones."""
-        with self._cond:
+        with self._lock:
             self._closed = True
-            self._cond.notify_all()
+            for wake in self._idle:
+                wake.notify()
             threads = list(self._threads)
         deadline = time.monotonic() + 2.0
         for thread in threads:

@@ -734,6 +734,7 @@ class MediationGateway:
                 "itemsConverted": sum(i.items_converted for i in self._instances.values()),
                 "itemsDropped": sum(i.items_dropped for i in self._instances.values()),
                 "cachedEntities": len(self._store._entities),
+                "knowledgeDegraded": self.knowledge.degraded if self.knowledge else 0,
             }
 
 

@@ -645,3 +645,24 @@ def test_a_supertype_query_expands_each_pattern_once_and_tests_no_entity():
     assert calls == {"subclasses_of": 2, "is_subclass": 0}
     assert [e.id for e in broker.query([EntityPattern("r0007")], None, None)] == ["r0007"]
     assert calls == {"subclasses_of": 2, "is_subclass": 0}
+
+
+def test_a_federated_query_tests_pulled_entities_against_its_expansion_not_pairwise():
+    subtyping = _Subtyping({ONT + "Room": {ONT + "Room", ONT + "MeetingRoom"}})
+    calls = subtyping.calls
+    offered = [_entity(f"p{i:02d}", entity_type=ONT + ("MeetingRoom" if i % 2 else "Hall"))
+               for i in range(20)] + [_entity("q00", entity_type=ONT + "Room")]
+    stub = ProviderStub(offered)
+    try:
+        broker = ContextBroker(subtyping)
+        broker.register([EntityPattern(entity_type=ONT + "Room")], [], stub.url)
+        pattern = EntityPattern.from_json({"idPattern": "p.*", "type": ONT + "Room"})
+        found = broker.query([pattern], None, None)
+        assert calls == {"subclasses_of": 1, "is_subclass": 1}  # the one registration's test
+        assert len(stub.requests) == 1
+        pulled = [ContextEntity.from_json(raw) for raw in offered]
+        expected = [e for e in pulled if pattern.matches(e.id, e.type, subtyping.is_subclass)]
+        assert [e.id for e in found] == [e.id for e in expected] == [f"p{i:02d}" for i in range(1, 20, 2)]
+        assert found == expected
+    finally:
+        stub.close()

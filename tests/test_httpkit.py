@@ -1,6 +1,6 @@
 """httpkit's client and push side: kept-alive connections, the one retry
 policy (deliver) and the keyed worker pool every service runs its
-deliveries on."""
+deliveries and serves its connections on."""
 
 import ast
 import email.utils
@@ -339,6 +339,21 @@ def test_a_malformed_request_is_refused_and_ends_the_connection(service, request
         assert _closed(sock, reader)
 
 
+@pytest.mark.parametrize("length", [b"1000000000000", b"3000000000"])
+def test_a_body_too_large_to_hold_is_answered_413_unread_and_ends_the_connection(service, length):
+    counting, handle = service
+    assert int(length) > httpkit.MAX_BODY
+    with socket.create_connection(("127.0.0.1", handle.port), timeout=5) as sock, \
+            sock.makefile("rb") as reader:
+        sock.sendall(b"POST /receipts HTTP/1.1\r\nHost: peer\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: " + length + b"\r\n\r\n")
+        status, headers, body = _read_reply(reader)
+        assert (status, headers.get("connection")) == (413, "close")
+        assert json.loads(body)["error"] == "ContentTooLarge"
+        assert _closed(sock, reader)
+    assert counting.bodies == []
+
+
 @pytest.mark.parametrize("request_bytes, status", [
     (b"GET /health HTTP/1.1\r\nHost: peer\r\n\r\n", 200),
     (b"GET /no/such/path HTTP/1.1\r\nHost: peer\r\n\r\n", 404),
@@ -470,6 +485,66 @@ def test_an_idle_service_never_wakes_and_stops_at_once(monkeypatch):
     assert not handle._thread.is_alive()
 
 
+class _Threads(JsonHttpService):
+    """GET /thread answers and records the thread that served it: the
+    Thread itself, as the OS reuses the ident of a thread that ended."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen: list[threading.Thread] = []
+        self.router.add("GET", "/thread", self._thread)
+
+    def _thread(self, request):
+        self.seen.append(threading.current_thread())
+        return HttpResponse(200)
+
+
+def test_connections_one_after_another_reuse_the_server_threads():
+    threads = _Threads()
+    handle = run_service(threads, 0)
+    try:
+        for _ in range(50):
+            status, _ = request_json("GET", handle.url + "/thread", headers={"Connection": "close"})
+            assert status == 200
+            # paced as a client that asks now and then: a connection that
+            # arrives while the last one's thread is still closing it gets another
+            time.sleep(0.01)
+        assert len(set(threads.seen)) <= 2
+    finally:
+        handle.stop()
+
+
+def test_a_server_thread_idle_for_the_keep_alive_timeout_ends(monkeypatch):
+    monkeypatch.setattr(httpkit, "KEEP_ALIVE_SECONDS", 0.2)
+    threads = _Threads()
+    handle = run_service(threads, 0)
+    try:
+        assert request_json("GET", handle.url + "/thread")[0] == 200  # kept alive, then closed idle
+        (served,) = threads.seen
+        assert _wait(lambda: not served.is_alive())
+        assert handle._pool._threads == set()
+        assert request_json("GET", handle.url + "/thread")[0] == 200  # a new thread starts
+    finally:
+        handle.stop()
+
+
+def test_stop_leaves_no_server_thread_behind():
+    threads = _Threads()
+    handle = run_service(threads, 0)
+    held = [socket.create_connection(("127.0.0.1", handle.port), timeout=5) for _ in range(3)]
+    try:
+        for sock in held:  # each kept-alive connection holds a server thread
+            sock.sendall(b"GET /thread HTTP/1.1\r\nHost: peer\r\n\r\n")
+            with sock.makefile("rb") as reader:
+                assert _read_reply(reader)[0] == 200
+        assert len(set(threads.seen)) == 3
+    finally:
+        handle.stop()
+        for sock in held:
+            sock.close()
+    assert [thread for thread in threads.seen if thread.is_alive()] == []
+
+
 # --- deliver -----------------------------------------------------------------------
 
 
@@ -589,6 +664,58 @@ def test_a_failing_task_does_not_stop_its_key():
         workers.close()
 
 
+def test_a_pool_whose_threads_all_ended_idle_still_runs_its_tasks(monkeypatch):
+    monkeypatch.setattr(httpkit, "KEEP_ALIVE_SECONDS", 0.1)
+    workers = KeyedWorkers(2)
+    try:
+        for _ in range(2):
+            both = threading.Barrier(2, timeout=5)  # passes only with both threads running
+            done = []
+            for key in ("a", "b"):
+                workers.submit(key, lambda key=key: (both.wait(), done.append(key)))
+            assert _wait(lambda: len(done) == 2)
+            assert _wait(lambda: workers._threads == set())  # ended, and no longer counted
+    finally:
+        workers.close()
+
+
+def test_after_a_burst_a_pool_under_a_trickle_shrinks_to_one_thread(monkeypatch):
+    monkeypatch.setattr(httpkit, "KEEP_ALIVE_SECONDS", 0.3)
+    workers = KeyedWorkers(4)
+    try:
+        four = threading.Barrier(4, timeout=5)
+        for key in range(4):
+            workers.submit(key, four.wait)
+        assert _wait(lambda: len(workers._idle) == 4)
+        done = []
+        for index in range(20):  # each idle thread would get a task every 0.2 s in turn
+            workers.submit(index, done.append, index)
+            time.sleep(0.05)
+        assert _wait(lambda: sorted(done) == list(range(20)))
+        assert len(workers._threads) == 1  # the latest idle thread takes each task
+    finally:
+        workers.close()
+
+
+def test_no_task_is_lost_or_reordered_while_threads_end_idle(monkeypatch):
+    monkeypatch.setattr(httpkit, "KEEP_ALIVE_SECONDS", 0.001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    workers = KeyedWorkers(4)
+    seen: dict[int, list[int]] = {key: [] for key in range(8)}
+    try:
+        for index in range(200):
+            for key in seen:
+                workers.submit(key, seen[key].append, index)
+            if index % 10 == 0:
+                time.sleep(0.003)  # the threads end idle between bursts
+        assert _wait(lambda: all(len(indices) == 200 for indices in seen.values()))
+        assert all(indices == list(range(200)) for indices in seen.values())
+    finally:
+        sys.setswitchinterval(interval)
+        workers.close()
+
+
 def test_close_returns_promptly_with_a_backlog_queued():
     workers = KeyedWorkers()
     ran = []
@@ -607,12 +734,11 @@ def test_close_returns_promptly_with_a_backlog_queued():
 
 # --- one worker model ----------------------------------------------------------------
 
-# (module, enclosing function, constructor): the pool's and the HTTP server's
-# threads
+# (module, enclosing function, constructor): the pool's threads, which also
+# serve the HTTP server's connections, and the server's accept thread
 ALLOWED_CONSTRUCTIONS = {
     ("httpkit.py", "submit", "Thread"),
     ("httpkit.py", "__init__", "Thread"),
-    ("httpkit.py", "_accept", "Thread"),
 }
 
 

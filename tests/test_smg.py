@@ -361,12 +361,13 @@ def test_gateway_config_rejects_malformed_documents(doc):
 # --- end-to-end pipelines --------------------------------------------------------------
 
 
-def _boot_gateway(cse_url, broker_url, mode="push", processes=None, rescan_millis=60000):
+def _boot_gateway(cse_url, broker_url, mode="push", processes=None, rescan_millis=60000,
+                  knowledge_url=None):
     port = find_free_port()
     config = GatewayConfig(
         cse_url=cse_url,
         broker_url=broker_url,
-        knowledge_url=None,
+        knowledge_url=knowledge_url,
         mode=mode,
         gateway_url=f"http://127.0.0.1:{port}",
         processes=[
@@ -474,6 +475,21 @@ def test_thread_count_stays_flat_as_the_gateway_adopts_a_fleet(cse_server, broke
         assert _poll(lambda: threading.active_count() - before <= 2 * WORKER_THREADS)
     finally:
         handle.stop()
+
+
+def test_stats_count_knowledge_answers_given_without_the_server(cse_server, broker_server):
+    _seed_container(cse_server.url, _descriptor(unit="celsius"))
+    _, plain = _boot_gateway(cse_server.url, broker_server.url)
+    gateway, handle = _boot_gateway(cse_server.url, broker_server.url,
+                                    knowledge_url=f"http://127.0.0.1:{find_free_port()}")
+    try:
+        assert get_json(plain.url + "/stats")[1]["knowledgeDegraded"] == 0  # no knowledge URL
+        assert get_json(handle.url + "/stats")[1]["knowledgeDegraded"] == 0
+        assert gateway.scan_once() == 1  # its entity type is checked, and the check degrades
+        assert get_json(handle.url + "/stats")[1]["knowledgeDegraded"] == 1
+    finally:
+        handle.stop()
+        plain.stop()
 
 
 def test_push_pipeline_drops_bad_items(cse_server, broker_server):
