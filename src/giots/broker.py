@@ -37,6 +37,7 @@ from .ngsi import (
     parse_attribute_names,
     parse_entities,
     parse_patterns,
+    wire_reply,
 )
 
 log = logging.getLogger(__name__)
@@ -423,7 +424,7 @@ class BrokerService(JsonHttpService):
             raise bad_request(str(exc)) from exc
         allow_pull = request.header(HOP_HEADER) is None
         entities = self.broker.query(patterns, attributes, restriction, allow_pull)
-        return HttpResponse(200, {"entities": [e.to_json() for e in entities]})
+        return HttpResponse(200, raw=wire_reply(entities))
 
     def _subscribe(self, request: HttpRequest) -> HttpResponse:
         self._count("subscribeContext")

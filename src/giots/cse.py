@@ -34,7 +34,7 @@ from .httpkit import (
     valid_url,
 )
 from .rdf import Graph, NTriplesError, Term, Variable, parse_ntriples, serialize_ntriples
-from .sparql import SparqlSyntaxError, evaluate, parse_sparql
+from .sparql import PARSE_CACHE_SIZE, Query, SparqlSyntaxError, evaluate, parse_sparql
 
 log = logging.getLogger(__name__)
 
@@ -101,6 +101,10 @@ class Resource:
     attrs: dict[str, Any] = field(default_factory=dict)  # the type's attributes, in wire form
     graph: Graph | None = None  # a descriptor's dsp, parsed
     children: dict[str, Resource] = field(default_factory=dict, repr=False, compare=False)
+    # the descriptor and subscriptions among the children, so no lookup walks them
+    descriptor: Resource | None = field(default=None, repr=False, compare=False)
+    subscriptions: dict[str, Resource] = field(default_factory=dict, repr=False, compare=False)
+    verdicts: dict[str, bool] = field(default_factory=dict, repr=False, compare=False)  # smf -> pass
 
     def to_json(self) -> dict:
         return {
@@ -167,6 +171,10 @@ class ResourceTree:
         self._post_terms(resource, True)
         if parent:
             parent.children[rn] = resource
+            if ty == "SemanticDescriptor":
+                parent.descriptor = resource
+            elif ty == "Subscription":
+                parent.subscriptions[resource.ri] = resource
         return resource
 
     def _post_terms(self, descriptor: Resource, add: bool) -> None:
@@ -236,7 +244,7 @@ class ResourceTree:
                 raise bad_request(f"'rn' must match {_NAME_PATTERN}")
             if rn in parent.children:
                 raise conflict(f"'{rn}' already exists under {parent_path}")
-            if ty == "SemanticDescriptor" and self._children_of_type(parent, ty):
+            if ty == "SemanticDescriptor" and parent.descriptor is not None:
                 raise bad_request(f"{parent_path} already has a semantic descriptor")
             lbl = _check_labels(body.get("lbl"))
             attrs, graph = self._attributes(ty, body)
@@ -256,7 +264,7 @@ class ResourceTree:
             if set(body) - {"lbl"}:
                 attrs, graph = self._attributes(resource.ty, body)
                 self._post_terms(resource, False)
-                resource.graph = graph
+                resource.graph, resource.verdicts = graph, {}
                 self._post_terms(resource, True)
                 resource.attrs = {**resource.attrs, **attrs}
             resource.lbl, resource.lt = lbl, self._stamp()
@@ -274,7 +282,11 @@ class ResourceTree:
                 del self._by_path[gone.path]
                 del self._by_type[gone.ty][gone.ri]
                 self._post_terms(gone, False)
-            del self._by_ri[resource.pi].children[resource.rn]
+            parent = self._by_ri[resource.pi]
+            del parent.children[resource.rn]
+            parent.subscriptions.pop(resource.ri, None)
+            if parent.descriptor is resource:
+                parent.descriptor = None
             return removed
 
     def descendants(self, root: Resource) -> list[Resource]:
@@ -311,18 +323,27 @@ class ResourceTree:
                 if (ty is None or resource.ty == ty) and resource.path.startswith(prefix)
             ]
 
-    @staticmethod
-    def _children_of_type(resource: Resource, ty: str) -> list[Resource]:
-        return [child for child in resource.children.values() if child.ty == ty]
-
-    def descriptor_graph(self, resource: Resource) -> Graph | None:
+    def satisfies(self, resource: Resource, text: str, query: Query) -> bool:
+        """Does the resource's descriptor satisfy ``query``, parsed from
+        ``text``? A descriptor keeps its verdict per text, at most
+        PARSE_CACHE_SIZE of them, until its graph changes; one it has not
+        given yet is evaluated outside the lock."""
         with self._lock:
-            descriptors = self._children_of_type(resource, "SemanticDescriptor")
-            return descriptors[0].graph if descriptors else None
+            if resource.descriptor is None:
+                return False
+            graph, verdicts = resource.descriptor.graph, resource.descriptor.verdicts
+            verdict = verdicts.get(text)
+        if verdict is None:
+            verdict = bool(evaluate(query, graph))
+            with self._lock:  # a PUT since gave the descriptor a new dict; this one is dropped
+                if len(verdicts) >= PARSE_CACHE_SIZE:
+                    del verdicts[next(iter(verdicts))]
+                verdicts[text] = verdict
+        return verdict
 
     def subscriptions_on(self, resource: Resource) -> list[Resource]:
         with self._lock:
-            return self._children_of_type(resource, "Subscription")
+            return list(resource.subscriptions.values())
 
 
 def discover(
@@ -338,7 +359,7 @@ def discover(
     ``ct``'s format) keeps candidates whose ``lt`` is at or after it; the
     semantic filter succeeds on candidates whose descriptor child satisfies
     the query, and is evaluated only where that descriptor holds every
-    ground term of the query's patterns."""
+    ground term of the query's patterns and has not answered it yet."""
     root = tree.lookup(root_path)
     query = terms = None
     if semantic_filter is not None:
@@ -351,10 +372,8 @@ def discover(
             continue
         if modified_since is not None and candidate.lt < modified_since:
             continue
-        if query is not None:
-            graph = tree.descriptor_graph(candidate)
-            if graph is None or not evaluate(query, graph):
-                continue
+        if query is not None and not tree.satisfies(candidate, semantic_filter, query):
+            continue
         hits.append(candidate.path)
     return sorted(hits)
 

@@ -8,8 +8,11 @@ Parsing functions raise ValueError; HTTP services translate those into
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 Scalar = str | int | float | bool
@@ -23,15 +26,22 @@ def _require_scalar(value: Any, where: str) -> Scalar:
     raise ValueError(f"{where} must be a JSON scalar, got {type(value).__name__}")
 
 
+def _finite(value: Any) -> float | None:
+    """A JSON number (not a bool) as a finite float; None for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:  # an int past the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _location_pair(value: Any, where: str) -> list[float]:
-    ok = (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    )
-    if not ok:
-        raise ValueError(f"{where} must be a [lon, lat] pair of numbers")
-    return [float(value[0]), float(value[1])]
+    pair = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
+    if len(pair) != 2 or None in pair:
+        raise ValueError(f"{where} must be a [lon, lat] pair of finite numbers")
+    return pair
 
 
 @dataclass(frozen=True)
@@ -103,6 +113,10 @@ class ContextAttribute:
 
 @dataclass(frozen=True)
 class ContextEntity:
+    """Immutable, so its wire form and locations are each computed at most
+    once, on first read: a write makes a new entity, and paths that only
+    write never compute them."""
+
     id: str
     type: str
     attributes: tuple[ContextAttribute, ...] = ()
@@ -148,18 +162,22 @@ class ContextEntity:
         )
 
     def project(self, names: list[str] | None) -> "ContextEntity":
+        """The entity with only the named attributes; itself if it keeps all."""
         if names is None:
             return self
         keep = tuple(a for a in self.attributes if a.name in names)
-        return ContextEntity(self.id, self.type, keep)
+        return self if len(keep) == len(self.attributes) else ContextEntity(self.id, self.type, keep)
 
+    @cached_property
     def locations(self) -> list[list[float]]:
-        found = []
-        for attr in sorted(self.attributes, key=lambda a: a.name):
-            value = attr.metadata_value(LOCATION_METADATA)
-            if value is not None:
-                found.append(value)
-        return found
+        """The [lon, lat] of every attribute's location metadata."""
+        found = (a.metadata_value(LOCATION_METADATA) for a in self.attributes)
+        return [value for value in found if value is not None]
+
+    @cached_property
+    def wire(self) -> bytes:
+        """``to_json()`` as canonical JSON: sorted keys, json.dumps' separators."""
+        return json.dumps(self.to_json(), sort_keys=True).encode("utf-8")
 
     def to_json(self) -> dict:
         return {
@@ -281,17 +299,10 @@ class BoundingBox:
         value = obj.get("value")
         if not isinstance(value, dict):
             raise ValueError("bbox restriction needs a 'value' object")
-        try:
-            box = BoundingBox(
-                float(value["minLon"]),
-                float(value["minLat"]),
-                float(value["maxLon"]),
-                float(value["maxLat"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                "bbox value needs numeric minLon, minLat, maxLon, maxLat"
-            ) from exc
+        corners = [_finite(value.get(k)) for k in ("minLon", "minLat", "maxLon", "maxLat")]
+        if None in corners:
+            raise ValueError("bbox value needs finite numbers minLon, minLat, maxLon, maxLat")
+        box = BoundingBox(*corners)
         if box.min_lon > box.max_lon or box.min_lat > box.max_lat:
             raise ValueError("bbox min corner must not exceed max corner")
         return box
@@ -301,7 +312,13 @@ class BoundingBox:
 
     def admits(self, entity: ContextEntity) -> bool:
         """True iff any attribute carries a location inside the box."""
-        return any(self.contains(lon, lat) for lon, lat in entity.locations())
+        return any(self.contains(lon, lat) for lon, lat in entity.locations)
+
+
+def wire_reply(entities: list[ContextEntity]) -> bytes:
+    """A queryContext reply from the entities' wire forms, byte for byte
+    ``json.dumps({"entities": [...]}, sort_keys=True)``."""
+    return b'{"entities": [' + b", ".join(e.wire for e in entities) + b"]}"
 
 
 def parse_entities(raw: Any, where: str) -> list[ContextEntity]:

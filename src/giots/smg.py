@@ -29,7 +29,7 @@ from .httpkit import (
     bad_request,
 )
 from .knowledge import KnowledgeClient
-from .ngsi import ContextAttribute, ContextEntity, ContextMetadata
+from .ngsi import ContextAttribute, ContextEntity, ContextMetadata, wire_reply
 from .rdf import IRI, MED_NS, Graph, Literal, parse_ntriples, term_text
 from .sparql import Query, evaluate, parse_sparql
 
@@ -757,8 +757,7 @@ class SmgService(JsonHttpService):
         return HttpResponse(200, {"status": "accepted"})
 
     def _query(self, request: HttpRequest) -> HttpResponse:
-        entities = self.gateway.answer_query(request.json())
-        return HttpResponse(200, {"entities": [e.to_json() for e in entities]})
+        return HttpResponse(200, raw=wire_reply(self.gateway.answer_query(request.json())))
 
     def _instances(self, request: HttpRequest) -> HttpResponse:
         return HttpResponse(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 from decimal import Decimal, InvalidOperation
@@ -37,6 +38,8 @@ XSD_DECIMAL = XSD_NS + "decimal"
 XSD_BOOLEAN = XSD_NS + "boolean"
 
 _KEYWORDS = {"SELECT", "ASK", "WHERE", "FILTER", "PREFIX", "DISTINCT"}
+
+PARSE_CACHE_SIZE = 256  # query texts whose parse is kept, most recently used
 
 
 class SparqlSyntaxError(ValueError):
@@ -406,11 +409,14 @@ def _numeric_literal(text: str) -> Literal:
     return Literal(text, datatype=datatype)
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_sparql(text: str) -> Query:
     """Parse query text into a :class:`Query`, expanding PREFIX names.
 
     Raises :class:`SparqlSyntaxError` with a character offset on malformed
     input; this is the same error object the validation service reports.
+    A parse is cached by text (a ``Query`` is frozen, so callers share it);
+    an error is not, so malformed text is refused on every call.
     """
     return _Parser(text).parse()
 

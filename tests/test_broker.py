@@ -11,10 +11,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from giots.broker import BrokerClient, BrokerService, ContextBroker
-from giots.httpkit import find_free_port, get_json, post_json, run_service
+from giots.broker import BrokerClient, BrokerService, ContextBroker, parse_request
+from giots.httpkit import HttpRequest, find_free_port, get_json, post_json, run_service
 from giots.knowledge import KnowledgeClient, KnowledgeService
-from giots.ngsi import ContextEntity, EntityPattern
+from giots.ngsi import BoundingBox, ContextEntity, EntityPattern
 
 from conftest import UNPARSABLE_URLS, boot
 
@@ -666,3 +666,132 @@ def test_a_federated_query_tests_pulled_entities_against_its_expansion_not_pairw
         assert found == expected
     finally:
         stub.close()
+
+
+# --- the stored wire form --------------------------------------------------------------------
+
+_BBOX = {"scopeType": "bbox", "value": {"minLon": 8, "minLat": 53, "maxLon": 9, "maxLat": 54}}
+
+
+def _canonical_reply(broker: ContextBroker, body: dict) -> bytes:
+    """The queryContext reply as it was serialized before entities kept
+    their wire form: json.dumps of their to_json(), keys sorted."""
+    patterns, attributes = parse_request(body, "queryContext")
+    restriction = BoundingBox.from_json(body["restriction"]) if "restriction" in body else None
+    entities = broker.query(patterns, attributes, restriction)
+    return json.dumps({"entities": [e.to_json() for e in entities]}, sort_keys=True).encode()
+
+
+def _raw_query(url: str, body: dict) -> bytes:
+    request = urllib.request.Request(
+        url + "/ngsi10/queryContext", data=json.dumps(body).encode(),
+        headers={"Content-Type": "application/json"},
+    )
+    with urllib.request.urlopen(request) as response:
+        return response.read()
+
+
+def test_query_replies_are_byte_identical_to_the_sorted_json_of_the_entities(broker_server):
+    provider = boot(BrokerService())
+    try:
+        loc = [{"name": "location", "type": "geo:point", "value": [8.5, 53.5]},
+               {"name": "unit", "type": "string", "value": "°C"}]
+        BrokerClient(provider.url).update("APPEND", [_entity("remote1", 19, metadata=loc)])
+        front = BrokerClient(broker_server.url)
+        front.update("APPEND", [_entity("room1", metadata=loc), _entity("room2", "warm")])
+        front.update("APPEND", [_entity("room1", 40, name="humidity")])
+        front.register([{"id": "remote1"}], [], provider.url)
+        cases = {
+            "unprojected": ({"entities": [{"idPattern": "room.*"}]}, ["room1", "room2"]),
+            "projected": ({"entities": [{"idPattern": "room.*"}], "attributes": ["humidity"]},
+                          ["room1"]),
+            "bbox": ({"entities": [{"idPattern": ".*"}], "restriction": _BBOX}, ["room1"]),
+            "federated": ({"entities": [{"id": "remote1"}]}, ["remote1"]),
+            "empty": ({"entities": [{"id": "nobody"}]}, []),
+        }
+        for name, (body, ids) in cases.items():
+            raw = _raw_query(broker_server.url, body)
+            assert raw == _canonical_reply(broker_server.service.broker, body), name
+            assert [e["id"] for e in json.loads(raw)["entities"]] == ids, name
+    finally:
+        provider.stop()
+
+
+def test_the_query_and_the_notification_after_a_write_carry_its_value(broker_server, capture_server):
+    client = BrokerClient(broker_server.url)
+    client.subscribe([{"id": "room1"}], None, capture_server.url + "/notify")
+    writes = [("APPEND", 20), ("UPDATE", 21), ("APPEND", 22), ("UPDATE", 23)]
+    for count, (action, value) in enumerate(writes, start=1):
+        assert client.update(action, [_entity("room1", value)])[0]["status"] == "ok"
+        (entity,) = client.query([{"id": "room1"}])  # the stored wire form of this write
+        assert entity["attributes"][0]["value"] == value
+        assert capture_server.wait_for(count)
+        (notified,) = capture_server.delivered()[-1]["entities"]
+        assert notified["attributes"][0]["value"] == value
+
+
+_WIRE_WRITES = st.lists(st.tuples(
+    st.sampled_from(["APPEND", "UPDATE"]),
+    st.sampled_from(["a", "b"]),
+    st.sampled_from(["", "T"]),
+    st.dictionaries(st.sampled_from(["x", "y"]), st.tuples(
+        st.one_of(st.integers(-10**20, 10**20), st.floats(allow_nan=False, allow_infinity=False),
+                  st.booleans(), st.text(max_size=4)),
+        st.lists(st.sampled_from([
+            {"name": "location", "type": "geo:point", "value": [8.5, 53.5]},
+            {"name": "location", "type": "geo:point", "value": [20, -3.25]},
+            {"name": "unit", "type": "string", "value": "kelvin"},
+            {"name": "note", "type": "string", "value": "ü\"\\"},
+        ]), max_size=2, unique_by=lambda m: m["name"]),
+    )),
+), min_size=1, max_size=10)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_WIRE_WRITES, st.sampled_from([None, ["x"], ["y", "z"]]), st.booleans())
+def test_every_stored_wire_form_reads_back_as_its_entity(writes, projection, boxed):
+    """Over APPENDs and UPDATEs, each stored entity's wire bytes load as its
+    to_json(), and a query's reply equals dumping what the query returns."""
+    service = BrokerService()
+    broker = service.broker
+    try:
+        for action, entity_id, entity_type, attrs in writes:
+            raw = {"id": entity_id, "type": entity_type, "attributes": [
+                {"name": name, "value": value, "metadata": metadata}
+                for name, (value, metadata) in attrs.items()]}
+            broker.update(action, [ContextEntity.from_json(raw)])
+            for stored in broker._entities.values():
+                assert json.loads(stored.wire) == stored.to_json()
+        body = {"entities": [{"idPattern": ".*"}]}
+        if projection is not None:
+            body["attributes"] = projection
+        if boxed:
+            body["restriction"] = _BBOX
+        response = service.handle(HttpRequest("POST", "/ngsi10/queryContext", {}, {},
+                                              json.dumps(body).encode()))
+        assert response.status == 200
+        assert response.raw == _canonical_reply(broker, body)
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("corner", ["8.5", True, None, "nan", "-inf", "inf", [8], 10**400],
+                         ids=["string", "true", "null", "nan", "minus-inf", "inf", "list",
+                              "past-the-float-range"])
+def test_a_bbox_corner_that_is_not_a_finite_number_is_a_400(broker_server, corner):
+    BrokerClient(broker_server.url).update("APPEND", [_entity("room1")])
+    value = {**_BBOX["value"], "minLon": corner}
+    status, payload = post_json(
+        broker_server.url + "/ngsi10/queryContext",
+        {"entities": [{"idPattern": ".*"}], "restriction": {"scopeType": "bbox", "value": value}},
+    )
+    assert status == 400
+    assert "finite numbers" in payload["message"]
+
+
+def test_a_location_past_the_float_range_is_a_400_not_a_server_error(broker_server):
+    location = {"name": "location", "type": "geo:point", "value": [10**400, 53]}
+    status, payload = post_json(broker_server.url + "/ngsi10/updateContext",
+                                {"action": "APPEND", "entities": [_entity("room1", metadata=[location])]})
+    assert status == 400
+    assert "finite numbers" in payload["message"]

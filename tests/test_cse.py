@@ -3,6 +3,7 @@
 import json
 import random
 import socket
+import sys
 import threading
 import time
 import urllib.parse
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from giots import cse
-from giots.cse import CSE_BASE_NAME, CseClient, ResourceTree, TYPE_CODES, discover
+from giots.cse import CSE_BASE_NAME, CseClient, Resource, ResourceTree, TYPE_CODES, discover
 from giots.httpkit import ApiError, get_json, request_json
-from giots.sparql import evaluate, parse_sparql
+from giots.sparql import PARSE_CACHE_SIZE, evaluate, parse_sparql
 
 from conftest import UNPARSABLE_URLS
 
@@ -414,6 +415,132 @@ def test_a_selective_semantic_filter_is_evaluated_only_where_its_terms_are(monke
     absent = 'ASK { ?m <%sunitOfMeasure> "kelvin" }' % MED
     assert discover(tree, "/cse", "Container", semantic_filter=absent) == []
     assert len(evaluated) == 10
+
+
+ASK_CELSIUS_BY_FILTER = 'ASK { ?m <%sunitOfMeasure> ?u FILTER(?u = "celsius") }' % MED
+
+
+def _described_container(tree: ResourceTree, dsp: str = CELSIUS_DESCRIPTOR) -> Resource:
+    tree.create("/cse", "AE", {"rn": "app"})
+    container = tree.create("/cse/app", "Container", {"rn": "room"})
+    tree.create(container.path, "SemanticDescriptor", {"rn": "d", "dsp": dsp})
+    return container
+
+
+def test_a_descriptor_put_or_recreation_changes_the_next_discovery(monkeypatch):
+    """Both descriptors hold every ground term of the filter, so only the
+    verdict tells them apart; it lasts until the descriptor's graph changes."""
+    tree = ResourceTree()
+    container = _described_container(tree)
+    evaluated = []
+    monkeypatch.setattr(cse, "evaluate", lambda query, graph: evaluated.append(graph)
+                        or evaluate(query, graph))
+
+    def found():
+        return discover(tree, "/cse", "Container", semantic_filter=ASK_CELSIUS_BY_FILTER)
+
+    assert found() == [container.path]
+    assert found() == [container.path] and len(evaluated) == 1  # the verdict is kept
+    tree.update("/cse/app/room/d", {"lbl": ["relabelled"]})
+    assert found() == [container.path] and len(evaluated) == 1  # the graph did not change
+    tree.update("/cse/app/room/d", {"dsp": FAHRENHEIT_DESCRIPTOR})
+    assert found() == []
+    tree.update("/cse/app/room/d", {"dsp": CELSIUS_DESCRIPTOR})
+    assert found() == [container.path]
+    tree.delete("/cse/app/room/d")
+    assert found() == []
+    tree.create(container.path, "SemanticDescriptor", {"rn": "d", "dsp": FAHRENHEIT_DESCRIPTOR})
+    assert found() == []
+    tree.delete("/cse/app/room/d")
+    tree.create(container.path, "SemanticDescriptor", {"rn": "d", "dsp": CELSIUS_DESCRIPTOR})
+    assert found() == [container.path]
+    assert len(evaluated) == 5  # once per graph
+
+
+def test_a_descriptor_keeps_no_more_verdicts_than_the_parse_cache_holds():
+    tree = ResourceTree()
+    container = _described_container(tree)
+    # no ground term in a pattern, so every text reaches the descriptor
+    texts = [f'ASK {{ ?s ?p ?o FILTER(?o != "v{i}") }}' for i in range(PARSE_CACHE_SIZE + 20)]
+    for text in texts:
+        assert discover(tree, "/cse", "Container", semantic_filter=text) == [container.path]
+    verdicts = tree.lookup("/cse/app/room/d").verdicts
+    assert len(verdicts) == PARSE_CACHE_SIZE
+    assert texts[-1] in verdicts and texts[0] not in verdicts  # the oldest went first
+
+
+def test_a_verdict_given_while_the_descriptor_changes_is_not_kept_for_its_new_graph():
+    """Discoveries race dsp PUTs that flip the answer; once the PUTs stop,
+    discovery answers for the graph the descriptor holds."""
+    tree = ResourceTree()
+    container = _described_container(tree)
+    done = threading.Event()
+    errors = []
+
+    def discover_until_done():
+        try:
+            while not done.is_set():
+                discover(tree, "/cse", "Container", semantic_filter=ASK_CELSIUS_BY_FILTER)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=discover_until_done) for _ in range(6)]
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(300):
+            dsp = CELSIUS_DESCRIPTOR if i % 2 else FAHRENHEIT_DESCRIPTOR
+            tree.update("/cse/app/room/d", {"dsp": dsp})
+            expected = [container.path] if i % 2 else []
+            time.sleep(0)
+            assert discover(tree, "/cse", "Container",
+                            semantic_filter=ASK_CELSIUS_BY_FILTER) == expected
+    finally:
+        done.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def test_an_invalid_semantic_filter_is_refused_on_every_request(cse_server):
+    url = cse_server.url + "/cse?fu=1&smf=" + urllib.parse.quote("ASK { ?s <urn:p>")
+    for _ in range(3):
+        status, payload = get_json(url)
+        assert status == 400
+        assert "invalid semantic filter" in payload["message"]
+
+
+class _UnwalkableChildren(dict):
+    """A resource's children that fail the test when anything walks them."""
+
+    def _walked(self, *args):
+        raise AssertionError("a lookup walked every child")
+
+    __iter__ = keys = values = items = _walked
+
+
+def test_descriptor_and_subscription_lookups_do_not_walk_the_content_instances():
+    tree = ResourceTree()
+    container = _described_container(tree)
+    sub = tree.create(container.path, "Subscription", {"rn": "s", "nu": "http://127.0.0.1:9/n"})
+    for i in range(1000):
+        tree.create(container.path, "ContentInstance", {"rn": f"i{i}", "con": i})
+    container.children = _UnwalkableChildren(container.children)
+    tree.create(container.path, "ContentInstance", {"rn": "last", "con": 0})
+    assert tree.subscriptions_on(container) == [sub]
+    assert discover(tree, "/cse", "Container", semantic_filter=ASK_CELSIUS) == [container.path]
+    with pytest.raises(ApiError):  # one descriptor per resource
+        tree.create(container.path, "SemanticDescriptor", {"rn": "d2", "dsp": CELSIUS_DESCRIPTOR})
+    tree.delete(sub.path)
+    tree.delete(container.path + "/d")
+    assert tree.subscriptions_on(container) == []
+    assert discover(tree, "/cse", "Container", semantic_filter=ASK_CELSIUS_BY_FILTER) == []
+    tree.create(container.path, "SemanticDescriptor", {"rn": "d", "dsp": CELSIUS_DESCRIPTOR})
+    assert discover(tree, "/cse", "Container", semantic_filter=ASK_CELSIUS) == [container.path]
 
 
 _SUBJECTS = ["<urn:s1>", "<urn:s2>"]

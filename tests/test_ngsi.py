@@ -1,5 +1,7 @@
 """Context entity model, entity patterns and bounding boxes."""
 
+import json
+
 import pytest
 
 from giots.ngsi import (
@@ -10,6 +12,7 @@ from giots.ngsi import (
     EntityPattern,
     parse_attribute_names,
     parse_patterns,
+    wire_reply,
 )
 
 ONT = "http://wise-iot.example/onto#"
@@ -85,7 +88,8 @@ def test_location_metadata_must_be_lon_lat_pair():
         {"name": "location", "type": "geo:point", "value": [8, 53]}, "t"
     )
     assert good.value == [8.0, 53.0]
-    for bad in ([8], [8, 53, 1], ["8", "53"], "8,53", [True, False]):
+    for bad in ([8], [8, 53, 1], ["8", "53"], "8,53", [True, False], [10**400, 53],
+                [float("nan"), 53], [8, float("inf")]):
         with pytest.raises(ValueError):
             ContextMetadata.from_json({"name": "location", "type": "geo:point", "value": bad}, "t")
 
@@ -105,6 +109,7 @@ def test_project_keeps_named_attributes_only():
     assert [a.name for a in entity.project(["b", "zzz"]).attributes] == ["b"]
     assert entity.project(None) is entity
     assert entity.project(["zzz"]).attributes == ()
+    assert entity.project(["b", "a"]) is entity  # keeps every attribute: no copy
 
 
 def test_attribute_lookup_and_metadata_value():
@@ -198,6 +203,17 @@ def test_bbox_parsing_and_validation():
         )
     with pytest.raises(ValueError):
         BoundingBox.from_json({"scopeType": "bbox", "value": {"minLon": 8}})
+    # a corner must be a finite JSON number: not a string, a bool, NaN or infinite
+    for bad in ("8.5", True, None, [8], "nan", "-inf", "inf", float("nan"), float("-inf"),
+                10**400):
+        with pytest.raises(ValueError):
+            BoundingBox.from_json(
+                {"scopeType": "bbox", "value": {"minLon": bad, "minLat": 53, "maxLon": 9, "maxLat": 54}}
+            )
+        with pytest.raises(ValueError):
+            BoundingBox.from_json(
+                {"scopeType": "bbox", "value": {"minLon": 8, "minLat": 53, "maxLon": 9, "maxLat": bad}}
+            )
 
 
 def test_bbox_edges_are_inclusive():
@@ -231,3 +247,30 @@ def test_bbox_admits_entities_by_attribute_location():
     assert box.admits(inside)
     assert not box.admits(outside)
     assert not box.admits(bare)
+
+
+# --- the stored wire form -------------------------------------------------------------
+
+
+def _located(entity_id, lon, lat, extra=()):
+    location = ContextMetadata("location", "geo:point", [lon, lat])
+    unit = ContextMetadata("unit", "string", "°C")
+    attrs = (ContextAttribute("zeta", 1.5, (unit, location)), ContextAttribute("alpha", "ü"), *extra)
+    return ContextEntity(entity_id, "T", attrs)
+
+
+def test_the_wire_form_is_the_sorted_json_of_to_json_computed_once():
+    entity = _located("e1", 8.5, 53.5)
+    assert entity.wire == json.dumps(entity.to_json(), sort_keys=True).encode("utf-8")
+    assert entity.wire is entity.wire
+    assert entity.locations == [[8.5, 53.5]]
+    assert entity.locations is entity.locations
+    assert _located("e1", 8.5, 53.5) == entity  # the cached forms take no part in equality
+
+
+def test_a_query_reply_is_byte_identical_to_dumping_the_entities():
+    entities = [_located("e1", 8.5, 53.5), ContextEntity("e2", ""),
+                _located("e3", 1, 2, (ContextAttribute("beta", True),))]
+    for chosen in ([], entities[:1], entities):
+        expected = json.dumps({"entities": [e.to_json() for e in chosen]}, sort_keys=True)
+        assert wire_reply(chosen) == expected.encode("utf-8")

@@ -1,6 +1,7 @@
 """Mediation gateway: conversion routines, process selection, descriptor
 target resolution, and the end-to-end push and pull pipelines."""
 
+import json
 import logging
 import math
 import threading
@@ -15,6 +16,7 @@ from giots.broker import BrokerClient, BrokerService, ContextBroker
 from giots.cse import CseClient
 from giots.httpkit import (
     WORKER_THREADS,
+    HttpRequest,
     TransportError,
     find_free_port,
     get_json,
@@ -896,3 +898,35 @@ def test_the_pull_cache_merges_and_answers_as_the_broker_does(updates, patterns,
         restriction=None, allow_pull=False,
     )
     assert gateway.answer_query(body) == expected
+
+
+def test_the_pull_gateway_replies_with_the_sorted_json_of_its_entities():
+    """The provider endpoint's bytes are json.dumps of what answer_query
+    returns, keys sorted, for every pattern, projection and empty answer."""
+    gateway = MediationGateway(GatewayConfig(
+        cse_url="http://127.0.0.1:9", broker_url="http://127.0.0.1:9", knowledge_url=None,
+        mode="pull", gateway_url="http://127.0.0.1:9",
+        processes=[TransformationProcess.from_json(IDENTITY_PROCESS)],
+    ))
+    service = SmgService(gateway)
+    location = {"name": "location", "type": "geo:point", "value": [8.5, 53.5]}
+    try:
+        for entity_id, name, value in (("a", "x", 1.5), ("b", "y", "ü"), ("a", "y", True)):
+            gateway.publish(ContextEntity.from_json({"id": entity_id, "type": "T", "attributes": [
+                {"name": name, "value": value, "metadata": [location]}]}))
+        bodies = [
+            {"entities": [{"idPattern": ".*"}]},
+            {"entities": [{"id": "a"}], "attributes": ["y"]},
+            {"entities": [{"id": "a"}], "attributes": ["x", "y"]},
+            {"entities": [{"id": "nobody"}]},
+        ]
+        for body in bodies:
+            response = service.handle(HttpRequest(
+                "POST", "/ngsi10/queryContext", {}, {}, json.dumps(body).encode()))
+            entities = gateway.answer_query(body)
+            assert response.status == 200
+            assert response.raw == json.dumps(
+                {"entities": [e.to_json() for e in entities]}, sort_keys=True).encode()
+        assert [e.id for e in gateway.answer_query(bodies[0])] == ["a", "b"]
+    finally:
+        gateway.stop()

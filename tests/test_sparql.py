@@ -312,3 +312,12 @@ def test_only_the_query_engine_filters_and_orders_solutions():
             if named & {"eval_filter", "_binding_key"}:
                 users.add(path.name)
     assert users == {"sparql.py"}
+
+
+def test_a_parse_is_cached_by_text_and_a_syntax_error_is_not():
+    text = "ASK { ?s <urn:p> ?o }"
+    assert parse_sparql(text) is parse_sparql(text)
+    assert parse_sparql(text) == parse_sparql("ASK  { ?s <urn:p> ?o }")  # equal, parsed apart
+    for _ in range(3):  # refused every time, not only when first seen
+        with pytest.raises(SparqlSyntaxError):
+            parse_sparql("ASK { ?s <urn:p> ")
