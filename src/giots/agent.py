@@ -336,6 +336,9 @@ class AgentService(JsonHttpService):
         self.router.add("POST", "/sparql", self._sparql)
         self.router.add("GET", "/stats", self._stats)
 
+    def start(self) -> None:
+        self.agent.start()
+
     def close(self) -> None:
         self.agent.stop()
 

@@ -13,7 +13,7 @@ import time
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import CseService
-from .httpkit import PortInUse, TransportError, run_service
+from .httpkit import Stack, valid_port
 from .knowledge import KnowledgeService
 from .smg import MediationGateway, SmgService, load_gateway_config
 from .validator import VALIDATION_KINDS, ValidatorService, validate
@@ -28,20 +28,25 @@ DEFAULT_PORTS = {
 }
 
 
-def _serve_forever(service, port: int, start=None) -> int:
-    """Serve until interrupted; `start` runs once the port is bound."""
+def port_number(text: str) -> int:
+    """An argparse type: a ValueError becomes "invalid port_number value", exit 2."""
+    if not valid_port(port := int(text)):
+        raise ValueError(text)
+    return port
+
+
+def _stack(args: argparse.Namespace, component: str) -> Stack:
+    return Stack({component: DEFAULT_PORTS[component] if args.port is None else args.port})
+
+
+def _serve_forever(stack: Stack, service, port: int | None = None) -> int:
+    """Serve until interrupted; the service starts once its port is bound."""
     try:
-        handle = run_service(service, port)
-    except PortInUse as exc:
+        handle = stack.serve(service.name, service, port)
+    except (OSError, ValueError) as exc:  # PortInUse and TransportError are OSErrors
+        stack.stop()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if start is not None:
-        try:
-            start()
-        except (TransportError, ValueError) as exc:
-            handle.stop()
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     print(f"{service.name} listening on {handle.url}")
     try:
         while True:
@@ -49,12 +54,11 @@ def _serve_forever(service, port: int, start=None) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        handle.stop()
+        stack.stop()
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    port = args.port if args.port is not None else DEFAULT_PORTS[args.component]
     if args.component == "knowledge":
         service = KnowledgeService()
     elif args.component == "cse":
@@ -63,7 +67,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = BrokerService(knowledge_url=args.knowledge_url)
     else:
         service = ValidatorService()
-    return _serve_forever(service, port)
+    return _serve_forever(_stack(args, args.component), service)
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
@@ -89,27 +93,25 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_smg(args: argparse.Namespace) -> int:
-    port = args.port if args.port is not None else DEFAULT_PORTS["smg"]
+    stack = _stack(args, "smg")
+    port = stack.port("smg")
     try:
-        config = load_gateway_config(
-            args.config, gateway_url=f"http://127.0.0.1:{port}"
-        )
+        config = load_gateway_config(args.config, gateway_url=f"http://127.0.0.1:{port}")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    gateway = MediationGateway(config)
-    return _serve_forever(SmgService(gateway), port, gateway.start)
+    return _serve_forever(stack, SmgService(MediationGateway(config)), port)
 
 
 def _cmd_agent(args: argparse.Namespace) -> int:
-    port = args.port if args.port is not None else DEFAULT_PORTS["agent"]
+    stack = _stack(args, "agent")
+    port = stack.port("agent")
     try:
         config = load_agent_config(args.config)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    agent = Agent(config, f"http://127.0.0.1:{port}")
-    return _serve_forever(AgentService(agent), port, agent.start)
+    return _serve_forever(stack, AgentService(Agent(config, f"http://127.0.0.1:{port}")), port)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -124,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="run one service in the foreground")
     serve.add_argument("component", choices=["knowledge", "cse", "broker", "validator"])
-    serve.add_argument("--port", type=int, default=None)
+    serve.add_argument("--port", type=port_number, default=None)
     serve.add_argument(
         "--knowledge-url", default=None,
         help="knowledge server used by the broker for type subsumption",
@@ -142,12 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     smg = sub.add_parser("smg", help="run the mediation gateway")
     smg.add_argument("--config", required=True)
-    smg.add_argument("--port", type=int, default=None)
+    smg.add_argument("--port", type=port_number, default=None)
     smg.set_defaults(func=_cmd_smg)
 
     agent = sub.add_parser("agent", help="run a knowledge processing agent")
     agent.add_argument("--config", required=True)
-    agent.add_argument("--port", type=int, default=None)
+    agent.add_argument("--port", type=port_number, default=None)
     agent.set_defaults(func=_cmd_agent)
 
     return parser

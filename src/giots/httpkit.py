@@ -3,7 +3,8 @@ with pattern routing and the stack's one HTTP client (``request_json``,
 which keeps a few idle connections per peer alive), both of which frame
 HTTP/1.1 themselves, one send per message; and the push side every service
 shares: one retry policy (``deliver``) and one worker model (``KeyedWorkers``),
-which also serves the server's connections.
+which also serves the server's connections; and the one boot path, ``Stack``,
+which binds each service, then calls its ``start()``, and stops all in reverse.
 
 Nothing here knows about the domain; each service registers routes and
 raises ApiError for protocol failures.
@@ -187,6 +188,9 @@ class JsonHttpService:
         except Exception:  # pragma: no cover - defensive
             log.exception("%s: unhandled error on %s %s", self.name, request.method, request.path)
             return HttpResponse(500, {"error": "InternalError", "message": "unhandled server error"})
+
+    def start(self) -> None:
+        """Begin background work; called once the service's port is bound."""
 
     def close(self) -> None:
         """Release background resources; called when the server stops."""
@@ -379,6 +383,34 @@ def _read_headers(reader) -> dict[str, str]:
 
 def run_service(service: JsonHttpService, port: int, host: str = "127.0.0.1") -> ServerHandle:
     return ServerHandle(service, host, port)
+
+
+class Stack:
+    """Services bound and started one by one, and stopped in reverse.
+    ``ports`` maps a key to its port; a key it lacks, or maps to 0, gets a free one."""
+
+    def __init__(self, ports: dict[str, int] | None = None):
+        self.ports = dict(ports or {})
+        self.handles: dict[str, ServerHandle] = {}
+
+    def port(self, key: str) -> int:
+        """The configured port, or a free one, for a service that must know its URL."""
+        return self.ports.get(key) or find_free_port()
+
+    def serve(self, key: str, service: JsonHttpService, port: int | None = None) -> ServerHandle:
+        """Binds the service, then starts it; stop() stops it even if its
+        start() raised. No /health probe: the socket already listens."""
+        handle = run_service(service, self.ports.get(key, 0) if port is None else port)
+        self.handles[key] = handle
+        service.start()
+        return handle
+
+    def stop(self) -> None:
+        for key in reversed(list(self.handles)):
+            try:
+                self.handles[key].stop()
+            except Exception:  # keep stopping the rest
+                log.exception("stopping %s failed", key)
 
 
 # --- client ------------------------------------------------------------------
@@ -600,6 +632,10 @@ def valid_url(url: Any) -> bool:
     except ValueError:
         return False
     return parts.scheme in {"http", "https"} and bool(parts.hostname)
+
+
+def valid_port(port: Any) -> bool:
+    return isinstance(port, int) and not isinstance(port, bool) and 0 <= port <= 65535
 
 
 def find_free_port(host: str = "127.0.0.1") -> int:

@@ -1,6 +1,6 @@
-"""Scenario runner: boots the knowledge server, CSE and broker, starts
-the gateway and agents, replays sensor values as content instances and
-evaluates machine-checkable assertions against the wire APIs.
+"""Scenario runner: boots the services on one ``Stack`` (knowledge server,
+CSE, broker, validator, gateway, agents), replays sensor values as content
+instances and evaluates machine-checkable assertions against the wire APIs.
 
 Everything communicates over HTTP even though the services share one
 process; in-process shortcuts would bypass the behavior under test.
@@ -19,15 +19,7 @@ from typing import Any
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import CseClient, CseService
-from .httpkit import (
-    ServerHandle,
-    TransportError,
-    find_free_port,
-    get_json,
-    post_json,
-    run_service,
-    wait_healthy,
-)
+from .httpkit import Stack, TransportError, get_json, post_json, valid_port
 from .knowledge import KnowledgeClient, KnowledgeService
 from .smg import GatewayConfig, MediationGateway, SmgService
 from .validator import VALIDATION_KINDS, ValidatorService
@@ -83,10 +75,8 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ScenarioError(f"ontology file not found: {ontology_file}")
 
     services = raw.get("services", {})
-    if not isinstance(services, dict) or not all(
-        isinstance(v, int) for v in services.values()
-    ):
-        raise ScenarioError("'services' must map component names to ports")
+    if not isinstance(services, dict) or not all(map(valid_port, services.values())):
+        raise ScenarioError("'services' must map component names to ports from 0 to 65535")
     ports = [p for p in services.values() if p]
     if len(ports) != len(set(ports)):
         raise ScenarioError("service ports must be distinct")
@@ -246,41 +236,41 @@ def _parse_timestamp(value: Any) -> datetime | None:
 class ScenarioRunner:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.handles: dict[str, ServerHandle] = {}
-        self.urls: dict[str, str] = {}
+        self.stack = Stack(scenario.services)
         self.started_at = datetime.now(timezone.utc)
 
-    def _port(self, component: str) -> int:
-        configured = self.scenario.services.get(component, 0)
-        return configured if configured else find_free_port()
-
-    def _boot(self, component: str, service, port: int | None = None) -> str:
-        handle = run_service(service, self._port(component) if port is None else port)
-        self.handles[component] = handle
-        self.urls[component] = handle.url
-        wait_healthy(handle.url)
-        return handle.url
-
     def setup(self) -> None:
-        knowledge_url = self._boot("knowledge", KnowledgeService())
+        stack = self.stack
+        knowledge_url = stack.serve("knowledge", KnowledgeService()).url
         if self.scenario.ontology_file is not None:
             KnowledgeClient(knowledge_url).upload(
                 self.scenario.ontology_file.read_text(encoding="utf-8")
             )
-        cse_url = self._boot("cse", CseService())
-        broker_url = self._boot("broker", BrokerService(knowledge_url=knowledge_url))
-        if self._needs_validator():
-            self._boot("validator", ValidatorService())
+        cse_url = stack.serve("cse", CseService()).url
+        broker_url = stack.serve("broker", BrokerService(knowledge_url=knowledge_url)).url
+        stack.serve("validator", ValidatorService())
         cse = CseClient(cse_url)
         for sensor in self.scenario.sensors:
             self._ensure_container(cse, sensor)
         if self.scenario.smg is not None:
-            self._boot_smg(cse_url, broker_url, knowledge_url)
-        for index, agent_path in enumerate(self.scenario.agent_paths):
-            self._boot_agent(index, agent_path, broker_url)
-
-    def _needs_validator(self) -> bool:
-        return any(a.get("kind") == "validationPasses" for a in self.scenario.assertions)
+            port = stack.port("smg")
+            raw = {"cseUrl": cse_url, "brokerUrl": broker_url, "knowledgeUrl": knowledge_url,
+                   "gatewayUrl": f"http://127.0.0.1:{port}", **self.scenario.smg}
+            try:
+                config = GatewayConfig.from_json(raw)
+            except ValueError as exc:
+                raise ScenarioError(f"invalid smg config: {exc}") from exc
+            smg = stack.serve("smg", SmgService(MediationGateway(config)), port)
+            self._await_instances(smg.url)
+        for index, path in enumerate(self.scenario.agent_paths):
+            try:
+                config = load_agent_config(str(path))
+            except (OSError, ValueError, json.JSONDecodeError) as exc:
+                raise ScenarioError(f"invalid agent config {path.name}: {exc}") from exc
+            config.broker_url = broker_url  # the harness owns service placement
+            key = f"agent-{index}"
+            port = stack.port(key)
+            stack.serve(key, AgentService(Agent(config, f"http://127.0.0.1:{port}")), port)
 
     def _ensure_container(self, cse: CseClient, sensor: Sensor) -> None:
         segments = [s for s in sensor.container_path.strip("/").split("/") if s]
@@ -291,7 +281,7 @@ class ScenarioRunner:
         path = "/cse"
         for depth, segment in enumerate(segments[1:], start=1):
             child = f"{path}/{segment}"
-            status, _ = get_json(self.urls["cse"] + child)
+            status, _ = get_json(cse.base_url + child)
             if status != 200:
                 is_last = depth == len(segments) - 1
                 ty = "Container" if (is_last or depth > 1) else "AE"
@@ -305,22 +295,6 @@ class ScenarioRunner:
                     path, "SemanticDescriptor",
                     {"rn": "descriptor", "dsp": sensor.descriptor},
                 )
-
-    def _boot_smg(self, cse_url: str, broker_url: str, knowledge_url: str) -> None:
-        raw = dict(self.scenario.smg or {})
-        raw.setdefault("cseUrl", cse_url)
-        raw.setdefault("brokerUrl", broker_url)
-        raw.setdefault("knowledgeUrl", knowledge_url)
-        port = self._port("smg")
-        raw.setdefault("gatewayUrl", f"http://127.0.0.1:{port}")
-        try:
-            config = GatewayConfig.from_json(raw)
-        except ValueError as exc:
-            raise ScenarioError(f"invalid smg config: {exc}") from exc
-        gateway = MediationGateway(config)
-        smg_url = self._boot("smg", SmgService(gateway), port)
-        gateway.start()
-        self._await_instances(smg_url)
 
     def _await_instances(self, smg_url: str) -> None:
         """Hold the replay until every annotated sensor container has a
@@ -345,24 +319,12 @@ class ScenarioRunner:
             sorted(wanted),
         )
 
-    def _boot_agent(self, index: int, path: Path, broker_url: str) -> None:
-        try:
-            config = load_agent_config(str(path))
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            raise ScenarioError(f"invalid agent config {path.name}: {exc}") from exc
-        config.broker_url = broker_url  # the harness owns service placement
-        key = f"agent-{index}"
-        port = self._port(key)
-        agent = Agent(config, f"http://127.0.0.1:{port}")
-        self._boot(key, AgentService(agent), port)
-        agent.start()
-
     # -- replay --------------------------------------------------------------
 
     def replay(self) -> None:
         """Creates every sensor's values in one time-ordered pass: value k
         of a sensor is due k of its periods after the replay starts."""
-        cse = CseClient(self.urls["cse"])
+        cse = CseClient(self.stack.handles["cse"].url)
         sensors = self.scenario.sensors
         timeline = sorted(
             (index * sensor.period_millis / 1000.0, order, index)
@@ -413,7 +375,7 @@ class ScenarioRunner:
         request = assertion.get("request") or {}
         expected = (assertion.get("expected") or {}).get("entities", [])
         tolerance = assertion.get("toleranceMillis")
-        status, payload = post_json(self.urls["broker"] + "/ngsi10/queryContext", request)
+        status, payload = post_json(self.stack.handles["broker"].url + "/ngsi10/queryContext", request)
         if status != 200 or not isinstance(payload, dict):
             return AssertionOutcome(
                 index, "queryContextEquals", False,
@@ -444,7 +406,7 @@ class ScenarioRunner:
         request = assertion.get("request") or {}
         expected = assertion.get("expected") or []
         root = request.get("root", "/cse")
-        cse = CseClient(self.urls["cse"])
+        cse = CseClient(self.stack.handles["cse"].url)
         try:
             found = cse.discover(
                 root,
@@ -474,7 +436,7 @@ class ScenarioRunner:
             )
         payload_path = self.scenario.base_dir / file_name
         body = payload_path.read_text(encoding="utf-8")
-        status, payload = post_json(self.urls["validator"] + f"/validate/{kind}", body)
+        status, payload = post_json(self.stack.handles["validator"].url + f"/validate/{kind}", body)
         if status != 200 or not isinstance(payload, dict):
             return AssertionOutcome(
                 index, "validationPasses", False,
@@ -490,36 +452,28 @@ class ScenarioRunner:
     # -- lifecycle ----------------------------------------------------------------
 
     def teardown(self) -> None:
-        for component in reversed(list(self.handles)):
-            try:
-                self.handles[component].stop()
-            except Exception:  # pragma: no cover - teardown must not mask results
-                log.exception("stopping %s failed", component)
+        self.stack.stop()
 
 
 def run_scenario(path: str | Path, print_report: bool = True) -> ScenarioReport:
+    report = _run(path)
+    if print_report:
+        print("\n".join(report.lines()))
+    return report
+
+
+def _run(path: str | Path) -> ScenarioReport:
     try:
-        scenario = load_scenario(path)
+        runner = ScenarioRunner(load_scenario(path))
     except ScenarioError as exc:
-        report = ScenarioReport(exit_code=2, error=str(exc))
-        if print_report:
-            print("\n".join(report.lines()))
-        return report
-    runner = ScenarioRunner(scenario)
+        return ScenarioReport(exit_code=2, error=str(exc))
     try:
         try:
             runner.setup()
             runner.replay()
         except (ScenarioError, TransportError, ValueError, OSError) as exc:
-            report = ScenarioReport(exit_code=2, error=str(exc))
-            if print_report:
-                print("\n".join(report.lines()))
-            return report
+            return ScenarioReport(exit_code=2, error=str(exc))
         outcomes = runner.evaluate_assertions()
     finally:
         runner.teardown()
-    exit_code = 0 if all(o.passed for o in outcomes) else 1
-    report = ScenarioReport(exit_code=exit_code, outcomes=outcomes)
-    if print_report:
-        print("\n".join(report.lines()))
-    return report
+    return ScenarioReport(exit_code=0 if all(o.passed for o in outcomes) else 1, outcomes=outcomes)

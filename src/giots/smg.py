@@ -749,6 +749,9 @@ class SmgService(JsonHttpService):
         self.router.add("GET", "/instances", self._instances)
         self.router.add("GET", "/stats", self._stats)
 
+    def start(self) -> None:
+        self.gateway.start()
+
     def close(self) -> None:
         self.gateway.stop()
 

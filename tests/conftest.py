@@ -17,7 +17,7 @@ import pytest
 
 from giots.broker import BrokerService
 from giots.cse import CseService
-from giots.httpkit import run_service, wait_healthy
+from giots.httpkit import run_service
 from giots.knowledge import KnowledgeService
 from giots.validator import ValidatorService
 
@@ -120,9 +120,7 @@ def capture_server():
 
 
 def boot(service):
-    handle = run_service(service, 0)
-    wait_healthy(handle.url)
-    return handle
+    return run_service(service, 0)  # returns with the socket listening
 
 
 def _service_fixture(factory):

@@ -16,21 +16,14 @@ from decimal import Decimal
 from giots.agent import Agent, AgentConfig, AgentService
 from giots.broker import BrokerClient, BrokerService
 from giots.cse import CseClient, CseService, ResourceTree, discover
-from giots.httpkit import (
-    find_free_port,
-    get_json,
-    post_json,
-    request_json,
-    run_service,
-    wait_healthy,
-)
+from giots.httpkit import Stack, get_json, post_json, request_json
 from giots.ontology import load_ontology
 from giots.rdf import MED_NS, parse_ntriples, serialize_ntriples
 from giots.scenario import run_scenario
 from giots.smg import GatewayConfig, MediationGateway, SmgService, TransformationProcess
 from giots.sparql import evaluate, parse_sparql
 
-from conftest import CORPUS_DIR, SCENARIOS_DIR, boot
+from conftest import CORPUS_DIR, SCENARIOS_DIR
 from oracles import (
     brute_force_ask,
     brute_force_select,
@@ -315,12 +308,12 @@ def _broker_snapshot(entities):
 
 
 def _run_fleet(mode, sensors):
-    cse_handle = boot(CseService())
-    broker_handle = boot(BrokerService())
-    smg_handle = None
-    started = time.time()
+    stack = Stack()
     try:
-        client = CseClient(cse_handle.url)
+        cse_url = stack.serve("cse", CseService()).url
+        broker_url = stack.serve("broker", BrokerService()).url
+        started = time.time()
+        client = CseClient(cse_url)
         client.create("/cse", "AE", {"rn": "fleet"})
         for sensor in sensors:
             container = f"/cse/fleet/{sensor['name']}"
@@ -328,10 +321,10 @@ def _run_fleet(mode, sensors):
             client.create(
                 container, "SemanticDescriptor", {"rn": "sem", "dsp": _fleet_descriptor(sensor)}
             )
-        port = find_free_port()
+        port = stack.port("smg")
         config = GatewayConfig(
-            cse_url=cse_handle.url,
-            broker_url=broker_handle.url,
+            cse_url=cse_url,
+            broker_url=broker_url,
             knowledge_url=None,
             mode=mode,
             gateway_url=f"http://127.0.0.1:{port}",
@@ -339,16 +332,15 @@ def _run_fleet(mode, sensors):
             rescan_millis=60000,
         )
         gateway = MediationGateway(config)
-        smg_handle = run_service(SmgService(gateway), port)
-        wait_healthy(smg_handle.url)
-        assert gateway.scan_once() == len(sensors)
+        stack.serve("smg", SmgService(gateway), port)  # start() runs the first scan
+        assert len(gateway.instances()) == len(sensors)
         for sensor in sensors:
             client.create(
                 f"/cse/fleet/{sensor['name']}",
                 "ContentInstance",
                 {"rn": f"{sensor['name']}-0000", "con": {"value": sensor["value"]}},
             )
-        broker = BrokerClient(broker_handle.url)
+        broker = BrokerClient(broker_url)
         if mode == "push":
             assert _poll(lambda: len(broker.query([{"idPattern": "dev-.*"}])) == len(sensors))
         else:
@@ -358,10 +350,7 @@ def _run_fleet(mode, sensors):
         snapshot, stamps = _broker_snapshot(entities)
         return snapshot, stamps, (started, finished)
     finally:
-        if smg_handle is not None:
-            smg_handle.stop()
-        broker_handle.stop()
-        cse_handle.stop()
+        stack.stop()
 
 
 def test_push_and_pull_modes_reach_the_same_broker_state():
@@ -482,11 +471,9 @@ def test_agent_feeds_back_each_derived_fact_exactly_once(broker_server):
     doc = json.loads((SCENARIOS_DIR / "occupancy-agent.json").read_text())
     doc["brokerUrl"] = broker_server.url
     config = AgentConfig.from_json(doc)
-    port = find_free_port()
-    agent = Agent(config, f"http://127.0.0.1:{port}")
-    handle = run_service(AgentService(agent), port)
-    wait_healthy(handle.url)
-    agent.start()
+    stack = Stack()
+    port = stack.port("agent")
+    handle = stack.serve("agent", AgentService(Agent(config, f"http://127.0.0.1:{port}")), port)
     try:
         broker = BrokerClient(broker_server.url)
 
@@ -523,8 +510,7 @@ def test_agent_feeds_back_each_derived_fact_exactly_once(broker_server):
         status, stats = get_json(handle.url + "/stats")
         assert status == 200 and stats["derivedFactsSent"] == 1
     finally:
-        agent.stop()
-        handle.stop()
+        stack.stop()
 
 
 # --- 9: serialization ------------------------------------------------------------

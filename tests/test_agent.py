@@ -12,7 +12,7 @@ import giots.broker as broker_module
 from giots import rdf
 from giots.agent import Agent, AgentConfig, AgentService, _lexical
 from giots.broker import BrokerClient
-from giots.httpkit import find_free_port, get_json, post_json, run_service, wait_healthy
+from giots.httpkit import Stack, get_json, post_json
 from giots.rdf import CTX_NS, IRI, Graph, Literal, RDF_TYPE, Triple
 from giots.rules import forward_chain
 
@@ -542,12 +542,10 @@ def test_queries_beside_passes_see_only_whole_passes(monkeypatch):
 
 def _boot_agent(broker_url, **overrides):
     config = AgentConfig.from_json(_config_doc(brokerUrl=broker_url, **overrides))
-    port = find_free_port()
+    stack = Stack()
+    port = stack.port("agent")
     agent = Agent(config, f"http://127.0.0.1:{port}")
-    handle = run_service(AgentService(agent), port)
-    wait_healthy(handle.url)
-    agent.start()
-    return agent, handle
+    return agent, stack.serve("agent", AgentService(agent), port)  # subscribes the agent
 
 
 def _poll(condition, timeout=5.0):

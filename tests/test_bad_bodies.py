@@ -5,7 +5,7 @@ accepts it and drops it later), never into an unhandled error."""
 import json
 
 from giots.agent import Agent, AgentConfig, AgentService
-from giots.httpkit import find_free_port, request_json, run_service, wait_healthy
+from giots.httpkit import find_free_port, request_json, run_service
 from giots.smg import GatewayConfig, MediationGateway, SmgService, TransformationProcess
 
 from conftest import SCENARIOS_DIR
@@ -70,7 +70,6 @@ def test_no_route_answers_a_bad_body_with_a_server_error(
                _boot_pull_gateway(cse_server.url, broker_server.url)]
     try:
         for name, handle in zip(("agent", "smg"), handles):
-            wait_healthy(handle.url)
             urls[name] = handle.url
         failures = []
         for name, routes in ROUTES.items():

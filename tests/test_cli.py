@@ -165,6 +165,16 @@ def test_serve_reports_port_in_use(capsys):
         blocker.close()
 
 
+def test_a_port_outside_0_to_65535_is_a_usage_error(capsys):
+    config = str(SCENARIOS_DIR / "occupancy-agent.json")  # never read: parsing fails first
+    for argv in (["serve", "knowledge"], ["smg", "--config", config], ["agent", "--config", config]):
+        for port in ("70000", "-5", "seven"):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--port", port])
+            assert exc.value.code == 2
+            assert f"argument --port: invalid port_number value: '{port}'" in capsys.readouterr().err
+
+
 def test_smg_and_agent_commands_report_port_in_use(tmp_path, capsys):
     smg_config = tmp_path / "smg.json"
     smg_config.write_text(json.dumps({

@@ -24,6 +24,7 @@ from giots.httpkit import (
     HttpResponse,
     JsonHttpService,
     KeyedWorkers,
+    Stack,
     TransportError,
     deliver,
     request_json,
@@ -545,6 +546,78 @@ def test_stop_leaves_no_server_thread_behind():
     assert [thread for thread in threads.seen if thread.is_alive()] == []
 
 
+# --- Stack -------------------------------------------------------------------------
+
+
+class _Recording(JsonHttpService):
+    """Appends ("start" | "close", name) to a shared log; ``fail`` names
+    the step that raises."""
+
+    def __init__(self, log, name, fail=None):
+        super().__init__()
+        self.log, self.name, self.fail = log, name, fail
+
+    def start(self):
+        self.log.append(("start", self.name))
+        if self.fail == "start":
+            raise TransportError("peer down")
+
+    def close(self):
+        self.log.append(("close", self.name))
+        if self.fail == "close":
+            raise RuntimeError("close failed")
+
+
+def _bindable(port):
+    socket.create_server(("127.0.0.1", port)).close()
+    return True
+
+
+def test_a_stack_binds_then_starts_each_service_and_stops_them_in_reverse():
+    log = []
+    configured = httpkit.find_free_port()
+    stack = Stack({"a": configured})
+    assert stack.port("a") == configured
+    first = stack.serve("a", _Recording(log, "a"))
+    assert first.port == configured and log == [("start", "a")]
+    port = stack.port("b")
+    second = stack.serve("b", _Recording(log, "b"), port)
+    assert second.port == port and stack.handles == {"a": first, "b": second}
+    assert httpkit.get_json(second.url + "/health") == (200, {"status": "ok", "service": "b"})
+    stack.stop()
+    assert log == [("start", "a"), ("start", "b"), ("close", "b"), ("close", "a")]
+    assert _bindable(configured) and _bindable(port)
+
+
+def test_run_service_binds_without_starting():
+    log = []
+    handle = run_service(_Recording(log, "a"), 0)
+    handle.stop()
+    assert log == [("close", "a")]
+
+
+def test_a_service_whose_start_raises_is_stopped_with_the_stack_and_frees_its_port():
+    log = []
+    stack = Stack()
+    port = stack.port("a")
+    with pytest.raises(TransportError):
+        stack.serve("a", _Recording(log, "a", fail="start"), port)
+    stack.stop()
+    assert log == [("start", "a"), ("close", "a")]
+    assert _bindable(port)
+
+
+def test_stop_keeps_going_past_a_service_that_fails_to_stop(caplog):
+    log = []
+    stack = Stack()
+    first = stack.serve("a", _Recording(log, "a"))
+    stack.serve("b", _Recording(log, "b", fail="close"))
+    stack.stop()
+    assert log[-2:] == [("close", "b"), ("close", "a")]
+    assert "stopping b failed" in caplog.text
+    assert _bindable(first.port)
+
+
 # --- deliver -----------------------------------------------------------------------
 
 
@@ -850,3 +923,29 @@ def test_the_agent_and_the_gateway_speak_ngsi_only_through_the_broker_client():
                     }:
                         callers.add(f"{path.stem}.{prefix}{function.name}")
     assert callers == {"broker.parse_request", "agent.AgentConfig.from_json"}
+
+
+def test_one_place_binds_a_service_and_one_starts_its_work():
+    """Stack.serve alone binds a service (run_service) and calls its start();
+    Stack.port alone picks a free port; the gateway and the agent are started
+    only by their services' start()."""
+    callers = {"run_service": set(), "find_free_port": set(), "start": set()}
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+            for function in ast.iter_child_nodes(owner):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    called = getattr(node, "func", None)
+                    name = getattr(called, "id", getattr(called, "attr", None))
+                    if name in callers:
+                        callers[name].add(f"{path.stem}.{prefix}{function.name}")
+    assert callers == {
+        "run_service": {"httpkit.Stack.serve"},
+        "find_free_port": {"httpkit.Stack.port"},
+        "start": {"httpkit.Stack.serve", "smg.SmgService.start", "agent.AgentService.start",
+                  # threads: the server's accept thread and the worker pool's
+                  "httpkit.ServerHandle.__init__", "httpkit.KeyedWorkers.submit"},
+    }

@@ -2,9 +2,12 @@
 through boot, replay, assertion polling and teardown."""
 
 import json
+import socket
+import threading
 
 import pytest
 
+from giots.httpkit import find_free_port
 from giots.scenario import (
     ScenarioError,
     ScenarioReport,
@@ -65,6 +68,9 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
     [
         (_minimal(ontologyFile="missing.nt"), "ontology file not found"),
         (_minimal(services={"cse": "yes"}), "component names to ports"),
+        (_minimal(services={"cse": -1}), "ports from 0 to 65535"),
+        (_minimal(services={"cse": 70000}), "ports from 0 to 65535"),
+        (_minimal(services={"cse": True}), "ports from 0 to 65535"),
         (_minimal(services={"cse": 7000, "broker": 7000}), "distinct"),
         (_minimal(sensors=["x"]), "must be a JSON object"),
         (_minimal(sensors=[{"containerPath": "/cse/a/b"}]), "needs a 'name'"),
@@ -103,8 +109,8 @@ def test_load_rejects_malformed_scenarios(tmp_path, doc, fragment):
 def test_configured_ports_are_honored(tmp_path):
     path = _write_scenario(tmp_path, _minimal(services={"cse": 7654}))
     runner = ScenarioRunner(load_scenario(path))
-    assert runner._port("cse") == 7654
-    ephemeral = runner._port("broker")
+    assert runner.stack.port("cse") == 7654
+    ephemeral = runner.stack.port("broker")
     assert isinstance(ephemeral, int) and ephemeral > 0
 
 
@@ -282,3 +288,22 @@ def test_validation_assertion_boots_validator(tmp_path):
     )
     report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
     assert report.exit_code == 0, [o.detail for o in report.outcomes]
+
+
+def test_a_boot_that_fails_part_way_stops_what_it_started(tmp_path):
+    """The packaged scenario on fixed ports, with an agent config that does
+    not load: the knowledge server, CSE, broker, validator and gateway are
+    up when the agent fails, and each is stopped again."""
+    doc = json.loads((SCENARIOS_DIR / "room123.json").read_text(encoding="utf-8"))
+    for name in ("meeting-room.nt", "room123-descriptor.nt"):
+        (tmp_path / name).write_text((SCENARIOS_DIR / name).read_text(encoding="utf-8"))
+    (tmp_path / "agent.json").write_text("{}", encoding="utf-8")
+    ports = {key: find_free_port() for key in ("knowledge", "cse", "broker", "validator", "smg")}
+    doc.update(services=ports, agents=["agent.json"])
+    before = set(threading.enumerate())
+    report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
+    assert report.exit_code == 2
+    assert "invalid agent config agent.json" in report.error
+    assert [t for t in threading.enumerate() if t not in before] == []
+    for port in ports.values():
+        socket.create_server(("127.0.0.1", port)).close()

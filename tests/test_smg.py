@@ -379,8 +379,7 @@ def _boot_gateway(cse_url, broker_url, mode="push", processes=None, rescan_milli
         rescan_millis=rescan_millis,
     )
     gateway = MediationGateway(config)
-    handle = run_service(SmgService(gateway), port)
-    wait_healthy(handle.url)
+    handle = run_service(SmgService(gateway), port)  # not started: the tests scan by hand
     return gateway, handle
 
 
