@@ -68,9 +68,6 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
     [
         (_minimal(ontologyFile="missing.nt"), "ontology file not found"),
         (_minimal(services={"cse": "yes"}), "component names to ports"),
-        (_minimal(services={"cse": -1}), "ports from 0 to 65535"),
-        (_minimal(services={"cse": 70000}), "ports from 0 to 65535"),
-        (_minimal(services={"cse": True}), "ports from 0 to 65535"),
         (_minimal(services={"cse": 7000, "broker": 7000}), "distinct"),
         (_minimal(sensors=["x"]), "must be a JSON object"),
         (_minimal(sensors=[{"containerPath": "/cse/a/b"}]), "needs a 'name'"),
@@ -98,6 +95,9 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
         (_minimal(agents=[7]), "'agents' must be a list of file names"),
         (_minimal(agents="a.json"), "'agents' must be a list of file names"),
         (_minimal(assertions=[1]), "must be a list of JSON objects"),
+        (_minimal(services={"cse": -1}), "ports from 0 to 65535"),
+        (_minimal(services={"cse": 70000}), "ports from 0 to 65535"),
+        (_minimal(services={"cse": True}), "ports from 0 to 65535"),
     ],
 )
 def test_load_rejects_malformed_scenarios(tmp_path, doc, fragment):
