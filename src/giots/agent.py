@@ -269,6 +269,8 @@ class Agent:
     # -- notifications -----------------------------------------------------------
 
     def on_notification(self, body: Any) -> None:
+        if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
+            raise bad_request("expected a notification with an 'entities' list")
         with self._lock:
             self.notifications += 1
             if not self._inbox:  # else a queued drain will apply this body too

@@ -8,10 +8,16 @@ changes in place for a single owner (the rule engine's maintained
 closure); it matches through the same ``Graph.match`` over indexes it
 keeps up to date, and is not hashable.
 
-The N-Triples dialect is deliberately small: IRIs in angle brackets, blank
-nodes ``_:label``, literals with optional ``^^<datatype>`` or ``@lang``,
-and only the escape sequences ``\\" \\\\ \\n \\t``. Parsing is atomic: a
+The N-Triples dialect is deliberately small: one statement per line, IRIs
+in angle brackets, blank nodes ``_:label`` (ASCII letters and digits, a
+letter first), literals with optional ``^^<datatype>`` or ``@lang``, only
+the escape sequences ``\\" \\\\ \\n \\t``, and no raw carriage return in a
+literal (a CR before the line break is dropped). Parsing is atomic: a
 single malformed line fails the whole document.
+
+Each lexical rule (IRI characters, blank-node label, string body and
+escapes, language tag) is one pattern fragment below, which the term
+constructors, the N-Triples reader and the SPARQL tokenizer all use.
 """
 
 from __future__ import annotations
@@ -33,14 +39,49 @@ CTX_NS = "http://wise-iot.example/context#"
 XSD_STRING = XSD_NS + "string"
 RDF_TYPE = RDF_NS + "type"
 
+# --- lexical rules -------------------------------------------------------------
+
 # Characters that cannot appear unescaped inside <...> without breaking the
 # serialization (whitespace and angle brackets per the data model invariant,
 # plus the characters N-Triples IRIREFs exclude).
-_IRI_FORBIDDEN = set(' \t\n\r\f\v<>"{}|^`\\')
+_IRI_FORBIDDEN = ' \t\n\r\f\v<>"{}|^`\\'
+_IRI_CHAR = f"[^{re.escape(_IRI_FORBIDDEN)}]"
+_BLANK_LABEL = r"[A-Za-z][A-Za-z0-9]*"
+VAR_NAME = r"[A-Za-z][A-Za-z0-9_]*"
+LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_LITERAL_FORBIDDEN = "\r"
+# The text between a string literal's quotes: a plain character (neither
+# quote, backslash nor CR) or a backslash and an escape letter.
+STRING_BODY = rf'(?:[^"\\{_LITERAL_FORBIDDEN}]|\\[{re.escape("".join(_ESCAPES))}])*'
 
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*\Z")
-_VAR_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
+_IRI_RE = re.compile(f"{_IRI_CHAR}+\\Z")
+_IRI_STOP_RE = re.compile(f"[{re.escape(_IRI_FORBIDDEN)}]")
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
+_VAR_NAME_RE = re.compile(VAR_NAME + r"\Z")
+_LANG_TAG_RE = re.compile(LANG_TAG + r"\Z")
+_STRING_BODY_RE = re.compile(STRING_BODY)
+_UNESCAPE_RE = re.compile(r"\\(.)")
+
+
+def unescape(body: str) -> str:
+    """The characters a text matching ``STRING_BODY`` stands for."""
+    if "\\" not in body:
+        return body
+    return _UNESCAPE_RE.sub(lambda m: _ESCAPES[m.group(1)], body)
+
+
+def string_error(text: str, quote: int) -> tuple[int, int, str]:
+    """Why the string literal whose quote is at ``text[quote]`` does not
+    close: the start and end of the offending part, and a message."""
+    end = _STRING_BODY_RE.match(text, quote + 1).end()
+    if end == len(text):
+        return quote, end, "unterminated string literal"
+    if text[end] == _LITERAL_FORBIDDEN:
+        return end, end + 1, "raw carriage return in a literal"
+    if end + 1 == len(text):
+        return end, end + 1, "dangling escape"
+    return end, end + 2, f"unsupported escape sequence \\{text[end + 1]}"
 
 
 class NTriplesError(ValueError):
@@ -58,11 +99,11 @@ class IRI:
     value: str
 
     def __post_init__(self) -> None:
-        if not self.value:
-            raise ValueError("IRI must be non-empty")
-        bad = _IRI_FORBIDDEN.intersection(self.value)
-        if bad:
-            raise ValueError(f"IRI contains forbidden character(s) {sorted(bad)!r}: {self.value!r}")
+        if not _IRI_RE.match(self.value):
+            if not self.value:
+                raise ValueError("IRI must be non-empty")
+            bad = sorted(set(_IRI_FORBIDDEN).intersection(self.value))
+            raise ValueError(f"IRI contains forbidden character(s) {bad!r}: {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +130,7 @@ class Literal:
     language: str | None = None
 
     def __post_init__(self) -> None:
-        if "\r" in self.lexical:
+        if _LITERAL_FORBIDDEN in self.lexical:
             raise ValueError("literal lexical form may not contain carriage returns")
         if self.language is not None:
             if self.datatype != XSD_STRING:
@@ -323,108 +364,70 @@ def _unify(pattern: TriplePattern, triple: Triple) -> dict[str, Term] | None:
 
 # --- N-Triples parsing ------------------------------------------------------
 
-_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
+_ALNUM = r"[^\W_]"  # a character str.isalnum() accepts
+_SPACE_RE = re.compile(r"[ \t]*")
+_SKIP_RE = re.compile(r"[ \t]*(?:#|\Z)")  # a blank or comment line
+_STRING_RE = re.compile(f'"{STRING_BODY}"')
+# Groups: 1 IRI, 2 blank label, 3 string body, 4 datatype IRI, 5 language.
+# A label or tag must end the run of letters and digits it starts, and a
+# ``^^`` or ``@`` after a string must begin its datatype or tag.
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:<({_IRI_CHAR}+)>|_:({_BLANK_LABEL})(?!{_ALNUM})"
+    rf'|"({STRING_BODY})"(?:\^\^<({_IRI_CHAR}+)>|@({LANG_TAG})(?!{_ALNUM}|-)|(?!\^\^|@)))'
+)
+_END_RE = re.compile(r"[ \t]*\.[ \t]*(?:#|\Z)")
+_LABEL_RUN_RE = re.compile(f"{_ALNUM}*")
+_TAG_RUN_RE = re.compile(f"(?:{_ALNUM}|-)*")
 
 
-class _LineScanner:
-    def __init__(self, text: str, line_no: int):
-        self.text = text
-        self.line_no = line_no
-        self.pos = 0
-
-    def error(self, message: str) -> NTriplesError:
-        return NTriplesError(self.line_no, self.pos + 1, message)
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def expect(self, char: str) -> None:
-        if self.peek() != char:
-            raise self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def read_iri(self) -> IRI:
-        self.expect("<")
-        start = self.pos
-        while not self.at_end() and self.peek() != ">":
-            if self.text[self.pos] in _IRI_FORBIDDEN:
-                raise self.error(f"forbidden character {self.text[self.pos]!r} in IRI")
-            self.pos += 1
-        if self.at_end():
-            raise self.error("unterminated IRI")
-        value = self.text[start : self.pos]
-        self.pos += 1
-        if not value:
-            raise self.error("empty IRI")
-        return IRI(value)
-
-    def read_blank(self) -> BlankNode:
-        self.expect("_")
-        self.expect(":")
-        start = self.pos
-        while not self.at_end() and (self.text[self.pos].isalnum()):
-            self.pos += 1
-        label = self.text[start : self.pos]
-        if not _BLANK_LABEL_RE.match(label):
-            raise self.error(f"invalid blank node label {label!r}")
+def _term(m: re.Match) -> Term:
+    iri, label, body, datatype, language = m.groups()
+    if iri is not None:
+        return IRI(iri)
+    if label is not None:
         return BlankNode(label)
+    return Literal(unescape(body), datatype or XSD_STRING, language)
 
-    def read_literal(self) -> Literal:
-        self.expect('"')
-        chars: list[str] = []
-        while True:
-            if self.at_end():
-                raise self.error("unterminated string literal")
-            ch = self.text[self.pos]
-            self.pos += 1
-            if ch == '"':
-                break
-            if ch == "\\":
-                if self.at_end():
-                    raise self.error("dangling escape")
-                esc = self.text[self.pos]
-                self.pos += 1
-                if esc not in _ESCAPES:
-                    raise self.error(f"unsupported escape sequence \\{esc}")
-                chars.append(_ESCAPES[esc])
-            else:
-                chars.append(ch)
-        lexical = "".join(chars)
-        if self.text.startswith("^^", self.pos):
-            self.pos += 2
-            datatype = self.read_iri()
-            try:
-                return Literal(lexical, datatype=datatype.value)
-            except ValueError as exc:
-                raise self.error(str(exc)) from exc
-        if self.peek() == "@":
-            self.pos += 1
-            start = self.pos
-            while not self.at_end() and (self.text[self.pos].isalnum() or self.text[self.pos] == "-"):
-                self.pos += 1
-            tag = self.text[start : self.pos]
-            try:
-                return Literal(lexical, language=tag)
-            except ValueError as exc:
-                raise self.error(str(exc)) from exc
-        return Literal(lexical)
 
-    def read_term(self) -> Term:
-        ch = self.peek()
-        if ch == "<":
-            return self.read_iri()
-        if ch == "_":
-            return self.read_blank()
-        if ch == '"':
-            return self.read_literal()
-        raise self.error(f"expected an IRI, blank node or literal, found {ch!r}" if ch else "unexpected end of line")
+def _iri_error(line: str, pos: int) -> tuple[int, str]:
+    if not line.startswith("<", pos):
+        return pos, "expected '<'"
+    stop = _IRI_STOP_RE.search(line, pos + 1)
+    if stop is None:
+        return len(line), "unterminated IRI"
+    start, end = stop.span()
+    if stop.group() != ">":
+        return start, f"forbidden character {stop.group()!r} in IRI"
+    return end, "empty IRI"
+
+
+def _statement_error(line: str, pos: int, terms: int) -> tuple[int, str]:
+    """The 0-based column at which, and why, a statement that matched
+    ``terms`` terms up to ``pos`` stops matching."""
+    pos = _SPACE_RE.match(line, pos).end()
+    ch = line[pos : pos + 1]
+    if terms == 3:
+        if ch != ".":
+            return pos, "expected '.'"
+        return _SPACE_RE.match(line, pos + 1).end(), "trailing content after statement"
+    if ch == "<":
+        return _iri_error(line, pos)
+    if ch == "_":
+        if not line.startswith(":", pos + 1):
+            return pos + 1, "expected ':'"
+        end = _LABEL_RUN_RE.match(line, pos + 2).end()
+        return end, f"invalid blank node label {line[pos + 2 : end]!r}"
+    if ch == '"':
+        closed = _STRING_RE.match(line, pos)
+        if closed is None:
+            _, end, message = string_error(line, pos)
+            return end, message
+        pos = closed.end()
+        if line.startswith("^^", pos):
+            return _iri_error(line, pos + 2)
+        end = _TAG_RUN_RE.match(line, pos + 1).end()
+        return end, f"invalid language tag: {line[pos + 1 : end]!r}"
+    return pos, f"expected an IRI, blank node or literal, found {ch!r}" if ch else "unexpected end of line"
 
 
 def parse_ntriples(text: str) -> Graph:
@@ -436,22 +439,19 @@ def parse_ntriples(text: str) -> Graph:
     """
     triples: set[Triple] = set()
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        scanner = _LineScanner(raw.rstrip("\r"), line_no)
-        scanner.skip_ws()
-        if scanner.at_end() or scanner.peek() == "#":
+        line = raw.rstrip("\r")
+        if _SKIP_RE.match(line):
             continue
-        subject = scanner.read_term()
-        scanner.skip_ws()
-        predicate = scanner.read_term()
-        scanner.skip_ws()
-        obj = scanner.read_term()
-        scanner.skip_ws()
-        scanner.expect(".")
-        scanner.skip_ws()
-        if not scanner.at_end() and scanner.peek() != "#":
-            raise scanner.error("trailing content after statement")
+        terms: list[Term] = []
+        pos = 0
+        while len(terms) < 3 and (m := _TERM_RE.match(line, pos)):
+            terms.append(_term(m))
+            pos = m.end()
+        if len(terms) < 3 or not _END_RE.match(line, pos):
+            column, message = _statement_error(line, pos, len(terms))
+            raise NTriplesError(line_no, column + 1, message)
         try:
-            triples.add(Triple(subject, predicate, obj))
+            triples.add(Triple(*terms))
         except ValueError as exc:
             raise NTriplesError(line_no, 1, str(exc)) from exc
     return Graph(triples)

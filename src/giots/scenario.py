@@ -18,7 +18,7 @@ from typing import Any
 
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
-from .cse import CseClient, CseService
+from .cse import TYPE_CODES, CseClient, CseService
 from .httpkit import Stack, TransportError, get_json, post_json, valid_port
 from .knowledge import KnowledgeClient, KnowledgeService
 from .smg import GatewayConfig, MediationGateway, SmgService
@@ -104,8 +104,8 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(values, list):
             raise ScenarioError(f"sensor '{name}': 'valueSequence' must be a list")
         period = raw_sensor.get("periodMillis", 0)
-        if not isinstance(period, int) or period < 0:
-            raise ScenarioError(f"sensor '{name}': 'periodMillis' must be >= 0")
+        if not _is_count(period):
+            raise ScenarioError(f"sensor '{name}': 'periodMillis' must be an integer >= 0")
         sensors.append(Sensor(name, container, descriptor, values, period))
 
     agents = raw.get("agents", [])
@@ -117,14 +117,18 @@ def load_scenario(path: str | Path) -> Scenario:
         if not agent_path.is_file():
             raise ScenarioError(f"agent config not found: {agent_path}")
         agent_paths.append(agent_path)
+    components = {"knowledge", "cse", "broker", "validator", "smg"}
+    unknown = sorted(set(services) - components - {f"agent-{i}" for i in range(len(agent_paths))})
+    if unknown:
+        raise ScenarioError(f"'services' names no component of this scenario: {unknown}")
 
     assertions = raw.get("assertions", [])
     if not isinstance(assertions, list) or not all(isinstance(a, dict) for a in assertions):
         raise ScenarioError("'assertions' must be a list of JSON objects")
 
     quiescence = raw.get("quiescenceMillis", DEFAULT_QUIESCENCE_MILLIS)
-    if not isinstance(quiescence, int) or quiescence < 0:
-        raise ScenarioError("'quiescenceMillis' must be >= 0")
+    if not _is_count(quiescence):
+        raise ScenarioError("'quiescenceMillis' must be an integer >= 0")
 
     smg = raw.get("smg")
     if smg is not None and not isinstance(smg, dict):
@@ -140,6 +144,33 @@ def load_scenario(path: str | Path) -> Scenario:
         assertions=assertions,
         quiescence_millis=quiescence,
     )
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+# The JSON type each assertion field (a dotted path) must have where it is
+# given and not null, per kind; an object comes before the fields inside it.
+_FIELD_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
+    "queryContextEquals": {"request": dict, "expected": dict, "toleranceMillis": (int, float)},
+    "discoverContains": {"request": dict, "expected": list, "request.root": str,
+                         "request.resourceType": str, "request.labels": list,
+                         "request.semanticFilter": str},
+    "validationPasses": {"request": dict, "request.kind": str, "request.file": str},
+}
+
+
+def _mistyped_field(assertion: dict, fields: dict[str, type | tuple[type, ...]]) -> str | None:
+    for path, types in fields.items():
+        value: Any = assertion
+        for name in path.split("."):
+            value = value.get(name)
+            if value is None:
+                break
+        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
+            return path
+    return None
 
 
 @dataclass
@@ -358,18 +389,22 @@ class ScenarioRunner:
 
     def _evaluate(self, index: int, assertion: dict) -> AssertionOutcome:
         kind = assertion.get("kind")
+        fields = _FIELD_TYPES.get(kind) if isinstance(kind, str) else None
+        if fields is None:
+            return AssertionOutcome(
+                index, str(kind), False, detail=f"unknown assertion kind {kind!r}"
+            )
+        field = _mistyped_field(assertion, fields)
+        if field is not None:
+            return AssertionOutcome(index, kind, False, detail=f"'{field}' has the wrong JSON type")
         try:
             if kind == "queryContextEquals":
                 return self._assert_query(index, assertion)
             if kind == "discoverContains":
                 return self._assert_discover(index, assertion)
-            if kind == "validationPasses":
-                return self._assert_validation(index, assertion)
-        except (TransportError, OSError) as exc:
-            return AssertionOutcome(index, str(kind), False, detail=str(exc))
-        return AssertionOutcome(
-            index, str(kind), False, detail=f"unknown assertion kind {kind!r}"
-        )
+            return self._assert_validation(index, assertion)
+        except (TransportError, OSError, UnicodeDecodeError) as exc:
+            return AssertionOutcome(index, kind, False, detail=str(exc))
 
     def _assert_query(self, index: int, assertion: dict) -> AssertionOutcome:
         request = assertion.get("request") or {}
@@ -405,7 +440,12 @@ class ScenarioRunner:
     def _assert_discover(self, index: int, assertion: dict) -> AssertionOutcome:
         request = assertion.get("request") or {}
         expected = assertion.get("expected") or []
-        root = request.get("root", "/cse")
+        root = request.get("root") or "/cse"
+        if request.get("resourceType") not in (None, *TYPE_CODES):
+            return AssertionOutcome(
+                index, "discoverContains", False,
+                detail="'request.resourceType' names no resource type",
+            )
         cse = CseClient(self.stack.handles["cse"].url)
         try:
             found = cse.discover(

@@ -21,6 +21,9 @@ from typing import Union
 from decimal import Decimal, InvalidOperation
 
 from .rdf import (
+    LANG_TAG,
+    STRING_BODY,
+    VAR_NAME,
     XSD_NS,
     BindingSet,
     Graph,
@@ -29,8 +32,9 @@ from .rdf import (
     Term,
     TriplePattern,
     Variable,
-    _ESCAPES,
+    string_error,
     term_text,
+    unescape,
 )
 
 XSD_INTEGER = XSD_NS + "integer"
@@ -91,16 +95,22 @@ class Query:
 
 # --- tokenizer ---------------------------------------------------------------
 
-_TOKEN_SPECS = [
-    ("VAR", re.compile(r"\?([A-Za-z][A-Za-z0-9_]*)")),
+# One alternative per token kind, tried in this order; SPACE (whitespace or
+# a comment) separates tokens. "<" opens an IRIREF only if a ">" closes it
+# before any whitespace; otherwise it is a comparison operator.
+_TOKEN_RE = re.compile(
+    r"(?P<SPACE>\s+|#[^\n]*)"
+    r"|<(?P<IRIREF>[^\s>]*)>"
+    f'|"(?P<STRING>{STRING_BODY})"'
+    # A trailing "." belongs to the pattern separator, not the local name.
+    r"|(?P<PNAME>(?:[A-Za-z][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)"
+    f"|\\?(?P<VAR>{VAR_NAME})"
     # The dot needs a following digit, so "5." stays NUMBER + separator.
-    ("NUMBER", re.compile(r"[+-]?(?:\d+\.\d+|\.\d+|\d+)")),
-    ("OP", re.compile(r"\^\^|&&|\|\||!=|<=|>=|[{}().*=!<>,]")),
-    ("LANGTAG", re.compile(r"@([A-Za-z]+(?:-[A-Za-z0-9]+)*)")),
-    ("WORD", re.compile(r"[A-Za-z_][A-Za-z0-9_]*")),
-]
-
-_PNAME_RE = re.compile(r"([A-Za-z][A-Za-z0-9_-]*)?:([A-Za-z0-9_.-]*)")
+    r"|(?P<NUMBER>[+-]?(?:\d+\.\d+|\.\d+|\d+))"
+    r"|(?P<OP>\^\^|&&|\|\||!=|<=|>=|[{}().*=!<>,])"
+    f"|@(?P<LANGTAG>{LANG_TAG})"
+    r"|(?P<WORD>[A-Za-z_][A-Za-z0-9_]*)"
+)
 
 
 @dataclass(frozen=True)
@@ -113,74 +123,19 @@ class _Token:
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
-    n = len(text)
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch == "#":
-            while pos < n and text[pos] != "\n":
-                pos += 1
-            continue
-        if ch == "<":
-            # An IRIREF only if a '>' closes it before any whitespace;
-            # otherwise this is a comparison operator.
-            end = pos + 1
-            is_iri = False
-            while end < n and not text[end].isspace():
-                if text[end] == ">":
-                    is_iri = True
-                    break
-                end += 1
-            if is_iri:
-                tokens.append(_Token("IRIREF", text[pos + 1 : end], pos))
-                pos = end + 1
-                continue
-        if ch == '"':
-            end = pos + 1
-            chars: list[str] = []
-            while True:
-                if end >= n:
-                    raise SparqlSyntaxError(pos, "unterminated string literal")
-                c = text[end]
-                if c == '"':
-                    break
-                if c == "\\":
-                    if end + 1 >= n:
-                        raise SparqlSyntaxError(end, "dangling escape")
-                    esc = text[end + 1]
-                    mapped = _ESCAPES.get(esc)
-                    if mapped is None:
-                        raise SparqlSyntaxError(end, f"unsupported escape sequence \\{esc}")
-                    chars.append(mapped)
-                    end += 2
-                else:
-                    chars.append(c)
-                    end += 1
-            tokens.append(_Token("STRING", "".join(chars), pos))
-            pos = end + 1
-            continue
-        pm = _PNAME_RE.match(text, pos)
-        if pm and (pm.group(1) is not None or text[pos] == ":"):
-            local = pm.group(2)
-            end = pm.end()
-            while local.endswith("."):  # trailing dots belong to the pattern separator
-                local = local[:-1]
-                end -= 1
-            tokens.append(_Token("PNAME", f"{pm.group(1) or ''}:{local}", pos))
-            pos = end
-            continue
-        for kind, pattern in _TOKEN_SPECS:
-            m = pattern.match(text, pos)
-            if m:
-                value = m.group(1) if kind in ("VAR", "LANGTAG") else m.group(0)
-                tokens.append(_Token(kind, value, pos))
-                pos = m.end()
-                break
-        else:
-            raise SparqlSyntaxError(pos, f"unexpected character {ch!r}")
-    tokens.append(_Token("EOF", "", n))
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            if text[pos] == '"':
+                start, _, message = string_error(text, pos)
+                raise SparqlSyntaxError(start, message)
+            raise SparqlSyntaxError(pos, f"unexpected character {text[pos]!r}")
+        kind = m.lastgroup
+        if kind != "SPACE":
+            value = m.group(kind)
+            tokens.append(_Token(kind, unescape(value) if kind == "STRING" else value, pos))
+        pos = m.end()
+    tokens.append(_Token("EOF", "", len(text)))
     return tokens
 
 
@@ -213,14 +168,20 @@ class _Parser:
             return tok.value.upper()
         return None
 
+    def accept(self, value: str) -> bool:
+        """Consume the next token if it is the operator or keyword ``value``."""
+        tok = self.peek()
+        if (tok.kind == "OP" and tok.value == value) or self.keyword() == value:
+            self.index += 1
+            return True
+        return False
+
     def expect_op(self, op: str) -> None:
-        tok = self.advance()
-        if tok.kind != "OP" or tok.value != op:
-            raise self.error(f"expected {op!r}", tok)
+        if not self.accept(op):
+            raise self.error(f"expected {op!r}")
 
     def parse(self) -> Query:
-        while self.keyword() == "PREFIX":
-            self.advance()
+        while self.accept("PREFIX"):
             name_tok = self.advance()
             if name_tok.kind != "PNAME" or name_tok.value.split(":", 1)[1]:
                 raise self.error("expected a prefix name like 'ex:'", name_tok)
@@ -229,27 +190,16 @@ class _Parser:
                 raise self.error("expected an IRI after the prefix name", iri_tok)
             self.prefixes[name_tok.value.split(":", 1)[0]] = iri_tok.value
 
-        form_kw = self.keyword()
-        if form_kw == "SELECT":
-            self.advance()
-            query = self.parse_select()
-        elif form_kw == "ASK":
-            self.advance()
-            query = self.parse_ask()
-        else:
+        form = self.keyword()
+        if form not in ("SELECT", "ASK"):
             raise self.error("expected SELECT or ASK")
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.error("unexpected trailing content", tok)
-        return query
+        self.advance()
+        return self.parse_select() if form == "SELECT" else Query("ASK", None, *self.parse_group())
 
     def parse_select(self) -> Query:
         projected: tuple[str, ...] | None
-        if self.keyword() == "DISTINCT":
-            self.advance()  # solutions are distinct either way
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "*":
-            self.advance()
+        self.accept("DISTINCT")  # solutions are distinct either way
+        if self.accept("*"):
             projected = None
         else:
             names: list[str] = []
@@ -258,8 +208,7 @@ class _Parser:
             if not names:
                 raise self.error("SELECT needs '*' or at least one variable")
             projected = tuple(names)
-        if self.keyword() == "WHERE":
-            self.advance()
+        self.accept("WHERE")
         patterns, filters = self.parse_group()
         if projected is not None:
             in_bgp = set().union(*(p.variables() for p in patterns))
@@ -268,51 +217,31 @@ class _Parser:
                     raise SparqlSyntaxError(0, f"projected variable ?{name} does not occur in the graph pattern")
         return Query("SELECT", projected, patterns, filters)
 
-    def parse_ask(self) -> Query:
-        patterns, filters = self.parse_group()
-        return Query("ASK", None, patterns, filters)
-
     def parse_group(self) -> tuple[tuple[TriplePattern, ...], tuple[FilterExpr, ...]]:
         self.expect_op("{")
         patterns: list[TriplePattern] = []
         filters: list[FilterExpr] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == "}":
-                self.advance()
-                break
-            if tok.kind == "EOF":
+        while not self.accept("}"):
+            if self.peek().kind == "EOF":
                 raise self.error("unterminated group: expected '}'")
-            if self.keyword() == "FILTER":
-                self.advance()
+            if self.accept("FILTER"):
                 filters.append(self.parse_filter())
             else:
                 patterns.append(self.parse_pattern())
-            tok = self.peek()
-            if tok.kind == "OP" and tok.value == ".":
-                self.advance()
+            self.accept(".")
         if not patterns:
             raise self.error("the graph pattern must contain at least one triple pattern")
         return tuple(patterns), tuple(filters)
 
     def parse_pattern(self) -> TriplePattern:
-        subject = self.parse_term()
-        predicate = self.parse_term()
-        obj = self.parse_term()
-        try:
-            return TriplePattern(subject, predicate, obj)
-        except ValueError as exc:
-            raise self.error(str(exc)) from exc
+        return TriplePattern(self.parse_term(), self.parse_term(), self.parse_term())
 
     def parse_term(self):
         tok = self.advance()
         if tok.kind == "VAR":
             return Variable(tok.value)
         if tok.kind == "IRIREF":
-            try:
-                return IRI(tok.value)
-            except ValueError as exc:
-                raise SparqlSyntaxError(tok.pos, str(exc)) from exc
+            return _checked(tok.pos, IRI, tok.value)
         if tok.kind == "PNAME":
             return self.expand_pname(tok)
         if tok.kind == "STRING":
@@ -330,15 +259,10 @@ class _Parser:
         base = self.prefixes.get(prefix)
         if base is None:
             raise SparqlSyntaxError(tok.pos, f"undefined prefix {prefix + ':'!r}")
-        try:
-            return IRI(base + local)
-        except ValueError as exc:
-            raise SparqlSyntaxError(tok.pos, str(exc)) from exc
+        return _checked(tok.pos, IRI, base + local)
 
     def finish_literal(self, tok: _Token) -> Literal:
-        nxt = self.peek()
-        if nxt.kind == "OP" and nxt.value == "^^":
-            self.advance()
+        if self.accept("^^"):
             dt_tok = self.advance()
             if dt_tok.kind == "IRIREF":
                 datatype = dt_tok.value
@@ -346,42 +270,36 @@ class _Parser:
                 datatype = self.expand_pname(dt_tok).value
             else:
                 raise self.error("expected a datatype IRI after '^^'", dt_tok)
-            try:
-                return Literal(tok.value, datatype=datatype)
-            except ValueError as exc:
-                raise SparqlSyntaxError(tok.pos, str(exc)) from exc
-        if nxt.kind == "LANGTAG":
-            self.advance()
-            return Literal(tok.value, language=nxt.value)
+            return _checked(tok.pos, Literal, tok.value, datatype)
+        if self.peek().kind == "LANGTAG":
+            return Literal(tok.value, language=self.advance().value)
         return Literal(tok.value)
 
     def parse_filter(self) -> FilterExpr:
         self.expect_op("(")
-        expr = self.parse_or()
+        try:
+            expr = self.parse_or()
+        except RecursionError:
+            raise self.error("filter nested too deep") from None
         self.expect_op(")")
         return expr
 
     def parse_or(self) -> FilterExpr:
         parts = [self.parse_and()]
-        while self.peek().kind == "OP" and self.peek().value == "||":
-            self.advance()
+        while self.accept("||"):
             parts.append(self.parse_and())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self) -> FilterExpr:
         parts = [self.parse_unary()]
-        while self.peek().kind == "OP" and self.peek().value == "&&":
-            self.advance()
+        while self.accept("&&"):
             parts.append(self.parse_unary())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_unary(self) -> FilterExpr:
-        tok = self.peek()
-        if tok.kind == "OP" and tok.value == "!":
-            self.advance()
+        if self.accept("!"):
             return Not(self.parse_unary())
-        if tok.kind == "OP" and tok.value == "(":
-            self.advance()
+        if self.accept("("):
             inner = self.parse_or()
             self.expect_op(")")
             return inner
@@ -404,9 +322,26 @@ class _Parser:
         return term
 
 
+def _checked(pos: int, make, *args):
+    """``make(*args)``, its ValueError a syntax error at ``pos``."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise SparqlSyntaxError(pos, str(exc)) from exc
+
+
 def _numeric_literal(text: str) -> Literal:
     datatype = XSD_DECIMAL if "." in text else XSD_INTEGER
     return Literal(text, datatype=datatype)
+
+
+def _parse_whole(text: str, prefixes: dict[str, str] | None, parse):
+    parser = _Parser(text)
+    parser.prefixes = dict(prefixes or {})
+    result = parse(parser)
+    if parser.peek().kind != "EOF":
+        raise parser.error("unexpected trailing content")
+    return result
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
@@ -418,29 +353,22 @@ def parse_sparql(text: str) -> Query:
     A parse is cached by text (a ``Query`` is frozen, so callers share it);
     an error is not, so malformed text is refused on every call.
     """
-    return _Parser(text).parse()
+    return _parse_whole(text, None, _Parser.parse)
 
 
 def parse_pattern(text: str, prefixes: dict[str, str] | None = None) -> TriplePattern:
     """Parse a single standalone triple pattern like ``?s <iri> "lit"``."""
-    parser = _Parser(text)
-    parser.prefixes = dict(prefixes or {})
-    pattern = parser.parse_pattern()
-    if parser.peek().kind != "EOF":
-        raise parser.error("unexpected trailing content")
-    return pattern
+    return _parse_whole(text, prefixes, _Parser.parse_pattern)
 
 
 def parse_filter(text: str, prefixes: dict[str, str] | None = None) -> FilterExpr:
     """Parse a standalone filter, with or without the FILTER keyword."""
-    parser = _Parser(text)
-    parser.prefixes = dict(prefixes or {})
-    if parser.keyword() == "FILTER":
-        parser.advance()
-    expr = parser.parse_filter()
-    if parser.peek().kind != "EOF":
-        raise parser.error("unexpected trailing content")
-    return expr
+
+    def parse(parser: _Parser) -> FilterExpr:
+        parser.accept("FILTER")
+        return parser.parse_filter()
+
+    return _parse_whole(text, prefixes, parse)
 
 
 # --- evaluation --------------------------------------------------------------

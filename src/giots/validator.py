@@ -223,17 +223,13 @@ def lexical_valid(datatype: str, lexical: str) -> bool:
     return rule.fullmatch(lexical) is not None
 
 
-def check_annotation(
-    descriptor: Graph,
-    declared: Ontology,
-    allowed_namespaces: tuple[str, ...] = DEFAULT_ANNOTATION_NAMESPACES,
-) -> list[ValidationError]:
+def check_annotation(descriptor: Graph, declared: Ontology) -> list[ValidationError]:
     errors: list[ValidationError] = []
     seen_undeclared: set[str] = set()
     for triple in descriptor:
         predicate = triple.predicate.value
         decl = declared.lookup_property(predicate)
-        if decl is None and not predicate.startswith(allowed_namespaces):
+        if decl is None and not predicate.startswith(DEFAULT_ANNOTATION_NAMESPACES):
             if predicate not in seen_undeclared:
                 seen_undeclared.add(predicate)
                 errors.append(
@@ -266,15 +262,11 @@ def check_annotation(
     return errors
 
 
-def validate_annotation(
-    text: str,
-    declared: Ontology = EMPTY_ONTOLOGY,
-    allowed_namespaces: tuple[str, ...] = DEFAULT_ANNOTATION_NAMESPACES,
-) -> ValidationReport:
+def validate_annotation(text: str, declared: Ontology = EMPTY_ONTOLOGY) -> ValidationReport:
     started = time.perf_counter()
     try:
         descriptor = parse_ntriples(text)
-        errors = check_annotation(descriptor, declared, allowed_namespaces)
+        errors = check_annotation(descriptor, declared)
     except NTriplesError as exc:
         errors = [ValidationError(SYNTACTIC, f"line {exc.line}", str(exc))]
     return _report(errors, started)

@@ -652,6 +652,21 @@ def test_sparql_endpoint_can_be_disabled(broker_server):
         handle.stop()
 
 
+def test_a_notification_without_an_entities_list_is_refused_before_it_is_counted(broker_server):
+    agent, handle = _boot_agent(broker_server.url)
+    try:
+        before = agent.stats()["notifications"]
+        for body in ([1, 2], "x", {"entities": 5}, {}):
+            status, payload = post_json(handle.url + "/notify", body)
+            assert (status, payload["error"]) == (400, "BadRequest")
+        assert agent.stats()["notifications"] == before
+        status, _ = post_json(handle.url + "/notify", {"entities": []})
+        assert status == 200
+        assert agent.stats()["notifications"] == before + 1
+    finally:
+        handle.stop()
+
+
 def test_stop_unsubscribes_from_broker(broker_server):
     agent, handle = _boot_agent(broker_server.url)
     sub_id = agent._subscription_id

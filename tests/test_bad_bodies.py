@@ -3,9 +3,11 @@ PUT route of every service turns a body it cannot read into a 4xx (or
 accepts it and drops it later), never into an unhandled error."""
 
 import json
+import urllib.parse
 
 from giots.agent import Agent, AgentConfig, AgentService
-from giots.httpkit import find_free_port, request_json, run_service
+from giots.cse import CseClient
+from giots.httpkit import find_free_port, get_json, request_json, run_service
 from giots.smg import GatewayConfig, MediationGateway, SmgService, TransformationProcess
 
 from conftest import SCENARIOS_DIR
@@ -84,3 +86,37 @@ def test_no_route_answers_a_bad_body_with_a_server_error(
     finally:
         for handle in handles:
             handle.stop()
+
+
+CR_DESCRIPTOR = '<urn:s> <urn:p> "a\rb" .\n'
+CR_QUERY = 'ASK { ?s ?p "a\rb" }'
+DEEP_QUERY = "ASK { ?s ?p ?o FILTER(" + "!" * 5000 + "?o = 1) }"
+
+
+def test_a_carriage_return_in_a_literal_or_a_too_deep_filter_is_a_syntax_error(
+    broker_server, cse_server, knowledge_server, validator_server
+):
+    cse = CseClient(cse_server.url)
+    cse.create("/cse", "AE", {"rn": "app"})
+    cse.create("/cse/app", "Container", {"rn": "room"})
+    status, _ = request_json(
+        "POST", cse_server.url + "/cse/app/room", body={"rn": "d", "dsp": CR_DESCRIPTOR},
+        headers={"X-M2M-TY": "24", "Content-Type": "application/json"},
+    )
+    assert status == 400
+    status, _ = request_json("POST", knowledge_server.url + "/ontology", body=CR_DESCRIPTOR)
+    assert status == 400
+    agent = _boot_agent(broker_server.url)
+    try:
+        for query in (CR_QUERY, DEEP_QUERY):
+            status, _ = get_json(cse_server.url + "/cse?fu=1&smf=" + urllib.parse.quote(query))
+            assert status == 400
+            status, _ = request_json("POST", agent.url + "/sparql", body={"query": query})
+            assert status == 400
+    finally:
+        agent.stop()
+    for kind, text in [("annotation", CR_DESCRIPTOR), ("ontology", CR_DESCRIPTOR),
+                       ("sparql", CR_QUERY), ("sparql", DEEP_QUERY)]:
+        status, report = request_json("POST", validator_server.url + f"/validate/{kind}", body=text)
+        assert status == 200 and report["passed"] is False
+        assert [error["category"] for error in report["errors"]] == ["syntactic"]

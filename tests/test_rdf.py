@@ -127,6 +127,44 @@ def test_parse_is_atomic_and_reports_position():
     assert excinfo.value.column >= 1
 
 
+def test_a_carriage_return_inside_a_literal_is_a_syntax_error():
+    """Reported at the column after it, as a bad escape is; a CR ending a
+    line is part of a CRLF line break."""
+    for line in ['<urn:s> <urn:p> "a\rb" .', '_:b <urn:p> "\r"@en .', '<urn:s> <urn:p> "a\r"^^<urn:t> .']:
+        with pytest.raises(NTriplesError) as excinfo:
+            parse_ntriples("<urn:s> <urn:p> <urn:o> .\n" + line + "\n")
+        assert (excinfo.value.line, excinfo.value.column) == (2, line.index("\r") + 2)
+        assert "carriage return" in excinfo.value.message
+    assert parse_ntriples('<urn:s> <urn:p> "ab" .\r\n') == Graph(
+        [Triple(IRI("urn:s"), IRI("urn:p"), Literal("ab"))]
+    )
+
+
+@pytest.mark.parametrize(
+    ("line", "column", "message"),
+    [
+        ('<urn:s> <urn:p> "x\\z" .', 21, "unsupported escape sequence \\z"),
+        ('<urn:s> <urn:p> "x\\', 20, "dangling escape"),
+        ('<urn:s> <urn:p> "open .', 24, "unterminated string literal"),
+        ("<urn:s> <urn:p> <> .", 19, "empty IRI"),
+        ("<urn:a b> <urn:p> <urn:o> .", 7, "forbidden character ' ' in IRI"),
+        ("<urn:s> <urn:p> <urn:o", 23, "unterminated IRI"),
+        ('<urn:s> <urn:p> "x"^^urn:t .', 22, "expected '<'"),
+        ('<urn:s> <urn:p> "x"@en- .', 24, "invalid language tag: 'en-'"),
+        ("_:bé <urn:p> <urn:o> .", 5, "invalid blank node label 'bé'"),
+        ("_x <urn:p> <urn:o> .", 2, "expected ':'"),
+        ("<urn:s> <urn:p> <urn:o> , .", 25, "expected '.'"),
+        ("<urn:s> <urn:p> <urn:o> . x", 27, "trailing content after statement"),
+        ("<urn:s> <urn:p>", 16, "unexpected end of line"),
+        ('"lit" <urn:p> <urn:o> .', 1, "triple subject may not be a literal"),
+    ],
+)
+def test_a_malformed_line_is_reported_at_its_column(line, column, message):
+    with pytest.raises(NTriplesError) as excinfo:
+        parse_ntriples(line)
+    assert (excinfo.value.line, excinfo.value.column, excinfo.value.message) == (1, column, message)
+
+
 @pytest.mark.parametrize(
     "bad",
     [

@@ -98,6 +98,14 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
         (_minimal(services={"cse": -1}), "ports from 0 to 65535"),
         (_minimal(services={"cse": 70000}), "ports from 0 to 65535"),
         (_minimal(services={"cse": True}), "ports from 0 to 65535"),
+        (_minimal(services={"brokr": 7102}), r"names no component of this scenario: \['brokr'\]"),
+        (_minimal(services={"agent-0": 7102}), r"names no component of this scenario: \['agent-0'\]"),
+        (
+            _minimal(sensors=[{"name": "s", "containerPath": "/cse/a/b",
+                               "periodMillis": True}]),
+            "'periodMillis' must be an integer",
+        ),
+        (_minimal(quiescenceMillis=True), "'quiescenceMillis' must be an integer"),
     ],
 )
 def test_load_rejects_malformed_scenarios(tmp_path, doc, fragment):
@@ -220,6 +228,37 @@ def test_unknown_assertion_kind_fails_the_run(tmp_path):
     report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
     assert report.exit_code == 1
     assert "unknown assertion kind" in report.outcomes[0].detail
+
+
+def test_a_mistyped_assertion_field_fails_its_assertion_and_names_the_field(tmp_path):
+    cases = [
+        ({"kind": "queryContextEquals", "request": {"entities": [{"id": "a"}]},
+          "toleranceMillis": "soon"}, "'toleranceMillis'"),
+        ({"kind": "queryContextEquals", "expected": ["a"]}, "'expected'"),
+        ({"kind": "discoverContains", "request": ["/cse"]}, "'request'"),
+        ({"kind": "discoverContains", "expected": 5}, "'expected'"),
+        ({"kind": "discoverContains", "request": {"root": 5}}, "'request.root'"),
+        ({"kind": "discoverContains", "request": {"resourceType": "Gadget"}},
+         "'request.resourceType'"),
+        ({"kind": "validationPasses", "request": ["sparql"]}, "'request'"),
+        ({"kind": "validationPasses", "request": {"kind": "sparql", "file": 7}}, "'request.file'"),
+        ({"kind": ["queryContextEquals"]}, "unknown assertion kind"),
+    ]
+    doc = _minimal(assertions=[assertion for assertion, _ in cases])
+    report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
+    assert report.exit_code == 1
+    assert [o.passed for o in report.outcomes] == [False] * len(cases)
+    for outcome, (_, field) in zip(report.outcomes, cases):
+        assert field in outcome.detail
+
+
+def test_a_validation_file_that_is_not_utf8_fails_its_assertion(tmp_path):
+    (tmp_path / "binary.nt").write_bytes(b"\xff\xfe<urn:a>")
+    doc = _minimal(assertions=[{"kind": "validationPasses",
+                                "request": {"kind": "ontology", "file": "binary.nt"}}])
+    report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
+    assert report.exit_code == 1
+    assert "utf-8" in report.outcomes[0].detail
 
 
 def test_unusable_scenario_exits_two(tmp_path):

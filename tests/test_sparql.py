@@ -3,12 +3,25 @@
 import ast
 import itertools
 import random
+import string
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import giots
-from giots.rdf import Graph, IRI, Literal, Triple, TriplePattern, Variable, XSD_NS, term_text
+from giots.rdf import (
+    Graph,
+    IRI,
+    Literal,
+    NTriplesError,
+    Triple,
+    TriplePattern,
+    Variable,
+    XSD_NS,
+    parse_ntriples,
+    term_text,
+)
 from giots.sparql import (
     And,
     Comparison,
@@ -135,6 +148,22 @@ def test_parse_pattern_standalone():
         parse_pattern("?s <urn:p> ?o extra")
     prefixed = parse_pattern("?s ont:temp ?o", {"ont": ONT})
     assert prefixed.predicate == IRI(ONT + "temp")
+
+
+def test_a_carriage_return_inside_a_string_is_a_syntax_error_at_its_offset():
+    for text in ['ASK { ?s ?p "a\rb" }', 'ASK { ?s ?p "\r"@en }', 'ASK { ?s ?p "a\r"^^<urn:t> }']:
+        with pytest.raises(SparqlSyntaxError) as excinfo:
+            parse_sparql(text)
+        assert excinfo.value.position == text.index("\r")
+    assert parse_sparql('ASK {\r\n?s ?p "a\\nb" }\r\n').patterns[0].object == Literal("a\nb")
+
+
+def test_a_filter_nested_too_deep_is_a_syntax_error():
+    for text in ["(" + "!" * 5000 + "?o = 1)", "(" * 3000 + "?o = 1" + ")" * 3000]:
+        with pytest.raises(SparqlSyntaxError, match="nested too deep"):
+            parse_sparql("ASK { ?s ?p ?o FILTER" + text + " }")
+        with pytest.raises(SparqlSyntaxError, match="nested too deep"):
+            parse_filter(text)
 
 
 def test_parse_filter_standalone_with_and_without_keyword():
@@ -312,6 +341,51 @@ def test_only_the_query_engine_filters_and_orders_solutions():
             if named & {"eval_filter", "_binding_key"}:
                 users.add(path.name)
     assert users == {"sparql.py"}
+
+
+# Characters significant to the N-Triples or the SPARQL grammar, with
+# letters, digits and words they spell.
+_SIGNIFICANT = list('<>"\\_:@^.#?{}()=!&|\r\n\t ')
+_WORDS = ["ASK", "SELECT", "WHERE", "FILTER", "PREFIX", "DISTINCT", "urn:a", "en", "true", "1.5"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_SIGNIFICANT), st.sampled_from(_WORDS),
+                          st.sampled_from(string.ascii_letters + string.digits)),
+                max_size=40).map("".join))
+@example('<urn:s> <urn:p> "a\rb" .')
+@example('ASK { ?s ?p "a\rb" }')
+@example("ASK { ?s ?p ?o FILTER(" + "!" * 5000 + "?o = 1) }")
+def test_each_parser_returns_its_result_or_raises_its_own_syntax_error(text):
+    try:
+        assert isinstance(parse_ntriples(text), Graph)
+    except NTriplesError:
+        pass
+    try:
+        assert isinstance(parse_sparql(text), Query)
+    except SparqlSyntaxError:
+        pass
+
+
+def test_only_rdf_defines_the_lexical_rules_of_terms():
+    """The escape table and the language-tag pattern are written once, in
+    rdf.py; sparql.py reads them through public names of rdf."""
+    escape_tables, tag_patterns, private_imports = set(), set(), set()
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Dict):
+                keys = {key.value for key in node.keys if isinstance(key, ast.Constant)}
+                if {'"', "\\", "n", "t"} <= keys:
+                    escape_tables.add(path.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if "-[A-Za-z0-9]" in node.value:
+                    tag_patterns.add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "rdf":
+                private_imports |= {(path.name, alias.name) for alias in node.names
+                                    if alias.name.startswith("_")}
+    assert escape_tables == {"rdf.py"}
+    assert tag_patterns == {"rdf.py"}
+    assert private_imports == set()
 
 
 def test_a_parse_is_cached_by_text_and_a_syntax_error_is_not():
