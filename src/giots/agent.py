@@ -37,6 +37,7 @@ from .httpkit import (
     TransportError,
     bad_request,
     not_found,
+    valid_millis,
 )
 from .ngsi import ContextEntity, EntityPattern, parse_attribute_names, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple, TriplePattern, Variable
@@ -110,8 +111,8 @@ class AgentConfig:
         if not isinstance(enabled, bool):
             raise ValueError("'sparqlEndpointEnabled' must be a boolean")
         throttling = obj.get("throttlingMillis", 0)
-        if not isinstance(throttling, int) or isinstance(throttling, bool) or throttling < 0:
-            raise ValueError("'throttlingMillis' must be a non-negative integer")
+        if not valid_millis(throttling):
+            raise ValueError(f"'throttlingMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
         return AgentConfig(
             agent_id=agent_id,
             broker_url=broker_url,

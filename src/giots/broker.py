@@ -12,6 +12,7 @@ and a query by type reads the entities of each subclass of that type.
 from __future__ import annotations
 
 import logging
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .httpkit import (
     deliver,
     not_found,
     request_json,
+    valid_millis,
     valid_url,
 )
 from .knowledge import KnowledgeClient
@@ -70,7 +72,7 @@ class Subscription:
     reference: str
     throttling_millis: int
     pending: set[str] = field(default_factory=set)  # ids the next flush sends
-    last_sent: float = 0.0
+    last_sent: float = -math.inf  # so the first flush never waits
 
 
 class ContextBroker:
@@ -81,7 +83,7 @@ class ContextBroker:
     go out on one KeyedWorkers pool keyed by subscription id, through
     deliver(): each subscription gets them in order, at most one flush per
     subscription is queued, and a throttled flush waits out its window on
-    its pool thread.
+    its pool thread (the first flush never waits; close() ends a wait).
     """
 
     def __init__(self, knowledge: KnowledgeClient | None = None):
@@ -99,6 +101,7 @@ class ContextBroker:
         self.subclasses_of = knowledge.subclasses_of if knowledge else (lambda cls: [cls])
         self.is_subclass = knowledge.is_subclass if knowledge else (lambda sub, sup: sub == sup)
         self._pool = KeyedWorkers()
+        self._closed = threading.Event()
 
     # -- registrations ---------------------------------------------------
 
@@ -306,8 +309,8 @@ class ContextBroker:
             if sub is None:
                 return
             wait = sub.throttling_millis / 1000.0 - (time.monotonic() - sub.last_sent)
-        if wait > 0:
-            time.sleep(wait)
+        if wait > 0 and self._closed.wait(wait):
+            return
         with self._lock:
             if sub_id not in self._subscriptions:
                 return
@@ -331,6 +334,7 @@ class ContextBroker:
             log.warning("notifyContext for %s dropped: delivery to %s failed", sub_id, reference)
 
     def close(self) -> None:
+        self._closed.set()
         self._pool.close()
 
 
@@ -434,8 +438,8 @@ class BrokerService(JsonHttpService):
         if not valid_url(reference):
             raise bad_request("subscribeContext needs an absolute 'reference' URL")
         throttling = body.get("throttlingMillis", 0)
-        if not isinstance(throttling, int) or isinstance(throttling, bool) or throttling < 0:
-            raise bad_request("'throttlingMillis' must be a non-negative integer")
+        if not valid_millis(throttling):
+            raise bad_request(f"'throttlingMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
         sub_id = self.broker.subscribe(patterns, attributes, reference, throttling)
         return HttpResponse(200, {"subscriptionId": sub_id})
 

@@ -436,9 +436,6 @@ def request_json(
         if isinstance(body, str):
             data = body.encode("utf-8")
             req_headers.setdefault("Content-Type", "text/plain; charset=utf-8")
-        elif isinstance(body, bytes):
-            data = body
-            req_headers.setdefault("Content-Type", "application/octet-stream")
         else:
             data = json.dumps(body).encode("utf-8")
             req_headers.setdefault("Content-Type", "application/json")
@@ -636,6 +633,13 @@ def valid_url(url: Any) -> bool:
 
 def valid_port(port: Any) -> bool:
     return isinstance(port, int) and not isinstance(port, bool) and 0 <= port <= 65535
+
+
+def valid_millis(value: Any) -> bool:
+    """A duration in milliseconds that ``Event.wait`` accepts: a non-bool
+    integer from 0 to ``threading.TIMEOUT_MAX`` seconds. A longer wait
+    raises OverflowError there and in ``time.sleep``."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= threading.TIMEOUT_MAX * 1000
 
 
 def find_free_port(host: str = "127.0.0.1") -> int:

@@ -8,6 +8,7 @@ contradiction detection is the validation service's job.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .rdf import Graph, IRI, Literal, OWL_NS, RDFS_NS, RDF_NS, XSD_NS
@@ -21,23 +22,30 @@ RDFS_RANGE = RDFS_NS + "range"
 OWL_FUNCTIONAL = OWL_NS + "FunctionalProperty"
 OWL_DISJOINT_WITH = OWL_NS + "disjointWith"
 
-KNOWN_DATATYPES = frozenset(
-    XSD_NS + name
-    for name in (
-        "string",
-        "integer",
-        "decimal",
-        "double",
-        "float",
-        "boolean",
-        "dateTime",
-        "date",
-        "time",
-        "anyURI",
-        "long",
-        "int",
-    )
-)
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
+_DOUBLE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN")
+_DATE = r"-?[0-9]{4}-[0-9]{2}-[0-9]{2}"
+_TIME = r"[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]+)?"
+_TZ = r"(?:Z|[+-][0-9]{2}:[0-9]{2})?"
+
+# Each XSD datatype a property's range may name: the pattern its lexical
+# forms fully match (None: any text) and a sample value.
+DATATYPES: dict[str, tuple[re.Pattern | None, str]] = {
+    XSD_NS + "string": (None, "value"),
+    XSD_NS + "integer": (_INTEGER, "0"),
+    XSD_NS + "long": (_INTEGER, "0"),
+    XSD_NS + "int": (_INTEGER, "0"),
+    XSD_NS + "decimal": (_DECIMAL, "0.0"),
+    XSD_NS + "double": (_DOUBLE, "0.0"),
+    XSD_NS + "float": (_DOUBLE, "0.0"),
+    XSD_NS + "boolean": (re.compile("true|false|1|0"), "true"),
+    XSD_NS + "dateTime": (re.compile(_DATE + "T" + _TIME + _TZ), "2000-01-01T00:00:00Z"),
+    XSD_NS + "date": (re.compile(_DATE + _TZ), "2000-01-01"),
+    XSD_NS + "time": (re.compile(_TIME + _TZ), "00:00:00"),
+    XSD_NS + "anyURI": (None, "urn:example:value"),
+}
+KNOWN_DATATYPES = frozenset(DATATYPES)
 
 
 class StructuralError(ValueError):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -19,7 +20,7 @@ from typing import Any
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import TYPE_CODES, CseClient, CseService
-from .httpkit import Stack, TransportError, get_json, post_json, valid_port
+from .httpkit import Stack, TransportError, post_json, valid_millis, valid_port
 from .knowledge import KnowledgeClient, KnowledgeService
 from .smg import GatewayConfig, MediationGateway, SmgService
 from .validator import VALIDATION_KINDS, ValidatorService
@@ -28,7 +29,6 @@ log = logging.getLogger(__name__)
 
 DEFAULT_QUIESCENCE_MILLIS = 2000
 ASSERTION_POLL_SECONDS = 0.1
-SMG_READY_TIMEOUT = 10.0
 
 
 class ScenarioError(Exception):
@@ -104,8 +104,10 @@ def load_scenario(path: str | Path) -> Scenario:
         if not isinstance(values, list):
             raise ScenarioError(f"sensor '{name}': 'valueSequence' must be a list")
         period = raw_sensor.get("periodMillis", 0)
-        if not _is_count(period):
-            raise ScenarioError(f"sensor '{name}': 'periodMillis' must be an integer >= 0")
+        # the replay waits up to len(values) - 1 periods for the last value
+        if not (valid_millis(period) and valid_millis(period * max(len(values) - 1, 0))):
+            raise ScenarioError(f"sensor '{name}': 'periodMillis' must be an integer from 0 "
+                                f"to {threading.TIMEOUT_MAX * 1000:.0f} over the whole 'valueSequence'")
         sensors.append(Sensor(name, container, descriptor, values, period))
 
     agents = raw.get("agents", [])
@@ -127,8 +129,8 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError("'assertions' must be a list of JSON objects")
 
     quiescence = raw.get("quiescenceMillis", DEFAULT_QUIESCENCE_MILLIS)
-    if not _is_count(quiescence):
-        raise ScenarioError("'quiescenceMillis' must be an integer >= 0")
+    if not valid_millis(quiescence):
+        raise ScenarioError(f"'quiescenceMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
 
     smg = raw.get("smg")
     if smg is not None and not isinstance(smg, dict):
@@ -144,10 +146,6 @@ def load_scenario(path: str | Path) -> Scenario:
         assertions=assertions,
         quiescence_millis=quiescence,
     )
-
-
-def _is_count(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 # The JSON type each assertion field (a dotted path) must have where it is
@@ -183,6 +181,9 @@ class AssertionOutcome:
     expected: Any = None
 
 
+_Failure = tuple[str, Any, Any]  # an assertion's detail, actual and expected
+
+
 @dataclass
 class ScenarioReport:
     exit_code: int
@@ -205,54 +206,35 @@ class ScenarioReport:
         return out
 
 
-def _strip_timestamps(entities: Any) -> tuple[Any, list[str]]:
-    """Remove 'timestamp' metadata for comparison; collect removed values."""
-    stamps: list[str] = []
+def _canonical(entities: Any) -> tuple[Any, list]:
+    """Entities without their 'timestamp' metadata, with entities,
+    attributes and metadata each ordered by canonical JSON; and the
+    removed timestamp values. A part that is not a list or an object
+    passes through as it is."""
+    stamps: list = []
     if not isinstance(entities, list):
         return entities, stamps
-    cleaned = []
-    for entity in entities:
-        if not isinstance(entity, dict):
-            cleaned.append(entity)
-            continue
-        entity = dict(entity)
-        attrs = []
-        for attr in entity.get("attributes", []):
-            if isinstance(attr, dict):
-                attr = dict(attr)
-                kept = []
-                for meta in attr.get("metadata", []):
-                    if isinstance(meta, dict) and meta.get("name") == "timestamp":
-                        stamps.append(meta.get("value"))
-                    else:
-                        kept.append(meta)
-                attr["metadata"] = kept
-            attrs.append(attr)
-        entity["attributes"] = attrs
-        cleaned.append(entity)
-    return cleaned, stamps
-
-
-def _normalize_entities(entities: Any) -> Any:
-    if not isinstance(entities, list):
-        return entities
     out = []
     for entity in entities:
-        if not isinstance(entity, dict):
-            out.append(entity)
-            continue
-        entity = dict(entity)
-        attrs = []
-        for attr in entity.get("attributes", []):
-            if isinstance(attr, dict):
-                attr = dict(attr)
-                attr["metadata"] = sorted(
-                    attr.get("metadata", []), key=lambda m: json.dumps(m, sort_keys=True)
-                )
-            attrs.append(attr)
-        entity["attributes"] = sorted(attrs, key=lambda a: json.dumps(a, sort_keys=True))
+        if isinstance(entity, dict):
+            attrs = []
+            for attr in entity.get("attributes", []):
+                if isinstance(attr, dict):
+                    kept = []
+                    for meta in attr.get("metadata", []):
+                        if isinstance(meta, dict) and meta.get("name") == "timestamp":
+                            stamps.append(meta.get("value"))
+                        else:
+                            kept.append(meta)
+                    attr = {**attr, "metadata": sorted(kept, key=_json_key)}
+                attrs.append(attr)
+            entity = {**entity, "attributes": sorted(attrs, key=_json_key)}
         out.append(entity)
-    return sorted(out, key=lambda e: json.dumps(e, sort_keys=True))
+    return sorted(out, key=_json_key), stamps
+
+
+def _json_key(value: Any) -> str:
+    return json.dumps(value, sort_keys=True)
 
 
 def _parse_timestamp(value: Any) -> datetime | None:
@@ -281,8 +263,10 @@ class ScenarioRunner:
         broker_url = stack.serve("broker", BrokerService(knowledge_url=knowledge_url)).url
         stack.serve("validator", ValidatorService())
         cse = CseClient(cse_url)
+        created: set[str] = set()  # the CSE was booted empty, so it holds only these
+        described: set[str] = set()
         for sensor in self.scenario.sensors:
-            self._ensure_container(cse, sensor)
+            self._ensure_container(cse, sensor, created, described)
         if self.scenario.smg is not None:
             port = stack.port("smg")
             raw = {"cseUrl": cse_url, "brokerUrl": broker_url, "knowledgeUrl": knowledge_url,
@@ -291,8 +275,10 @@ class ScenarioRunner:
                 config = GatewayConfig.from_json(raw)
             except ValueError as exc:
                 raise ScenarioError(f"invalid smg config: {exc}") from exc
-            smg = stack.serve("smg", SmgService(MediationGateway(config)), port)
-            self._await_instances(smg.url)
+            # start() runs the first scan, so every described container
+            # the gateway can adopt is adopted before serve returns; one it
+            # cannot adopt is logged with its reason and left to the rescan loop
+            stack.serve("smg", SmgService(MediationGateway(config)), port)
         for index, path in enumerate(self.scenario.agent_paths):
             try:
                 config = load_agent_config(str(path))
@@ -303,7 +289,11 @@ class ScenarioRunner:
             port = stack.port(key)
             stack.serve(key, AgentService(Agent(config, f"http://127.0.0.1:{port}")), port)
 
-    def _ensure_container(self, cse: CseClient, sensor: Sensor) -> None:
+    @staticmethod
+    def _ensure_container(cse: CseClient, sensor: Sensor, created: set[str], described: set[str]) -> None:
+        """Creates the sensor's container path, and its descriptor, where
+        setup has not created them yet; a clash with another resource's
+        name is the CSE's refusal (a ValueError)."""
         segments = [s for s in sensor.container_path.strip("/").split("/") if s]
         if len(segments) < 2 or segments[0] != "cse":
             raise ScenarioError(
@@ -312,43 +302,15 @@ class ScenarioRunner:
         path = "/cse"
         for depth, segment in enumerate(segments[1:], start=1):
             child = f"{path}/{segment}"
-            status, _ = get_json(cse.base_url + child)
-            if status != 200:
+            if child not in created:
                 is_last = depth == len(segments) - 1
                 ty = "Container" if (is_last or depth > 1) else "AE"
                 cse.create(path, ty, {"rn": segment})
+                created.add(child)
             path = child
-        if sensor.descriptor is not None:
-            listing = cse.discover(path, resource_type="SemanticDescriptor")
-            direct = [p for p in listing if p.rpartition("/")[0] == path]
-            if not direct:
-                cse.create(
-                    path, "SemanticDescriptor",
-                    {"rn": "descriptor", "dsp": sensor.descriptor},
-                )
-
-    def _await_instances(self, smg_url: str) -> None:
-        """Hold the replay until every annotated sensor container has a
-        transformation instance, so no content instance goes unnoticed."""
-        wanted = {
-            s.container_path for s in self.scenario.sensors if s.descriptor is not None
-        }
-        if not wanted:
-            return
-        deadline = time.monotonic() + SMG_READY_TIMEOUT
-        while time.monotonic() < deadline:
-            status, payload = get_json(smg_url + "/instances")
-            if status == 200 and isinstance(payload, dict):
-                covered = {
-                    i.get("sourceContainerPath") for i in payload.get("instances", [])
-                }
-                if wanted <= covered:
-                    return
-            time.sleep(0.1)
-        log.warning(
-            "some annotated containers never produced a transformation instance: %s",
-            sorted(wanted),
-        )
+        if sensor.descriptor is not None and path not in described:
+            cse.create(path, "SemanticDescriptor", {"rn": "descriptor", "dsp": sensor.descriptor})
+            described.add(path)
 
     # -- replay --------------------------------------------------------------
 
@@ -391,61 +353,52 @@ class ScenarioRunner:
         kind = assertion.get("kind")
         fields = _FIELD_TYPES.get(kind) if isinstance(kind, str) else None
         if fields is None:
-            return AssertionOutcome(
-                index, str(kind), False, detail=f"unknown assertion kind {kind!r}"
-            )
-        field = _mistyped_field(assertion, fields)
-        if field is not None:
-            return AssertionOutcome(index, kind, False, detail=f"'{field}' has the wrong JSON type")
-        try:
-            if kind == "queryContextEquals":
-                return self._assert_query(index, assertion)
-            if kind == "discoverContains":
-                return self._assert_discover(index, assertion)
-            return self._assert_validation(index, assertion)
-        except (TransportError, OSError, UnicodeDecodeError) as exc:
-            return AssertionOutcome(index, kind, False, detail=str(exc))
+            failure = (f"unknown assertion kind {kind!r}", None, None)
+        elif (field := _mistyped_field(assertion, fields)) is not None:
+            failure = (f"'{field}' has the wrong JSON type", None, None)
+        else:
+            check = {"queryContextEquals": self._assert_query,
+                     "discoverContains": self._assert_discover,
+                     "validationPasses": self._assert_validation}[kind]
+            try:
+                failure = check(assertion)
+            except (TransportError, OSError, UnicodeDecodeError) as exc:
+                failure = (str(exc), None, None)
+        if failure is None:
+            return AssertionOutcome(index, str(kind), True)
+        detail, actual, expected = failure
+        return AssertionOutcome(index, str(kind), False, detail, actual, expected)
 
-    def _assert_query(self, index: int, assertion: dict) -> AssertionOutcome:
+    # Each check returns None when its assertion holds, else what failed:
+    # (detail, actual, expected).
+
+    def _assert_query(self, assertion: dict) -> _Failure | None:
         request = assertion.get("request") or {}
         expected = (assertion.get("expected") or {}).get("entities", [])
         tolerance = assertion.get("toleranceMillis")
         status, payload = post_json(self.stack.handles["broker"].url + "/ngsi10/queryContext", request)
         if status != 200 or not isinstance(payload, dict):
-            return AssertionOutcome(
-                index, "queryContextEquals", False,
-                detail=f"queryContext returned {status}", actual=payload,
-                expected=expected,
-            )
-        actual_clean, stamps = _strip_timestamps(payload.get("entities", []))
-        expected_clean, _ = _strip_timestamps(expected)
-        if _normalize_entities(actual_clean) != _normalize_entities(expected_clean):
-            return AssertionOutcome(
-                index, "queryContextEquals", False, detail="entity state differs",
-                actual=actual_clean, expected=expected_clean,
-            )
+            return f"queryContext returned {status}", payload, expected
+        actual, stamps = _canonical(payload.get("entities", []))
+        expected, _ = _canonical(expected)
+        if actual != expected:
+            return "entity state differs", actual, expected
         if tolerance is not None:
             low = self.started_at.timestamp() - tolerance / 1000.0
             high = datetime.now(timezone.utc).timestamp() + tolerance / 1000.0
             for stamp in stamps:
                 parsed = _parse_timestamp(stamp)
                 if parsed is None or not (low <= parsed.timestamp() <= high):
-                    return AssertionOutcome(
-                        index, "queryContextEquals", False,
-                        detail=f"timestamp {stamp!r} outside the run window",
-                        actual=stamp, expected=f"within +/-{tolerance}ms of the run",
-                    )
-        return AssertionOutcome(index, "queryContextEquals", True)
+                    return (f"timestamp {stamp!r} outside the run window", stamp,
+                            f"within +/-{tolerance}ms of the run")
+        return None
 
-    def _assert_discover(self, index: int, assertion: dict) -> AssertionOutcome:
+    def _assert_discover(self, assertion: dict) -> _Failure | None:
         request = assertion.get("request") or {}
         expected = assertion.get("expected") or []
         root = request.get("root") or "/cse"
         if request.get("resourceType") not in (None, *TYPE_CODES):
-            return AssertionOutcome(
-                index, "discoverContains", False,
-                detail="'request.resourceType' names no resource type",
-            )
+            return "'request.resourceType' names no resource type", None, None
         cse = CseClient(self.stack.handles["cse"].url)
         try:
             found = cse.discover(
@@ -455,39 +408,27 @@ class ScenarioRunner:
                 semantic_filter=request.get("semanticFilter"),
             )
         except ValueError as exc:
-            return AssertionOutcome(index, "discoverContains", False, detail=str(exc))
+            return str(exc), None, None
         missing = [p for p in expected if p not in found]
         if missing:
-            return AssertionOutcome(
-                index, "discoverContains", False,
-                detail=f"missing {missing}", actual=found, expected=expected,
-            )
-        return AssertionOutcome(index, "discoverContains", True)
+            return f"missing {missing}", found, expected
+        return None
 
-    def _assert_validation(self, index: int, assertion: dict) -> AssertionOutcome:
+    def _assert_validation(self, assertion: dict) -> _Failure | None:
         request = assertion.get("request") or {}
         expected = assertion.get("expected", True)
         kind = request.get("kind")
         file_name = request.get("file")
         if kind not in VALIDATION_KINDS or not file_name:
-            return AssertionOutcome(
-                index, "validationPasses", False,
-                detail="request needs 'kind' and 'file'",
-            )
+            return "request needs 'kind' and 'file'", None, None
         payload_path = self.scenario.base_dir / file_name
         body = payload_path.read_text(encoding="utf-8")
         status, payload = post_json(self.stack.handles["validator"].url + f"/validate/{kind}", body)
         if status != 200 or not isinstance(payload, dict):
-            return AssertionOutcome(
-                index, "validationPasses", False,
-                detail=f"validator returned {status}", actual=payload,
-            )
+            return f"validator returned {status}", payload, None
         if payload.get("passed") is not bool(expected):
-            return AssertionOutcome(
-                index, "validationPasses", False, detail="verdict differs",
-                actual=payload, expected={"passed": bool(expected)},
-            )
-        return AssertionOutcome(index, "validationPasses", True)
+            return "verdict differs", payload, {"passed": bool(expected)}
+        return None
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -27,6 +27,7 @@ from .httpkit import (
     KeyedWorkers,
     TransportError,
     bad_request,
+    valid_millis,
 )
 from .knowledge import KnowledgeClient
 from .ngsi import ContextAttribute, ContextEntity, ContextMetadata, wire_reply
@@ -409,8 +410,8 @@ class GatewayConfig:
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate processId in gateway config")
         rescan = obj.get("rescanPeriodMillis", DEFAULT_RESCAN_MILLIS)
-        if not isinstance(rescan, int) or isinstance(rescan, bool) or rescan <= 0:
-            raise ValueError("'rescanPeriodMillis' must be a positive integer")
+        if not valid_millis(rescan) or rescan == 0:
+            raise ValueError(f"'rescanPeriodMillis' must be an integer from 1 to {threading.TIMEOUT_MAX * 1000:.0f}")
         url = gateway_url or obj.get("gatewayUrl")
         if not isinstance(url, str) or not url:
             raise ValueError("gateway config needs a 'gatewayUrl'")

@@ -9,7 +9,6 @@ Also exposed as a webservice with a minimal built-in submit page.
 from __future__ import annotations
 
 import json
-import re
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -17,6 +16,7 @@ from typing import Any, Iterable
 
 from .httpkit import HttpRequest, HttpResponse, JsonHttpService, bad_request
 from .ontology import (
+    DATATYPES,
     KNOWN_DATATYPES,
     RDFS_RANGE,
     EMPTY_ONTOLOGY,
@@ -32,7 +32,6 @@ from .rdf import (
     RDF_NS,
     RDF_TYPE,
     RDFS_NS,
-    XSD_NS,
     Graph,
     Literal,
     NTriplesError,
@@ -189,38 +188,9 @@ def validate_ontology(text: str, reference: Ontology = EMPTY_ONTOLOGY) -> Valida
 # --- point 2: annotation conformance --------------------------------------------
 
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)")
-_DOUBLE_RE = re.compile(
-    r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]?INF|NaN"
-)
-_DATE_BODY = r"-?[0-9]{4}-[0-9]{2}-[0-9]{2}"
-_TIME_BODY = r"[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]+)?"
-_TZ = r"(?:Z|[+-][0-9]{2}:[0-9]{2})?"
-_DATE_RE = re.compile(_DATE_BODY + _TZ)
-_TIME_RE = re.compile(_TIME_BODY + _TZ)
-_DATETIME_RE = re.compile(_DATE_BODY + "T" + _TIME_BODY + _TZ)
-
-_LEXICAL_RULES = {
-    XSD_NS + "integer": _INTEGER_RE,
-    XSD_NS + "long": _INTEGER_RE,
-    XSD_NS + "int": _INTEGER_RE,
-    XSD_NS + "decimal": _DECIMAL_RE,
-    XSD_NS + "double": _DOUBLE_RE,
-    XSD_NS + "float": _DOUBLE_RE,
-    XSD_NS + "date": _DATE_RE,
-    XSD_NS + "time": _TIME_RE,
-    XSD_NS + "dateTime": _DATETIME_RE,
-}
-
-
 def lexical_valid(datatype: str, lexical: str) -> bool:
-    if datatype == XSD_NS + "boolean":
-        return lexical in {"true", "false", "1", "0"}
-    rule = _LEXICAL_RULES.get(datatype)
-    if rule is None:  # xsd:string, xsd:anyURI and anything unconstrained
-        return True
-    return rule.fullmatch(lexical) is not None
+    pattern, _ = DATATYPES.get(datatype, (None, None))  # None: any text
+    return pattern is None or pattern.fullmatch(lexical) is not None
 
 
 def check_annotation(descriptor: Graph, declared: Ontology) -> list[ValidationError]:
@@ -275,22 +245,6 @@ def validate_annotation(text: str, declared: Ontology = EMPTY_ONTOLOGY) -> Valid
 # --- point 3: rule non-contradiction ---------------------------------------------
 
 
-_DATATYPE_SAMPLES = {
-    XSD_NS + "integer": "0",
-    XSD_NS + "long": "0",
-    XSD_NS + "int": "0",
-    XSD_NS + "decimal": "0.0",
-    XSD_NS + "double": "0.0",
-    XSD_NS + "float": "0.0",
-    XSD_NS + "boolean": "true",
-    XSD_NS + "dateTime": "2000-01-01T00:00:00Z",
-    XSD_NS + "date": "2000-01-01",
-    XSD_NS + "time": "00:00:00",
-    XSD_NS + "anyURI": "urn:example:value",
-    XSD_NS + "string": "value",
-}
-
-
 def _witness_instance(cls: str) -> IRI:
     return IRI("urn:witness:" + urllib.parse.quote(cls, safe=""))
 
@@ -309,7 +263,7 @@ def default_witness(onto: Ontology) -> Graph:
         if decl.range is None:
             obj = Literal("value")
         elif decl.range in KNOWN_DATATYPES:
-            obj = Literal(_DATATYPE_SAMPLES.get(decl.range, "value"), datatype=decl.range)
+            obj = Literal(DATATYPES[decl.range][1], datatype=decl.range)
         else:
             obj = _witness_instance(decl.range)
         triples.append(Triple(subject, IRI(prop_iri), obj))

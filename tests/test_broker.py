@@ -347,6 +347,25 @@ def test_throttling_coalesces_to_latest_state(broker_server, capture_server):
     assert bodies[1]["entities"][0]["attributes"][0]["value"] == 3
 
 
+def test_the_first_throttled_notice_does_not_wait_for_the_host_uptime(broker_server, capture_server):
+    # a window longer than the monotonic clock has run: a first flush that
+    # measured it from 0.0 would still be waiting
+    client = BrokerClient(broker_server.url)
+    throttle = int((time.monotonic() + 3600) * 1000)
+    client.subscribe([{"id": "room1"}], None, capture_server.url, throttling_millis=throttle)
+    client.update("APPEND", [_entity("room1", 1)])
+    assert capture_server.wait_for(1, timeout=2.0)
+
+
+def test_a_throttle_longer_than_a_thread_can_wait_is_refused(broker_server):
+    url = broker_server.url + "/ngsi10/subscribeContext"
+    good = {"entities": [{"id": "x"}], "reference": "http://127.0.0.1:9/n"}
+    longest = int(threading.TIMEOUT_MAX * 1000)
+    for throttle, expected in ((10**13, 400), (longest + 1, 400), (longest, 200)):
+        status, _ = post_json(url, {**good, "throttlingMillis": throttle})
+        assert status == expected, throttle
+
+
 class SlowFirstSubscriber:
     """Takes 0.5 s over its first notification; records each notified
     value when it has been handled, the order a subscriber's state follows."""

@@ -29,6 +29,7 @@ from giots.httpkit import (
     deliver,
     request_json,
     run_service,
+    valid_millis,
     valid_url,
 )
 
@@ -184,6 +185,12 @@ def test_a_url_that_is_not_a_reachable_http_url_is_a_transport_error(url):
     assert valid_url(url) is False
     with pytest.raises(TransportError):
         request_json("GET", url)
+
+
+def test_a_duration_is_an_integer_of_milliseconds_a_thread_can_wait():
+    longest = int(threading.TIMEOUT_MAX * 1000)
+    assert all(valid_millis(v) for v in (0, 1, longest))
+    assert not any(valid_millis(v) for v in (-1, longest + 1, 10**13, True, 1.5, "5", None))
 
 
 def test_a_stopped_service_is_not_answered_over_a_pooled_connection(service):

@@ -7,15 +7,15 @@ import threading
 
 import pytest
 
-from giots.httpkit import find_free_port
+from giots.cse import CseClient, CseService
+from giots.httpkit import find_free_port, get_json
 from giots.scenario import (
     ScenarioError,
     ScenarioReport,
     AssertionOutcome,
     ScenarioRunner,
-    _normalize_entities,
+    _canonical,
     _parse_timestamp,
-    _strip_timestamps,
     load_scenario,
     run_scenario,
 )
@@ -106,6 +106,18 @@ def test_load_rejects_missing_and_invalid_files(tmp_path):
             "'periodMillis' must be an integer",
         ),
         (_minimal(quiescenceMillis=True), "'quiescenceMillis' must be an integer"),
+        (
+            _minimal(sensors=[{"name": "s", "containerPath": "/cse/a/b",
+                               "periodMillis": 10**13}]),
+            "'periodMillis' must be an integer from 0 to",
+        ),
+        (_minimal(quiescenceMillis=10**13), "'quiescenceMillis' must be an integer from 0 to"),
+        (
+            _minimal(sensors=[{"name": "s", "containerPath": "/cse/a/b",
+                               "periodMillis": int(threading.TIMEOUT_MAX * 1000),
+                               "valueSequence": [1, 2, 3]}]),
+            "over the whole 'valueSequence'",
+        ),
     ],
 )
 def test_load_rejects_malformed_scenarios(tmp_path, doc, fragment):
@@ -144,16 +156,22 @@ def _entity_with_metadata():
     ]
 
 
-def test_strip_timestamps_removes_and_collects():
-    cleaned, stamps = _strip_timestamps(_entity_with_metadata())
+def test_canonical_removes_and_collects_timestamps():
+    cleaned, stamps = _canonical(_entity_with_metadata())
     assert stamps == ["2026-01-01T00:00:00Z"]
     metadata = cleaned[0]["attributes"][0]["metadata"]
     assert [m["name"] for m in metadata] == ["unit"]
-    # non-list input passes through untouched
-    assert _strip_timestamps("oops") == ("oops", [])
+    # the input is left as it was
+    assert len(_entity_with_metadata()[0]["attributes"][0]["metadata"]) == 2
+    # non-list input, and entities, attributes and metadata that are not
+    # objects, pass through untouched
+    assert _canonical("oops") == ("oops", [])
+    assert _canonical([7, {"id": "a", "attributes": ["x", {"name": "n", "metadata": [1]}]}]) == (
+        [7, {"id": "a", "attributes": ["x", {"name": "n", "metadata": [1]}]}], []
+    )
 
 
-def test_normalize_entities_is_order_insensitive():
+def test_canonical_is_order_insensitive():
     one = [
         {"id": "b", "attributes": [{"name": "y", "value": 1, "metadata": []},
                                    {"name": "x", "value": 2, "metadata": []}]},
@@ -164,8 +182,17 @@ def test_normalize_entities_is_order_insensitive():
         {"id": "b", "attributes": [{"name": "x", "value": 2, "metadata": []},
                                    {"name": "y", "value": 1, "metadata": []}]},
     ]
-    assert _normalize_entities(one) == _normalize_entities(two)
-    assert _normalize_entities(one) != _normalize_entities([{"id": "c", "attributes": []}])
+    assert _canonical(one) == _canonical(two)
+    assert _canonical(one) != _canonical([{"id": "c", "attributes": []}])
+    # metadata order does not count, nor does a timestamp's value
+    stamped = _entity_with_metadata()
+    reordered = _entity_with_metadata()
+    meta = reordered[0]["attributes"][0]["metadata"]
+    meta.reverse()
+    meta[1]["value"] = "2030-01-01T00:00:00Z"
+    assert _canonical(stamped)[0] == _canonical(reordered)[0]
+    # an entity with no attributes list equals one with an empty list
+    assert _canonical([{"id": "a"}])[0] == _canonical([{"id": "a", "attributes": []}])[0]
 
 
 def test_parse_timestamp_handles_zulu_suffix():
@@ -346,3 +373,82 @@ def test_a_boot_that_fails_part_way_stops_what_it_started(tmp_path):
     assert [t for t in threading.enumerate() if t not in before] == []
     for port in ports.values():
         socket.create_server(("127.0.0.1", port)).close()
+
+
+def _described(name, path):
+    return {"name": name, "containerPath": path, "descriptorFile": "room123-descriptor.nt",
+            "valueSequence": []}
+
+
+def _copy_packaged_files(tmp_path):
+    for name in ("meeting-room.nt", "room123-descriptor.nt"):
+        (tmp_path / name).write_text((SCENARIOS_DIR / name).read_text(encoding="utf-8"))
+
+
+def test_setup_creates_what_the_sensors_name_with_posts_only(tmp_path, monkeypatch):
+    """The CSE is booted empty, so setup creates each path segment and each
+    descriptor once, and asks the CSE nothing."""
+    _copy_packaged_files(tmp_path)
+    doc = _minimal(sensors=[
+        _described("s1", "/cse/app/room1"),
+        _described("s2", "/cse/app/room1"),  # already described: no second descriptor
+        {"name": "s3", "containerPath": "/cse/app/floor/room2"},
+        {"name": "s4", "containerPath": "/cse/solo"},
+    ])
+    seen = []
+    handle = CseService.handle
+
+    def recording(self, request):
+        seen.append(request.method)
+        return handle(self, request)
+
+    monkeypatch.setattr(CseService, "handle", recording)
+    runner = ScenarioRunner(load_scenario(_write_scenario(tmp_path, doc)))
+    try:
+        runner.setup()
+        assert seen and set(seen) == {"POST"}
+        cse = CseClient(runner.stack.handles["cse"].url)
+        assert cse.discover("/cse", resource_type="AE") == ["/cse/app"]
+        assert sorted(cse.discover("/cse", resource_type="Container")) == [
+            "/cse/app/floor", "/cse/app/floor/room2", "/cse/app/room1", "/cse/solo"]
+        assert cse.discover("/cse", resource_type="SemanticDescriptor") == [
+            "/cse/app/room1/descriptor"]
+    finally:
+        runner.teardown()
+
+
+def test_the_gateway_has_adopted_every_described_container_when_setup_returns(tmp_path):
+    _copy_packaged_files(tmp_path)
+    doc = json.loads((SCENARIOS_DIR / "room123.json").read_text(encoding="utf-8"))
+    doc["sensors"] = [_described("a", "/cse/tempApp/room123"), _described("b", "/cse/other/room9"),
+                      {"name": "c", "containerPath": "/cse/tempApp/plain"}]
+    runner = ScenarioRunner(load_scenario(_write_scenario(tmp_path, doc)))
+    try:
+        runner.setup()
+        status, payload = get_json(runner.stack.handles["smg"].url + "/instances")
+        assert status == 200
+        adopted = {i["sourceContainerPath"] for i in payload["instances"]}
+        assert adopted == {"/cse/tempApp/room123", "/cse/other/room9"}
+    finally:
+        runner.teardown()
+
+
+def test_a_name_clash_in_the_container_paths_exits_two(tmp_path):
+    _copy_packaged_files(tmp_path)
+    for sensors in (
+        [{"name": "a", "containerPath": "/cse/app/room/descriptor"}, _described("b", "/cse/app/room")],
+        [_described("b", "/cse/app/room"), {"name": "a", "containerPath": "/cse/app/room/descriptor"}],
+    ):
+        report = run_scenario(_write_scenario(tmp_path, _minimal(sensors=sensors)), print_report=False)
+        assert report.exit_code == 2
+        assert "failed (409)" in report.error
+
+
+def test_a_duration_past_the_platform_wait_exits_two(tmp_path):
+    for doc in (
+        _minimal(sensors=[{"name": "s", "containerPath": "/cse/a/b", "periodMillis": 10**13,
+                           "valueSequence": [1, 2]}]),
+        _minimal(quiescenceMillis=10**13),
+    ):
+        report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
+        assert report.exit_code == 2 and "must be an integer from 0 to" in report.error

@@ -353,6 +353,7 @@ def test_gateway_config_parsing():
         _config_doc(knowledgeUrl=""),
         _config_doc(rootPath=5),
         _config_doc(rootPath="cse"),
+        _config_doc(rescanPeriodMillis=10**13),
     ],
 )
 def test_gateway_config_rejects_malformed_documents(doc):

@@ -218,6 +218,44 @@ def test_equality_is_numeric_when_both_sides_are_numbers():
     assert evaluate(parse_sparql('ASK { ?s <urn:p> ?v . FILTER(?v != "seven") }'), graph) is True
 
 
+# (operand, op, holds) with ?v bound to "5"^^xsd:integer: equal operands,
+# integer against integer and against decimal, then unequal ones
+_ORDERING_TABLE = [
+    (operand, op, holds)
+    for operand, outcomes in [("5", "FTFT"), ("5.0", "FTFT"), ("6", "TTFF"), ("4.5", "FFTT")]
+    for op, holds in zip(("<", "<=", ">", ">="), (o == "T" for o in outcomes))
+]
+
+
+@pytest.mark.parametrize(("operand", "op", "holds"), _ORDERING_TABLE)
+def test_ordering_comparisons_on_equal_and_unequal_numbers(operand, op, holds):
+    graph = Graph([Triple(IRI("urn:x"), IRI("urn:p"), Literal("5", datatype=XSD_NS + "integer"))])
+    query = parse_sparql(f"ASK {{ ?s <urn:p> ?v . FILTER(?v {op} {operand}) }}")
+    assert evaluate(query, graph) is holds
+    # the mirrored comparison agrees
+    mirrored = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}[op]
+    assert evaluate(parse_sparql(f"ASK {{ ?s <urn:p> ?v . FILTER({operand} {mirrored} ?v) }}"), graph) is holds
+
+
+def test_a_typed_literal_may_name_its_datatype_with_a_prefix():
+    xsd_integer = XSD_NS + "integer"
+    graph = Graph([Triple(IRI("urn:x"), IRI("urn:p"), Literal("5", datatype=xsd_integer))])
+    body = 'ASK { ?s <urn:p> ?o FILTER(?o = "5"^^xsd:integer) }'
+    query = parse_sparql(f"PREFIX xsd: <{XSD_NS}> {body}")
+    (comparison,) = query.filters
+    assert comparison.right == Literal("5", datatype=xsd_integer)
+    assert evaluate(query, graph) is True
+    # in a triple pattern it matches the term exactly
+    assert evaluate(parse_sparql(f'PREFIX xsd: <{XSD_NS}> ASK {{ ?s <urn:p> "5"^^xsd:integer }}'), graph) is True
+    assert evaluate(parse_sparql(f'PREFIX xsd: <{XSD_NS}> ASK {{ ?s <urn:p> "5"^^xsd:decimal }}'), graph) is False
+    # without the PREFIX the datatype's name is an error where it starts
+    for text in (body, 'ASK { ?s <urn:p> "5"^^xsd:integer }'):
+        with pytest.raises(SparqlSyntaxError) as excinfo:
+            parse_sparql(text)
+        assert excinfo.value.position == text.index("xsd:integer")
+        assert excinfo.value.message == "undefined prefix 'xsd:'"
+
+
 def test_failed_comparisons_count_as_false():
     graph = Graph([Triple(IRI("urn:x"), IRI("urn:p"), Literal("warm"))])
     # ordering over a non-number is false, so its negation holds
