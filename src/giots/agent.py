@@ -37,11 +37,11 @@ from .httpkit import (
     TransportError,
     bad_request,
     not_found,
-    valid_millis,
 )
+from .jsonfields import BOOL, LIST, MILLIS, OBJECT, STRING, TEXT, URL, document, read
 from .ngsi import ContextEntity, EntityPattern, parse_attribute_names, parse_patterns
 from .rdf import CTX_NS, IRI, RDF_TYPE, Graph, Literal, Triple, TriplePattern, Variable
-from .rules import Closure, ClosureLimitExceeded, RuleBase, parse_rule_json
+from .rules import PREFIXES, Closure, ClosureLimitExceeded, RuleBase, parse_rule_json
 from .sparql import (
     SparqlSyntaxError,
     binding_to_json,
@@ -85,44 +85,25 @@ class AgentConfig:
 
     @staticmethod
     def from_json(obj: Any) -> "AgentConfig":
-        if not isinstance(obj, dict):
-            raise ValueError("agent config must be a JSON object")
-        agent_id = obj.get("agentId")
-        if not isinstance(agent_id, str) or not agent_id:
-            raise ValueError("agent config needs a non-empty 'agentId'")
-        broker_url = obj.get("brokerUrl")
-        if not isinstance(broker_url, str) or not broker_url:
-            raise ValueError("agent config needs a 'brokerUrl'")
-        subscription = obj.get("subscription")
-        if not isinstance(subscription, dict):
-            raise ValueError("agent config needs a 'subscription' object")
-        patterns = parse_patterns(subscription.get("entities"), "subscription")
-        attributes = parse_attribute_names(subscription.get("attributes"), "subscription")
-        prefixes = obj.get("prefixes")
-        raw_rules = obj.get("rules", [])
-        if not isinstance(raw_rules, list):
-            raise ValueError("'rules' must be a list")
-        rules = RuleBase([parse_rule_json(r, prefixes) for r in raw_rules])
+        subscription = read(document(obj, "agent config"), "subscription", OBJECT)
+        prefixes = read(obj, "prefixes", PREFIXES, default=None)
+        rules = RuleBase([parse_rule_json(r, prefixes) for r in read(obj, "rules", LIST, default=[])])
         Closure(rules)  # raises ValueError for an unsafe rule
-        suffix = obj.get("outputEntitySuffix", "")
-        if not isinstance(suffix, str):
-            raise ValueError("'outputEntitySuffix' must be a string")
-        enabled = obj.get("sparqlEndpointEnabled", True)
-        if not isinstance(enabled, bool):
-            raise ValueError("'sparqlEndpointEnabled' must be a boolean")
-        throttling = obj.get("throttlingMillis", 0)
-        if not valid_millis(throttling):
-            raise ValueError(f"'throttlingMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
         return AgentConfig(
-            agent_id=agent_id,
-            broker_url=broker_url,
-            patterns=patterns,
-            attributes=attributes or [],
+            agent_id=read(obj, "agentId", TEXT),
+            broker_url=read(obj, "brokerUrl", URL),
+            patterns=parse_patterns(subscription.get("entities"), "subscription"),
+            attributes=parse_attribute_names(subscription.get("attributes"), "subscription") or [],
             rules=rules,
-            output_entity_suffix=suffix,
-            sparql_enabled=enabled,
-            throttling_millis=throttling,
+            output_entity_suffix=read(obj, "outputEntitySuffix", STRING, default=""),
+            sparql_enabled=read(obj, "sparqlEndpointEnabled", BOOL, default=True),
+            throttling_millis=read(obj, "throttlingMillis", MILLIS, default=0),
         )
+
+
+def _notified(body: Any) -> list:
+    """A notification's 'entities'."""
+    return read(document(body, "notification"), "entities", LIST, "notification")
 
 
 class Agent:
@@ -169,11 +150,13 @@ class Agent:
             self._added.add(new)
 
     def _apply_notification(self, body: Any) -> bool:
-        if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
+        try:
+            raw_entities = _notified(body)
+        except ValueError:
             log.warning("malformed notification skipped: %r", body)
             return False
         changed = False
-        for raw in body["entities"]:
+        for raw in raw_entities:
             try:
                 entity = ContextEntity.from_json(raw)
             except ValueError as exc:
@@ -270,8 +253,7 @@ class Agent:
     # -- notifications -----------------------------------------------------------
 
     def on_notification(self, body: Any) -> None:
-        if not isinstance(body, dict) or not isinstance(body.get("entities"), list):
-            raise bad_request("expected a notification with an 'entities' list")
+        _notified(body)  # a FieldError, answered 400
         with self._lock:
             self.notifications += 1
             if not self._inbox:  # else a queued drain will apply this body too
@@ -352,11 +334,9 @@ class AgentService(JsonHttpService):
     def _sparql(self, request: HttpRequest) -> HttpResponse:
         if not self.agent.config.sparql_enabled:
             raise not_found("the query endpoint is disabled for this agent")
-        body = request.json()
-        if not isinstance(body, dict) or not isinstance(body.get("query"), str):
-            raise bad_request("expected a JSON body with a 'query' string")
+        query = read(document(request.json(), "sparql body"), "query", STRING, "sparql")
         try:
-            return HttpResponse(200, self.agent.answer_sparql(body["query"]))
+            return HttpResponse(200, self.agent.answer_sparql(query))
         except SparqlSyntaxError as exc:
             raise bad_request(f"query does not parse: {exc}") from exc
 

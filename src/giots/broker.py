@@ -28,9 +28,8 @@ from .httpkit import (
     deliver,
     not_found,
     request_json,
-    valid_millis,
-    valid_url,
 )
+from .jsonfields import MILLIS, TEXT, URL, document, read
 from .knowledge import KnowledgeClient
 from .ngsi import (
     BoundingBox,
@@ -230,10 +229,10 @@ class ContextBroker:
         patterns, each with its type's expansion, which a pulled entity's
         type must be in; recursion stops at depth 1 via a hop header."""
         pulled: list[ContextEntity] = []
-        seen: set[tuple[str, str]] = set()
+        seen: set[tuple[str, EntityPattern]] = set()
         for pattern, types in patterns:
             for reg in self.discover([pattern], attributes):
-                key = (reg.providing_application, str(sorted(pattern.to_json().items())))
+                key = (reg.providing_application, pattern)
                 if key in seen:
                     continue
                 seen.add(key)
@@ -344,9 +343,8 @@ def parse_request(
     """The entity patterns and attribute names of an NGSI request body; a
     body that is not an object, or that holds a bad pattern or attribute
     list, is a 400."""
-    if not isinstance(body, dict):
-        raise bad_request(f"{where} body must be a JSON object")
     try:
+        body = document(body, f"{where} body")
         return (
             parse_patterns(body.get("entities"), where, allow_empty_pattern),
             parse_attribute_names(body.get("attributes"), where),
@@ -379,19 +377,11 @@ class BrokerService(JsonHttpService):
         with self._metrics_lock:
             self.metrics[op] = self.metrics.get(op, 0) + 1
 
-    def _body(self, request: HttpRequest) -> dict:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise bad_request("request body must be a JSON object")
-        return body
-
     def _register(self, request: HttpRequest) -> HttpResponse:
         self._count("registerContext")
         body = request.json()
         patterns, attributes = parse_request(body, "registerContext", allow_empty_pattern=False)
-        providing = body.get("providingApplication")
-        if not valid_url(providing):
-            raise bad_request("registerContext needs an absolute 'providingApplication' URL")
+        providing = read(body, "providingApplication", URL, "registerContext")
         reg_id = self.broker.register(patterns, attributes, providing)
         return HttpResponse(200, {"registrationId": reg_id})
 
@@ -403,7 +393,7 @@ class BrokerService(JsonHttpService):
 
     def _update(self, request: HttpRequest) -> HttpResponse:
         self._count("updateContext")
-        body = self._body(request)
+        body = document(request.json(), "updateContext body")
         action = body.get("action")
         if action not in {"APPEND", "UPDATE"}:
             raise bad_request("updateContext 'action' must be APPEND or UPDATE")
@@ -434,21 +424,15 @@ class BrokerService(JsonHttpService):
         self._count("subscribeContext")
         body = request.json()
         patterns, attributes = parse_request(body, "subscribeContext")
-        reference = body.get("reference")
-        if not valid_url(reference):
-            raise bad_request("subscribeContext needs an absolute 'reference' URL")
-        throttling = body.get("throttlingMillis", 0)
-        if not valid_millis(throttling):
-            raise bad_request(f"'throttlingMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
+        reference = read(body, "reference", URL, "subscribeContext")
+        throttling = read(body, "throttlingMillis", MILLIS, "subscribeContext", 0)
         sub_id = self.broker.subscribe(patterns, attributes, reference, throttling)
         return HttpResponse(200, {"subscriptionId": sub_id})
 
     def _unsubscribe(self, request: HttpRequest) -> HttpResponse:
         self._count("unsubscribeContext")
-        body = self._body(request)
-        sub_id = body.get("subscriptionId")
-        if not isinstance(sub_id, str) or not sub_id:
-            raise bad_request("unsubscribeContext needs a 'subscriptionId'")
+        sub_id = read(document(request.json(), "unsubscribeContext body"), "subscriptionId", TEXT,
+                      "unsubscribeContext")
         try:
             self.broker.unsubscribe(sub_id)
         except LookupError as exc:

@@ -13,7 +13,8 @@ import time
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import CseService
-from .httpkit import Stack, valid_port
+from .httpkit import Stack
+from .jsonfields import valid_port
 from .knowledge import KnowledgeService
 from .smg import MediationGateway, SmgService, load_gateway_config
 from .validator import VALIDATION_KINDS, ValidatorService, validate

@@ -31,8 +31,8 @@ from .httpkit import (
     not_found,
     post_json,
     request_json,
-    valid_url,
 )
+from .jsonfields import ANY, LIST, STRING, TEXT, URL, document, read
 from .rdf import Graph, NTriplesError, Term, Variable, parse_ntriples, serialize_ntriples
 from .sparql import PARSE_CACHE_SIZE, Query, SparqlSyntaxError, evaluate, parse_sparql
 
@@ -70,6 +70,7 @@ CODE_TYPES = {rt.code: name for name, rt in RESOURCE_TYPES.items()}
 
 _NAME_PATTERN = "[A-Za-z0-9_.~-]{1,64}"
 _NAME_RE = re.compile(_NAME_PATTERN)
+_STRINGS = LIST.of(STRING, "a list of strings")
 _TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S.%fZ"
 _TIMESTAMP_RE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{3}Z")
 
@@ -117,14 +118,6 @@ class Resource:
             "pi": self.pi,
             **self.attrs,
         }
-
-
-def _check_labels(raw: Any) -> list[str]:
-    if raw is None:
-        return []
-    if not isinstance(raw, list) or not all(isinstance(v, str) for v in raw):
-        raise bad_request("'lbl' must be a list of strings")
-    return list(raw)
 
 
 class ResourceTree:
@@ -203,31 +196,20 @@ class ResourceTree:
     def _attributes(self, ty: str, body: dict) -> tuple[dict[str, Any], Graph | None]:
         """The type's attributes in a create or update body, checked and in
         wire form, and a descriptor's parsed graph."""
+        where = f"a {ty}"
         if ty == "ContentInstance":
-            if "con" not in body:
-                raise bad_request("a ContentInstance needs a 'con' value")
-            cnf = body.get("cnf", "application/json")
-            if not isinstance(cnf, str) or not cnf:
-                raise bad_request("'cnf' must be a non-empty media-type string")
-            return {"con": body["con"], "cnf": cnf}, None
+            return {"con": read(body, "con", ANY, where),
+                    "cnf": read(body, "cnf", TEXT, where, "application/json")}, None
         if ty == "SemanticDescriptor":
-            dsp = body.get("dsp")
-            if not isinstance(dsp, str):
-                raise bad_request("a SemanticDescriptor needs a 'dsp' N-Triples string")
             try:
-                graph = parse_ntriples(dsp)
+                graph = parse_ntriples(read(body, "dsp", STRING, where))
             except NTriplesError as exc:
                 raise bad_request(f"descriptor does not parse: {exc}") from exc
             return {"dsp": serialize_ntriples(graph)}, graph
         if ty == "Subscription":
-            nu = body.get("nu")
-            if not valid_url(nu):
-                raise bad_request("a Subscription needs an absolute http(s) 'nu' URL")
-            return {"nu": nu}, None
+            return {"nu": read(body, "nu", URL, where)}, None
         if ty == "Group":
-            mid = body.get("mid")
-            if not isinstance(mid, list) or not all(isinstance(m, str) for m in mid):
-                raise bad_request("a Group needs a 'mid' list of resource ids")
+            mid = read(body, "mid", _STRINGS, where)
             for member in mid:
                 if member not in self._by_ri:
                     raise bad_request(f"group member '{member}' does not exist")
@@ -239,14 +221,14 @@ class ResourceTree:
             parent = self.lookup(parent_path)
             if ty not in RESOURCE_TYPES[parent.ty].children:
                 raise bad_request(f"a {ty} cannot be created under a {parent.ty}")
-            rn = body.get("rn")
-            if not isinstance(rn, str) or not _NAME_RE.fullmatch(rn):
+            rn = read(body, "rn", STRING, f"a {ty}")
+            if not _NAME_RE.fullmatch(rn):
                 raise bad_request(f"'rn' must match {_NAME_PATTERN}")
             if rn in parent.children:
                 raise conflict(f"'{rn}' already exists under {parent_path}")
             if ty == "SemanticDescriptor" and parent.descriptor is not None:
                 raise bad_request(f"{parent_path} already has a semantic descriptor")
-            lbl = _check_labels(body.get("lbl"))
+            lbl = list(read(body, "lbl", _STRINGS, f"a {ty}", []))
             attrs, graph = self._attributes(ty, body)
             return self._new_resource(ty, rn, parent, lbl, attrs, graph)
 
@@ -260,7 +242,7 @@ class ResourceTree:
             unknown = set(body) - mutable - {"lbl"}
             if unknown:
                 raise bad_request(f"cannot update {sorted(unknown)} on a {resource.ty}")
-            lbl = _check_labels(body["lbl"]) if "lbl" in body else resource.lbl
+            lbl = list(read(body, "lbl", _STRINGS, f"a {resource.ty}", resource.lbl))
             if set(body) - {"lbl"}:
                 attrs, graph = self._attributes(resource.ty, body)
                 self._post_terms(resource, False)
@@ -428,9 +410,7 @@ class CseService(JsonHttpService):
         ty = _type_of(raw_ty)
         if ty == "CSEBase":
             raise bad_request("a CSE hosts exactly one CSE base")
-        body = request.json()
-        if not isinstance(body, dict):
-            raise bad_request("create body must be a JSON object")
+        body = document(request.json(), "create body")
         resource = self.tree.create(self._path_of(request), ty, body)
         if ty == "ContentInstance":
             self._fire_child_created(resource)
@@ -475,10 +455,7 @@ class CseService(JsonHttpService):
         return HttpResponse(200, {"uril": paths})
 
     def _update(self, request: HttpRequest) -> HttpResponse:
-        body = request.json()
-        if not isinstance(body, dict):
-            raise bad_request("update body must be a JSON object")
-        resource = self.tree.update(self._path_of(request), body)
+        resource = self.tree.update(self._path_of(request), document(request.json(), "update body"))
         return HttpResponse(200, resource.to_json())
 
     def _delete(self, request: HttpRequest) -> HttpResponse:

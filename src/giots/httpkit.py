@@ -30,6 +30,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable
 
+from .jsonfields import FieldError, valid_url
+
 log = logging.getLogger(__name__)
 
 KEEP_ALIVE_SECONDS = 5  # a server closes a connection idle this long, and says so
@@ -185,6 +187,8 @@ class JsonHttpService:
             return self.router.dispatch(request)
         except ApiError as exc:
             return exc.response()
+        except FieldError as exc:  # a request body's member is missing or mistyped
+            return bad_request(str(exc)).response()
         except Exception:  # pragma: no cover - defensive
             log.exception("%s: unhandled error on %s %s", self.name, request.method, request.path)
             return HttpResponse(500, {"error": "InternalError", "message": "unhandled server error"})
@@ -618,28 +622,6 @@ def wait_healthy(base_url: str, timeout: float = 5.0) -> None:
         if time.monotonic() > deadline:
             raise TransportError(f"service at {base_url} did not become healthy within {timeout}s")
         time.sleep(0.05)
-
-
-def valid_url(url: Any) -> bool:
-    if not isinstance(url, str):
-        return False
-    try:
-        parts = urllib.parse.urlsplit(url)  # ValueError for a bad IPv6 host
-        parts.port  # ValueError unless a number from 0 to 65535
-    except ValueError:
-        return False
-    return parts.scheme in {"http", "https"} and bool(parts.hostname)
-
-
-def valid_port(port: Any) -> bool:
-    return isinstance(port, int) and not isinstance(port, bool) and 0 <= port <= 65535
-
-
-def valid_millis(value: Any) -> bool:
-    """A duration in milliseconds that ``Event.wait`` accepts: a non-bool
-    integer from 0 to ``threading.TIMEOUT_MAX`` seconds. A longer wait
-    raises OverflowError there and in ``time.sleep``."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= threading.TIMEOUT_MAX * 1000
 
 
 def find_free_port(host: str = "127.0.0.1") -> int:

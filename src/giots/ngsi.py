@@ -9,39 +9,22 @@ Parsing functions raise ValueError; HTTP services translate those into
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable
 
+from .jsonfields import ITEMS, LIST, NUMBER, OBJECT, SCALAR, STRING, TEXT, Kind, check, document, read
+
 Scalar = str | int | float | bool
 
 LOCATION_METADATA = "location"
-
-
-def _require_scalar(value: Any, where: str) -> Scalar:
-    if isinstance(value, bool) or isinstance(value, (str, int, float)):
-        return value
-    raise ValueError(f"{where} must be a JSON scalar, got {type(value).__name__}")
-
-
-def _finite(value: Any) -> float | None:
-    """A JSON number (not a bool) as a finite float; None for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:  # an int past the float range
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _location_pair(value: Any, where: str) -> list[float]:
-    pair = [_finite(v) for v in value] if isinstance(value, (list, tuple)) else []
-    if len(pair) != 2 or None in pair:
-        raise ValueError(f"{where} must be a [lon, lat] pair of finite numbers")
-    return pair
+_CORNERS = ("minLon", "minLat", "maxLon", "maxLat")
+_LOCATION = Kind(lambda v: LIST.admits(v) and len(v) == 2 and all(map(NUMBER.admits, v)),
+                 "a [lon, lat] pair of finite numbers")
+_BOX = Kind(lambda v: OBJECT.admits(v) and all(NUMBER.admits(v.get(k)) for k in _CORNERS),
+            "an object of finite numbers " + ", ".join(_CORNERS))
+_ATTRIBUTE_NAMES = LIST.of(TEXT, "a list of non-empty strings")
 
 
 @dataclass(frozen=True)
@@ -52,19 +35,13 @@ class ContextMetadata:
 
     @staticmethod
     def from_json(obj: Any, where: str) -> "ContextMetadata":
-        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str) or not obj["name"]:
-            raise ValueError(f"{where}: metadata needs a non-empty 'name'")
-        name = obj["name"]
-        mtype = obj.get("type", "string")
-        if not isinstance(mtype, str):
-            raise ValueError(f"{where}: metadata 'type' must be a string")
-        if "value" not in obj:
-            raise ValueError(f"{where}: metadata '{name}' needs a 'value'")
+        where = f"{where}: metadata"
+        name = read(document(obj, where), "name", TEXT, where)
+        where = f"{where} '{name}'"
+        mtype = read(obj, "type", STRING, where, "string")
         if name == LOCATION_METADATA:
-            value = _location_pair(obj["value"], f"{where}: metadata 'location'")
-        else:
-            value = _require_scalar(obj["value"], f"{where}: metadata '{name}' value")
-        return ContextMetadata(name, mtype, value)
+            return ContextMetadata(name, mtype, [float(v) for v in read(obj, "value", _LOCATION, where)])
+        return ContextMetadata(name, mtype, read(obj, "value", SCALAR, where))
 
     def to_json(self) -> dict:
         return {"name": self.name, "type": self.type, "value": self.value}
@@ -83,18 +60,12 @@ class ContextAttribute:
 
     @staticmethod
     def from_json(obj: Any, where: str) -> "ContextAttribute":
-        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str) or not obj["name"]:
-            raise ValueError(f"{where}: attribute needs a non-empty 'name'")
-        name = obj["name"]
-        if "value" not in obj:
-            raise ValueError(f"{where}: attribute '{name}' needs a 'value'")
-        value = _require_scalar(obj["value"], f"{where}: attribute '{name}' value")
-        raw_meta = obj.get("metadata", [])
-        if not isinstance(raw_meta, list):
-            raise ValueError(f"{where}: attribute '{name}' metadata must be a list")
-        metadata = tuple(
-            ContextMetadata.from_json(m, f"{where}: attribute '{name}'") for m in raw_meta
-        )
+        where = f"{where}: attribute"
+        name = read(document(obj, where), "name", TEXT, where)
+        where = f"{where} '{name}'"
+        value = read(obj, "value", SCALAR, where)
+        raw_metadata = read(obj, "metadata", LIST, where, [])
+        metadata = tuple(ContextMetadata.from_json(m, where) for m in raw_metadata)
         return ContextAttribute(name, value, metadata)
 
     def metadata_value(self, name: str) -> Any:
@@ -130,21 +101,11 @@ class ContextEntity:
 
     @staticmethod
     def from_json(obj: Any) -> "ContextEntity":
-        if not isinstance(obj, dict):
-            raise ValueError("entity must be a JSON object")
-        entity_id = obj.get("id")
-        if not isinstance(entity_id, str) or not entity_id:
-            raise ValueError("entity needs a non-empty string 'id'")
-        entity_type = obj.get("type", "")
-        if not isinstance(entity_type, str):
-            raise ValueError(f"entity '{entity_id}': 'type' must be a string")
-        raw_attrs = obj.get("attributes", [])
-        if not isinstance(raw_attrs, list):
-            raise ValueError(f"entity '{entity_id}': 'attributes' must be a list")
-        attributes = tuple(
-            ContextAttribute.from_json(a, f"entity '{entity_id}'") for a in raw_attrs
-        )
-        return ContextEntity(entity_id, entity_type, attributes)
+        entity_id = read(document(obj, "entity"), "id", TEXT, "entity")
+        where = f"entity '{entity_id}'"
+        raw_attributes = read(obj, "attributes", LIST, where, [])
+        attributes = tuple(ContextAttribute.from_json(a, where) for a in raw_attributes)
+        return ContextEntity(entity_id, read(obj, "type", STRING, where, ""), attributes)
 
     def attribute(self, name: str) -> ContextAttribute | None:
         for attr in self.attributes:
@@ -201,14 +162,9 @@ class EntityPattern:
 
     @staticmethod
     def from_json(obj: Any, allow_empty: bool = True) -> "EntityPattern":
-        if not isinstance(obj, dict):
-            raise ValueError("entity pattern must be a JSON object")
-        entity_id = obj.get("id")
-        id_pattern = obj.get("idPattern")
-        entity_type = obj.get("type")
-        for label, value in (("id", entity_id), ("idPattern", id_pattern), ("type", entity_type)):
-            if value is not None and (not isinstance(value, str) or not value):
-                raise ValueError(f"entity pattern '{label}' must be a non-empty string")
+        document(obj, "entity pattern")
+        entity_id, id_pattern, entity_type = (
+            read(obj, key, TEXT, "entity pattern", None) for key in ("id", "idPattern", "type"))
         if entity_id and id_pattern:
             raise ValueError("entity pattern cannot carry both 'id' and 'idPattern'")
         regex = None
@@ -269,18 +225,14 @@ class EntityPattern:
 
 
 def parse_patterns(raw: Any, where: str, allow_empty_pattern: bool = True) -> list[EntityPattern]:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{where}: 'entities' must be a non-empty list of patterns")
-    return [EntityPattern.from_json(p, allow_empty=allow_empty_pattern) for p in raw]
+    """The entity patterns of a request body's or subscription's 'entities'."""
+    return [EntityPattern.from_json(p, allow_empty_pattern) for p in check(raw, "entities", ITEMS, where)]
 
 
 def parse_attribute_names(raw: Any, where: str) -> list[str] | None:
-    """None means "no projection"; an explicit empty list means the same."""
-    if raw is None:
-        return None
-    if not isinstance(raw, list) or not all(isinstance(a, str) and a for a in raw):
-        raise ValueError(f"{where}: 'attributes' must be a list of non-empty strings")
-    return list(raw) or None
+    """The names of a request body's or subscription's 'attributes'; None
+    means "no projection", and an explicit empty list means the same."""
+    return list(check(raw, "attributes", _ATTRIBUTE_NAMES, where, [])) or None
 
 
 @dataclass(frozen=True)
@@ -292,17 +244,10 @@ class BoundingBox:
 
     @staticmethod
     def from_json(obj: Any) -> "BoundingBox":
-        if not isinstance(obj, dict):
-            raise ValueError("restriction must be a JSON object")
-        if obj.get("scopeType") != "bbox":
+        if document(obj, "restriction").get("scopeType") != "bbox":
             raise ValueError("only the 'bbox' scopeType is supported")
-        value = obj.get("value")
-        if not isinstance(value, dict):
-            raise ValueError("bbox restriction needs a 'value' object")
-        corners = [_finite(value.get(k)) for k in ("minLon", "minLat", "maxLon", "maxLat")]
-        if None in corners:
-            raise ValueError("bbox value needs finite numbers minLon, minLat, maxLon, maxLat")
-        box = BoundingBox(*corners)
+        value = read(obj, "value", _BOX, "bbox restriction")
+        box = BoundingBox(*(float(value[k]) for k in _CORNERS))
         if box.min_lon > box.max_lon or box.min_lat > box.max_lat:
             raise ValueError("bbox min corner must not exceed max corner")
         return box
@@ -322,7 +267,4 @@ def wire_reply(entities: list[ContextEntity]) -> bytes:
 
 
 def parse_entities(raw: Any, where: str) -> list[ContextEntity]:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError(f"{where}: 'entities' must be a non-empty list")
-    entities = [ContextEntity.from_json(e) for e in raw]
-    return entities
+    return [ContextEntity.from_json(e) for e in check(raw, "entities", ITEMS, where)]

@@ -21,6 +21,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
+from .jsonfields import ITEMS, OBJECT, STRING, TEXT, FieldError, check, document, read
 from .rdf import Graph, Triple, TriplePattern, TripleStore, Variable
 from .sparql import FilterExpr, join_bgp, match_bgp, parse_filter, parse_pattern
 
@@ -30,9 +31,17 @@ log = logging.getLogger(__name__)
 # 0.5, 32x under it; blow-up such as the corpus non-terminating fault (34) is over twice it.
 DERIVED_PER_BASE_FACT = 16
 
+PREFIXES = OBJECT.of(STRING, "an object of prefix names to IRI strings")
+_ENTRIES = ITEMS.of(STRING, "a non-empty list of strings")
+
 
 class RuleFormatError(ValueError):
-    """A rule document does not parse (missing fields, bad pattern syntax)."""
+    """A rule document does not parse (missing fields, bad pattern syntax);
+    ``rule_id`` is the rule's id where it has one."""
+
+    def __init__(self, message: str, rule_id: str = ""):
+        super().__init__(message)
+        self.rule_id = rule_id
 
 
 class ClosureLimitExceeded(RuntimeError):
@@ -84,43 +93,25 @@ def parse_rule_json(obj: dict, prefixes: dict[str, str] | None = None) -> Rule:
     Body entries are compact triple patterns; entries beginning with
     ``FILTER`` become filter expressions. Head entries must be patterns.
     """
-    if not isinstance(obj, dict):
-        raise RuleFormatError("rule must be a JSON object")
-    if prefixes is not None and not (isinstance(prefixes, dict) and all(
-        isinstance(name, str) and isinstance(iri, str) for name, iri in prefixes.items()
-    )):
-        raise RuleFormatError("'prefixes' must be an object of prefix names to IRI strings")
-    rule_id = obj.get("ruleId")
-    if not isinstance(rule_id, str) or not rule_id:
-        raise RuleFormatError("rule needs a non-empty string 'ruleId'")
-    raw_body = obj.get("body")
-    raw_head = obj.get("head")
-    if not isinstance(raw_body, list) or not raw_body:
-        raise RuleFormatError(f"rule {rule_id!r} needs a non-empty 'body' list")
-    if not isinstance(raw_head, list) or not raw_head:
-        raise RuleFormatError(f"rule {rule_id!r} needs a non-empty 'head' list")
+    rule_id = ""
     body: list[TriplePattern] = []
     filters: list[FilterExpr] = []
-    for entry in raw_body:
-        if not isinstance(entry, str):
-            raise RuleFormatError(f"rule {rule_id!r}: body entries must be strings")
-        try:
+    try:
+        rule_id = read(document(obj, "rule"), "ruleId", TEXT, "rule")
+        check(prefixes, "prefixes", PREFIXES, f"rule {rule_id!r}", None)
+        for entry in read(obj, "body", _ENTRIES, f"rule {rule_id!r}"):
             if entry.lstrip().upper().startswith("FILTER"):
                 filters.append(parse_filter(entry, prefixes))
             else:
                 body.append(parse_pattern(entry, prefixes))
-        except ValueError as exc:
-            raise RuleFormatError(f"rule {rule_id!r}: {exc}") from exc
+        head = [parse_pattern(entry, prefixes)
+                for entry in read(obj, "head", _ENTRIES, f"rule {rule_id!r}")]
+    except FieldError as exc:
+        raise RuleFormatError(str(exc), rule_id) from exc
+    except ValueError as exc:
+        raise RuleFormatError(f"rule {rule_id!r}: {exc}", rule_id) from exc
     if not body:
-        raise RuleFormatError(f"rule {rule_id!r} needs at least one body triple pattern")
-    head: list[TriplePattern] = []
-    for entry in raw_head:
-        if not isinstance(entry, str):
-            raise RuleFormatError(f"rule {rule_id!r}: head entries must be strings")
-        try:
-            head.append(parse_pattern(entry, prefixes))
-        except ValueError as exc:
-            raise RuleFormatError(f"rule {rule_id!r}: {exc}") from exc
+        raise RuleFormatError(f"rule {rule_id!r} needs at least one body triple pattern", rule_id)
     return Rule(rule_id, tuple(body), tuple(head), tuple(filters))
 
 

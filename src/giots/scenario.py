@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import logging
-import threading
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -20,7 +19,10 @@ from typing import Any
 from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import TYPE_CODES, CseClient, CseService
-from .httpkit import Stack, TransportError, post_json, valid_millis, valid_port
+from .httpkit import Stack, TransportError, post_json
+from .jsonfields import (
+    LIST, MILLIS, NUMBER, OBJECT, PORT, STRING, TEXT, FieldError, Kind, document, read, valid_millis,
+)
 from .knowledge import KnowledgeClient, KnowledgeService
 from .smg import GatewayConfig, MediationGateway, SmgService
 from .validator import VALIDATION_KINDS, ValidatorService
@@ -56,6 +58,11 @@ class Scenario:
     quiescence_millis: int
 
 
+_SERVICES = OBJECT.of(PORT, "an object of component names to ports from 0 to 65535")
+_FILE_NAMES = LIST.of(TEXT, "a list of file names")
+_OBJECTS = LIST.of(OBJECT, "a list of JSON objects")
+
+
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
@@ -64,111 +71,75 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
-    base_dir = path.parent
+    try:
+        return _scenario(document(raw, "scenario"), path.parent)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
+
+def _scenario(raw: dict, base_dir: Path) -> Scenario:
     ontology_file = None
-    if raw.get("ontologyFile") is not None:
-        ontology_file = base_dir / raw["ontologyFile"]
+    if (name := read(raw, "ontologyFile", TEXT, default=None)) is not None:
+        ontology_file = base_dir / name
         if not ontology_file.is_file():
-            raise ScenarioError(f"ontology file not found: {ontology_file}")
+            raise ValueError(f"ontology file not found: {ontology_file}")
 
-    services = raw.get("services", {})
-    if not isinstance(services, dict) or not all(map(valid_port, services.values())):
-        raise ScenarioError("'services' must map component names to ports from 0 to 65535")
+    services = read(raw, "services", _SERVICES, default={})
     ports = [p for p in services.values() if p]
     if len(ports) != len(set(ports)):
-        raise ScenarioError("service ports must be distinct")
+        raise ValueError("service ports must be distinct")
 
-    raw_sensors = raw.get("sensors", [])
-    if not isinstance(raw_sensors, list):
-        raise ScenarioError("'sensors' must be a list")
     sensors = []
-    for index, raw_sensor in enumerate(raw_sensors):
-        if not isinstance(raw_sensor, dict):
-            raise ScenarioError(f"sensor #{index} must be a JSON object")
-        name = raw_sensor.get("name")
-        container = raw_sensor.get("containerPath")
-        if not isinstance(name, str) or not name:
-            raise ScenarioError(f"sensor #{index} needs a 'name'")
-        if not isinstance(container, str) or not container.startswith("/"):
-            raise ScenarioError(f"sensor '{name}' needs an absolute 'containerPath'")
-        descriptor = raw_sensor.get("descriptor")
-        if descriptor is None and raw_sensor.get("descriptorFile") is not None:
-            descriptor_path = base_dir / raw_sensor["descriptorFile"]
+    for index, raw_sensor in enumerate(read(raw, "sensors", LIST, default=[])):
+        name = read(document(raw_sensor, f"sensor #{index}"), "name", TEXT, f"sensor #{index}")
+        where = f"sensor '{name}'"
+        container = read(raw_sensor, "containerPath", TEXT, where)
+        if not container.startswith("/"):
+            raise ValueError(f"{where} needs an absolute 'containerPath'")
+        descriptor = read(raw_sensor, "descriptor", STRING, where, None)
+        file_name = read(raw_sensor, "descriptorFile", TEXT, where, None)
+        if descriptor is None and file_name is not None:
+            descriptor_path = base_dir / file_name
             if not descriptor_path.is_file():
-                raise ScenarioError(f"descriptor file not found: {descriptor_path}")
+                raise ValueError(f"descriptor file not found: {descriptor_path}")
             descriptor = descriptor_path.read_text(encoding="utf-8")
-        values = raw_sensor.get("valueSequence", [])
-        if not isinstance(values, list):
-            raise ScenarioError(f"sensor '{name}': 'valueSequence' must be a list")
-        period = raw_sensor.get("periodMillis", 0)
+        values = read(raw_sensor, "valueSequence", LIST, where, [])
+        period = read(raw_sensor, "periodMillis", MILLIS, where, 0)
         # the replay waits up to len(values) - 1 periods for the last value
-        if not (valid_millis(period) and valid_millis(period * max(len(values) - 1, 0))):
-            raise ScenarioError(f"sensor '{name}': 'periodMillis' must be an integer from 0 "
-                                f"to {threading.TIMEOUT_MAX * 1000:.0f} over the whole 'valueSequence'")
+        if not valid_millis(period * max(len(values) - 1, 0)):
+            raise ValueError(f"{where}: 'periodMillis' must be {MILLIS.what} over the whole 'valueSequence'")
         sensors.append(Sensor(name, container, descriptor, values, period))
 
-    agents = raw.get("agents", [])
-    if not isinstance(agents, list) or not all(isinstance(entry, str) for entry in agents):
-        raise ScenarioError("'agents' must be a list of file names")
-    agent_paths = []
-    for entry in agents:
-        agent_path = base_dir / entry
+    agent_paths = [base_dir / entry for entry in read(raw, "agents", _FILE_NAMES, default=[])]
+    for agent_path in agent_paths:
         if not agent_path.is_file():
-            raise ScenarioError(f"agent config not found: {agent_path}")
-        agent_paths.append(agent_path)
+            raise ValueError(f"agent config not found: {agent_path}")
     components = {"knowledge", "cse", "broker", "validator", "smg"}
     unknown = sorted(set(services) - components - {f"agent-{i}" for i in range(len(agent_paths))})
     if unknown:
-        raise ScenarioError(f"'services' names no component of this scenario: {unknown}")
-
-    assertions = raw.get("assertions", [])
-    if not isinstance(assertions, list) or not all(isinstance(a, dict) for a in assertions):
-        raise ScenarioError("'assertions' must be a list of JSON objects")
-
-    quiescence = raw.get("quiescenceMillis", DEFAULT_QUIESCENCE_MILLIS)
-    if not valid_millis(quiescence):
-        raise ScenarioError(f"'quiescenceMillis' must be an integer from 0 to {threading.TIMEOUT_MAX * 1000:.0f}")
-
-    smg = raw.get("smg")
-    if smg is not None and not isinstance(smg, dict):
-        raise ScenarioError("'smg' must be a JSON object")
+        raise ValueError(f"'services' names no component of this scenario: {unknown}")
 
     return Scenario(
         base_dir=base_dir,
         ontology_file=ontology_file,
         services=services,
         sensors=sensors,
-        smg=smg,
+        smg=read(raw, "smg", OBJECT, default=None),
         agent_paths=agent_paths,
-        assertions=assertions,
-        quiescence_millis=quiescence,
+        assertions=read(raw, "assertions", _OBJECTS, default=[]),
+        quiescence_millis=read(raw, "quiescenceMillis", MILLIS, default=DEFAULT_QUIESCENCE_MILLIS),
     )
 
 
-# The JSON type each assertion field (a dotted path) must have where it is
-# given and not null, per kind; an object comes before the fields inside it.
-_FIELD_TYPES: dict[str, dict[str, type | tuple[type, ...]]] = {
-    "queryContextEquals": {"request": dict, "expected": dict, "toleranceMillis": (int, float)},
-    "discoverContains": {"request": dict, "expected": list, "request.root": str,
-                         "request.resourceType": str, "request.labels": list,
-                         "request.semanticFilter": str},
-    "validationPasses": {"request": dict, "request.kind": str, "request.file": str},
+# The kind of each assertion field (a dotted path) where it is given and not
+# null, per assertion kind; an object comes before the fields inside it.
+_FIELD_TYPES: dict[str, dict[str, Kind]] = {
+    "queryContextEquals": {"request": OBJECT, "expected": OBJECT, "toleranceMillis": NUMBER},
+    "discoverContains": {"request": OBJECT, "expected": LIST, "request.root": STRING,
+                         "request.resourceType": STRING, "request.labels": LIST,
+                         "request.semanticFilter": STRING},
+    "validationPasses": {"request": OBJECT, "request.kind": STRING, "request.file": STRING},
 }
-
-
-def _mistyped_field(assertion: dict, fields: dict[str, type | tuple[type, ...]]) -> str | None:
-    for path, types in fields.items():
-        value: Any = assertion
-        for name in path.split("."):
-            value = value.get(name)
-            if value is None:
-                break
-        if value is not None and (isinstance(value, bool) or not isinstance(value, types)):
-            return path
-    return None
 
 
 @dataclass
@@ -216,12 +187,12 @@ def _canonical(entities: Any) -> tuple[Any, list]:
         return entities, stamps
     out = []
     for entity in entities:
-        if isinstance(entity, dict):
+        if isinstance(entity, dict) and isinstance(raw_attrs := entity.get("attributes", []), list):
             attrs = []
-            for attr in entity.get("attributes", []):
-                if isinstance(attr, dict):
+            for attr in raw_attrs:
+                if isinstance(attr, dict) and isinstance(raw_meta := attr.get("metadata", []), list):
                     kept = []
-                    for meta in attr.get("metadata", []):
+                    for meta in raw_meta:
                         if isinstance(meta, dict) and meta.get("name") == "timestamp":
                             stamps.append(meta.get("value"))
                         else:
@@ -351,18 +322,18 @@ class ScenarioRunner:
 
     def _evaluate(self, index: int, assertion: dict) -> AssertionOutcome:
         kind = assertion.get("kind")
-        fields = _FIELD_TYPES.get(kind) if isinstance(kind, str) else None
+        fields = _FIELD_TYPES.get(str(kind))  # only a string can be a key's str
         if fields is None:
             failure = (f"unknown assertion kind {kind!r}", None, None)
-        elif (field := _mistyped_field(assertion, fields)) is not None:
-            failure = (f"'{field}' has the wrong JSON type", None, None)
         else:
             check = {"queryContextEquals": self._assert_query,
                      "discoverContains": self._assert_discover,
                      "validationPasses": self._assert_validation}[kind]
             try:
+                for path, field_kind in fields.items():
+                    read(assertion, path, field_kind, "assertion", None)
                 failure = check(assertion)
-            except (TransportError, OSError, UnicodeDecodeError) as exc:
+            except (TransportError, OSError, UnicodeDecodeError, FieldError) as exc:
                 failure = (str(exc), None, None)
         if failure is None:
             return AssertionOutcome(index, str(kind), True)

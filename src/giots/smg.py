@@ -27,8 +27,8 @@ from .httpkit import (
     KeyedWorkers,
     TransportError,
     bad_request,
-    valid_millis,
 )
+from .jsonfields import INT, ITEMS, MILLIS, OBJECT, STRING, TEXT, URL, document, read
 from .knowledge import KnowledgeClient
 from .ngsi import ContextAttribute, ContextEntity, ContextMetadata, wire_reply
 from .rdf import IRI, MED_NS, Graph, Literal, parse_ntriples, term_text
@@ -186,23 +186,16 @@ class TransformationProcess:
 
     @staticmethod
     def from_json(obj: Any) -> "TransformationProcess":
-        if not isinstance(obj, dict):
-            raise ValueError("process must be a JSON object")
-        pid = obj.get("processId")
-        match_query = obj.get("matchQuery")
-        conversion_id = obj.get("conversionId")
-        priority = obj.get("priority", 0)
-        if not isinstance(pid, str) or not pid:
-            raise ValueError("process needs a non-empty 'processId'")
-        if not isinstance(match_query, str):
-            raise ValueError(f"process '{pid}' needs a 'matchQuery' string")
+        pid = read(document(obj, "process"), "processId", TEXT, "process")
+        where = f"process '{pid}'"
+        match_query = read(obj, "matchQuery", STRING, where)
         query = parse_sparql(match_query)  # SparqlSyntaxError propagates
         if query.form != "ASK":
-            raise ValueError(f"process '{pid}': matchQuery must be an ASK query")
-        if not isinstance(conversion_id, str) or resolve_routine(conversion_id) is None:
-            raise ValueError(f"process '{pid}': unknown conversion '{conversion_id}'")
-        if not isinstance(priority, int) or isinstance(priority, bool):
-            raise ValueError(f"process '{pid}': 'priority' must be an integer")
+            raise ValueError(f"{where}: matchQuery must be an ASK query")
+        conversion_id = read(obj, "conversionId", STRING, where)
+        if resolve_routine(conversion_id) is None:
+            raise ValueError(f"{where}: unknown conversion '{conversion_id}'")
+        priority = read(obj, "priority", INT, where, 0)
         return TransformationProcess(pid, match_query, conversion_id, priority, query)
 
     def matches(self, descriptor: Graph) -> bool:
@@ -395,38 +388,25 @@ class GatewayConfig:
 
     @staticmethod
     def from_json(obj: Any, gateway_url: str | None = None) -> "GatewayConfig":
-        if not isinstance(obj, dict):
-            raise ValueError("gateway config must be a JSON object")
-        for key in ("cseUrl", "brokerUrl", "mode"):
-            if not isinstance(obj.get(key), str) or not obj[key]:
-                raise ValueError(f"gateway config needs a '{key}' string")
-        if obj["mode"] not in {"push", "pull"}:
+        mode = read(document(obj, "gateway config"), "mode", TEXT)
+        if mode not in {"push", "pull"}:
             raise ValueError("gateway 'mode' must be 'push' or 'pull'")
-        raw_processes = obj.get("processes")
-        if not isinstance(raw_processes, list) or not raw_processes:
-            raise ValueError("gateway config needs a non-empty 'processes' list")
-        processes = [TransformationProcess.from_json(p) for p in raw_processes]
+        processes = [TransformationProcess.from_json(p) for p in read(obj, "processes", ITEMS)]
         ids = [p.process_id for p in processes]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate processId in gateway config")
-        rescan = obj.get("rescanPeriodMillis", DEFAULT_RESCAN_MILLIS)
-        if not valid_millis(rescan) or rescan == 0:
-            raise ValueError(f"'rescanPeriodMillis' must be an integer from 1 to {threading.TIMEOUT_MAX * 1000:.0f}")
-        url = gateway_url or obj.get("gatewayUrl")
-        if not isinstance(url, str) or not url:
-            raise ValueError("gateway config needs a 'gatewayUrl'")
-        knowledge_url = obj.get("knowledgeUrl")
-        if knowledge_url is not None and (not isinstance(knowledge_url, str) or not knowledge_url):
-            raise ValueError("'knowledgeUrl' must be a non-empty string or null")
-        root_path = obj.get("rootPath", "/cse")
-        if not isinstance(root_path, str) or not root_path.startswith("/"):
-            raise ValueError("'rootPath' must be a string that starts with '/'")
+        rescan = read(obj, "rescanPeriodMillis", MILLIS, default=DEFAULT_RESCAN_MILLIS)
+        if rescan == 0:
+            raise ValueError("'rescanPeriodMillis' must be above 0")
+        root_path = read(obj, "rootPath", TEXT, default="/cse")
+        if not root_path.startswith("/"):
+            raise ValueError("'rootPath' must start with '/'")
         return GatewayConfig(
-            cse_url=obj["cseUrl"],
-            broker_url=obj["brokerUrl"],
-            knowledge_url=knowledge_url,
-            mode=obj["mode"],
-            gateway_url=url.rstrip("/"),
+            cse_url=read(obj, "cseUrl", URL),
+            broker_url=read(obj, "brokerUrl", URL),
+            knowledge_url=read(obj, "knowledgeUrl", URL, default=None),
+            mode=mode,
+            gateway_url=(gateway_url or read(obj, "gatewayUrl", URL)).rstrip("/"),
             processes=processes,
             rescan_millis=rescan,
             root_path=root_path,
@@ -644,17 +624,16 @@ class MediationGateway:
     # -- per-item processing -------------------------------------------------
 
     def on_notification(self, body: Any) -> None:
-        if not isinstance(body, dict) or body.get("event") != "childCreated":
+        if document(body, "notification").get("event") != "childCreated":
             raise bad_request("expected a childCreated notification")
-        sub_ri = body.get("subscriptionRef")
+        sub_ri = read(body, "subscriptionRef", STRING, "notification", "")
         with self._lock:
-            instance = self._by_subscription.get(sub_ri or "")
+            instance = self._by_subscription.get(sub_ri)
         if instance is None:
             log.warning("notification for unknown subscription %r dropped", sub_ri)
             return
-        resource = body.get("resource")
-        if not isinstance(resource, dict):
-            raise bad_request("notification lacks a 'resource'")
+        resource = read(body, "resource", OBJECT, "notification")
+        read(resource, "ct", STRING, "notification 'resource'", None)
         self._pool.submit(instance.instance_id, self._convert, instance, resource)
 
     def _convert(self, instance: TransformationInstance, resource: dict) -> None:
@@ -680,8 +659,8 @@ class MediationGateway:
         converted = instance.routine.convert(raw)
         unit = instance.routine.output_unit or target.unit
         metadata = [ContextMetadata("source", "string", target.source_path)]
-        created_at = resource.get("ct")
-        if isinstance(created_at, str):
+        created_at = resource.get("ct")  # a string, checked in on_notification
+        if created_at is not None:
             metadata.append(ContextMetadata("timestamp", "string", created_at))
         if unit:
             metadata.append(ContextMetadata("unit", "string", unit))

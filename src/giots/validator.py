@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .httpkit import HttpRequest, HttpResponse, JsonHttpService, bad_request
+from .jsonfields import LIST, STRING, document, read
 from .ontology import (
     DATATYPES,
     KNOWN_DATATYPES,
@@ -348,13 +349,8 @@ def validate_rule(
     base = base or RuleBase([])
     try:
         candidate = parse_rule_json(candidate_json, prefixes)
-    except (RuleFormatError, SparqlSyntaxError, ValueError) as exc:
-        rule_id = ""
-        if isinstance(candidate_json, dict) and isinstance(candidate_json.get("ruleId"), str):
-            rule_id = candidate_json["ruleId"]
-        return _report(
-            [ValidationError(SYNTACTIC, rule_id or "rule", str(exc))], started
-        )
+    except RuleFormatError as exc:
+        return _report([ValidationError(SYNTACTIC, exc.rule_id or "rule", str(exc))], started)
     if witness is None:
         witness = default_witness(onto)
     return _report(check_rule(candidate, base, onto, witness), started)
@@ -399,19 +395,14 @@ def validate(kind: str, text: str, reference: Ontology = EMPTY_ONTOLOGY) -> Vali
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"rule document is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError("rule payload must be a JSON object")
-    raw_base, raw_witness, prefixes = doc.get("base", []), doc.get("witness"), doc.get("prefixes")
-    if not isinstance(raw_base, list):
-        raise ValueError("'base' must be a list of rules")
-    if raw_witness is not None and not isinstance(raw_witness, str):
-        raise ValueError("'witness' must be an N-Triples string")
+    raw_base = read(document(doc, "rule payload"), "base", LIST, default=[])
+    raw_witness, prefixes = read(doc, "witness", STRING, default=None), doc.get("prefixes")
     started = time.perf_counter()
     errors, base_rules, witness = [], [], None
     for raw_rule in raw_base:
         try:
             base_rules.append(parse_rule_json(raw_rule, prefixes))
-        except (RuleFormatError, SparqlSyntaxError, ValueError) as exc:
+        except RuleFormatError as exc:
             errors.append(ValidationError(SYNTACTIC, "base", str(exc)))
     if raw_witness is not None:
         try:

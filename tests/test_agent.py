@@ -97,6 +97,7 @@ def test_config_expands_prefixes_in_rules():
         _config_doc(throttlingMillis=-1),
         _config_doc(prefixes=7),
         _config_doc(throttlingMillis=10**13),
+        _config_doc(brokerUrl="nope"),
     ],
 )
 def test_config_rejects_malformed_documents(doc):

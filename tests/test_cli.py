@@ -239,6 +239,24 @@ def test_smg_and_agent_commands_reject_bad_configs(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_smg_and_agent_commands_refuse_a_config_url_that_is_not_a_url(tmp_path, capsys):
+    smg_config = {
+        "cseUrl": "localhost:7101",
+        "brokerUrl": "http://127.0.0.1:9/broker",
+        "mode": "push",
+        "processes": [{"processId": "identity", "matchQuery": "ASK { ?s ?p ?o }",
+                       "conversionId": "identity"}],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(smg_config), encoding="utf-8")
+    assert main(["smg", "--config", str(path), "--port", str(find_free_port())]) == 2
+    assert capsys.readouterr().err.startswith("error: 'cseUrl' must be an absolute http(s) URL")
+    agent_config = json.loads((SCENARIOS_DIR / "occupancy-agent.json").read_text(encoding="utf-8"))
+    path.write_text(json.dumps({**agent_config, "brokerUrl": "nope"}), encoding="utf-8")
+    assert main(["agent", "--config", str(path), "--port", str(find_free_port())]) == 2
+    assert capsys.readouterr().err.startswith("error: 'brokerUrl' must be an absolute http(s) URL")
+
+
 # --- shared HTTP plumbing ------------------------------------------------------------------
 
 

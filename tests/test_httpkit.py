@@ -29,9 +29,8 @@ from giots.httpkit import (
     deliver,
     request_json,
     run_service,
-    valid_millis,
-    valid_url,
 )
+from giots.jsonfields import valid_millis, valid_url
 
 from conftest import UNPARSABLE_URLS
 

@@ -279,6 +279,19 @@ def test_a_mistyped_assertion_field_fails_its_assertion_and_names_the_field(tmp_
         assert field in outcome.detail
 
 
+def test_an_expected_entity_with_a_non_list_part_fails_without_a_traceback(tmp_path, capsys):
+    from giots.cli import main
+
+    expected = [{"id": "ghost", "attributes": 5},
+                {"id": "ghost", "attributes": [{"name": "a", "value": 1, "metadata": 3}]}]
+    doc = _minimal(assertions=[{"kind": "queryContextEquals", "request": {"entities": [{"id": "ghost"}]},
+                                "expected": {"entities": [entity]}} for entity in expected])
+    assert main(["scenario", str(_write_scenario(tmp_path, doc))]) == 1
+    out, err = capsys.readouterr()
+    assert out.count("FAIL (entity state differs)") == 2
+    assert "Traceback" not in out + err
+
+
 def test_a_validation_file_that_is_not_utf8_fails_its_assertion(tmp_path):
     (tmp_path / "binary.nt").write_bytes(b"\xff\xfe<urn:a>")
     doc = _minimal(assertions=[{"kind": "validationPasses",

@@ -354,6 +354,10 @@ def test_gateway_config_parsing():
         _config_doc(rootPath=5),
         _config_doc(rootPath="cse"),
         _config_doc(rescanPeriodMillis=10**13),
+        _config_doc(cseUrl="not a url"),
+        _config_doc(brokerUrl="ftp://x"),
+        _config_doc(knowledgeUrl="zz"),
+        _config_doc(gatewayUrl="127.0.0.1:9"),
     ],
 )
 def test_gateway_config_rejects_malformed_documents(doc):

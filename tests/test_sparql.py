@@ -2,8 +2,11 @@
 
 import ast
 import itertools
+import os
 import random
 import string
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -433,3 +436,26 @@ def test_a_parse_is_cached_by_text_and_a_syntax_error_is_not():
     for _ in range(3):  # refused every time, not only when first seen
         with pytest.raises(SparqlSyntaxError):
             parse_sparql("ASK { ?s <urn:p> ")
+
+
+_CASE_DIGEST = """
+import hashlib, random
+from oracles import random_graph, random_query
+rng, digest = random.Random(4101), hashlib.sha256()
+for _ in range(1000):
+    digest.update(repr(random_query(rng, random_graph(rng, 50))).encode())
+print(digest.hexdigest())
+"""
+
+
+def test_the_query_gate_draws_the_same_cases_under_every_hash_seed():
+    """The query-evaluation acceptance gate's 1 000 cases (seed 4101) do not
+    depend on the string hash seed, so every run checks the same set."""
+    tests = Path(__file__).parent
+    path = os.pathsep.join([str(tests), str(Path(giots.__file__).parent.parent)])
+    digests = {
+        subprocess.run([sys.executable, "-c", _CASE_DIGEST], capture_output=True, text=True, check=True,
+                       env={**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")
+    }
+    assert len(digests) == 1
