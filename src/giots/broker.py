@@ -25,11 +25,12 @@ from .httpkit import (
     KeyedWorkers,
     TransportError,
     bad_request,
+    call,
     deliver,
     not_found,
     request_json,
 )
-from .jsonfields import MILLIS, TEXT, URL, document, read
+from .jsonfields import LIST, MILLIS, STRING, TEXT, URL, Kind, document, read
 from .knowledge import KnowledgeClient
 from .ngsi import (
     BoundingBox,
@@ -227,7 +228,9 @@ class ContextBroker:
     ) -> list[ContextEntity]:
         """Federated lookup: ask providers registered for still-unmatched
         patterns, each with its type's expansion, which a pulled entity's
-        type must be in; recursion stops at depth 1 via a hop header."""
+        type must be in; recursion stops at depth 1 via a hop header. A
+        provider that cannot be reached, refuses or sends a reply that
+        cannot be read is logged and skipped."""
         pulled: list[ContextEntity] = []
         seen: set[tuple[str, EntityPattern]] = set()
         for pattern, types in patterns:
@@ -239,23 +242,14 @@ class ContextBroker:
                 body = {"entities": [pattern.to_json()]}
                 if attributes:
                     body["attributes"] = list(attributes)
+                url = reg.providing_application.rstrip("/") + "/ngsi10/queryContext"
                 try:
-                    status, payload = request_json(
-                        "POST",
-                        reg.providing_application.rstrip("/") + "/ngsi10/queryContext",
-                        body=body,
-                        headers={HOP_HEADER: "1"},
-                        timeout=PULL_TIMEOUT,
-                    )
-                except TransportError as exc:
+                    reply = call("POST", url, body, {HOP_HEADER: "1"}, PULL_TIMEOUT)
+                    raws = read(document(reply, "provider reply"), "entities", LIST, "provider reply")
+                except (TransportError, ValueError) as exc:
                     log.warning("provider pull failed for %s: %s", reg.registration_id, exc)
                     continue
-                if status != 200 or not isinstance(payload, dict):
-                    log.warning(
-                        "provider pull for %s returned %s", reg.registration_id, status
-                    )
-                    continue
-                for raw in payload.get("entities") or []:
+                for raw in raws:
                     try:
                         entity = ContextEntity.from_json(raw)
                     except ValueError as exc:
@@ -394,7 +388,7 @@ class BrokerService(JsonHttpService):
     def _update(self, request: HttpRequest) -> HttpResponse:
         self._count("updateContext")
         body = document(request.json(), "updateContext body")
-        action = body.get("action")
+        action = read(body, "action", STRING, "updateContext", None)
         if action not in {"APPEND", "UPDATE"}:
             raise bad_request("updateContext 'action' must be APPEND or UPDATE")
         try:
@@ -451,38 +445,39 @@ class BrokerService(JsonHttpService):
 
 class BrokerClient:
     """The client side of the broker's NGSI-9/10 interface; the agent and
-    the gateway make every NGSI request through it. A refused request
-    raises ValueError and an unreachable broker TransportError, except in
-    ``append``, which retries through deliver() and reports a drop."""
+    the gateway make every NGSI request through it. A refused request or
+    an unreadable reply raises ValueError and an unreachable broker
+    TransportError, except in ``append``, which retries through deliver()
+    and reports a drop."""
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
 
-    def _post(self, path: str, body: dict) -> dict:
-        status, payload = request_json("POST", self.base_url + path, body=body)
-        if status != 200:
-            raise ValueError(f"{path} failed ({status}): {payload}")
-        return payload
+    def _post(self, path: str, body: dict, key: str, kind: Kind, *default: Any) -> Any:
+        """The member ``key`` of the reply to ``body``, of ``kind``; an
+        absent one is refused unless a default is given."""
+        where = f"{path} reply"
+        return read(document(call("POST", self.base_url + path, body), where), key, kind, where, *default)
 
     def register(self, entities: list[dict], attributes: list[str], providing: str) -> str | None:
-        """The registration id; any 200 counts as registered, so a reply
-        that names no id gives None."""
-        payload = self._post(
+        """The registration id; any 2xx object counts as registered, so a
+        reply that names no id gives None."""
+        return self._post(
             "/ngsi9/registerContext",
             {"entities": entities, "attributes": attributes, "providingApplication": providing},
+            "registrationId", STRING, None,
         )
-        return payload.get("registrationId") if isinstance(payload, dict) else None
 
     def discover(self, entities: list[dict], attributes: list[str] | None = None) -> list[dict]:
         body: dict[str, Any] = {"entities": entities}
         if attributes is not None:
             body["attributes"] = attributes
-        return self._post("/ngsi9/discoverContextAvailability", body)["registrations"]
+        return self._post("/ngsi9/discoverContextAvailability", body, "registrations", LIST)
 
     def update(self, action: str, entities: list[dict]) -> list[dict]:
         return self._post(
-            "/ngsi10/updateContext", {"action": action, "entities": entities}
-        )["responses"]
+            "/ngsi10/updateContext", {"action": action, "entities": entities}, "responses", LIST
+        )
 
     def append(self, entities: list[dict]) -> bool:
         """One updateContext APPEND, retried through deliver(); False if it
@@ -502,7 +497,7 @@ class BrokerClient:
             body["attributes"] = attributes
         if restriction is not None:
             body["restriction"] = restriction
-        return self._post("/ngsi10/queryContext", body)["entities"]
+        return self._post("/ngsi10/queryContext", body, "entities", LIST)
 
     def subscribe(
         self,
@@ -515,7 +510,7 @@ class BrokerClient:
                                 "throttlingMillis": throttling_millis}
         if attributes is not None:
             body["attributes"] = attributes
-        return self._post("/ngsi10/subscribeContext", body)["subscriptionId"]
+        return self._post("/ngsi10/subscribeContext", body, "subscriptionId", TEXT)
 
     def unsubscribe(self, subscription_id: str) -> None:
-        self._post("/ngsi10/unsubscribeContext", {"subscriptionId": subscription_id})
+        call("POST", self.base_url + "/ngsi10/unsubscribeContext", {"subscriptionId": subscription_id})

@@ -14,7 +14,7 @@ from .agent import Agent, AgentService, load_agent_config
 from .broker import BrokerService
 from .cse import CseService
 from .httpkit import Stack
-from .jsonfields import valid_port
+from .jsonfields import valid_port, valid_url
 from .knowledge import KnowledgeService
 from .smg import MediationGateway, SmgService, load_gateway_config
 from .validator import VALIDATION_KINDS, ValidatorService, validate
@@ -34,6 +34,13 @@ def port_number(text: str) -> int:
     if not valid_port(port := int(text)):
         raise ValueError(text)
     return port
+
+
+def http_url(text: str) -> str:
+    """An argparse type: a ValueError becomes "invalid http_url value", exit 2."""
+    if not valid_url(text):
+        raise ValueError(text)
+    return text
 
 
 def _stack(args: argparse.Namespace, component: str) -> Stack:
@@ -129,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("component", choices=["knowledge", "cse", "broker", "validator"])
     serve.add_argument("--port", type=port_number, default=None)
     serve.add_argument(
-        "--knowledge-url", default=None,
+        "--knowledge-url", type=http_url, default=None,
         help="knowledge server used by the broker for type subsumption",
     )
     serve.set_defaults(func=_cmd_serve)

@@ -24,13 +24,12 @@ from .httpkit import (
     JsonHttpService,
     KeyedWorkers,
     bad_request,
+    call,
     conflict,
     deliver,
-    get_json,
     method_not_allowed,
     not_found,
     post_json,
-    request_json,
 )
 from .jsonfields import ANY, LIST, STRING, TEXT, URL, document, read
 from .rdf import Graph, NTriplesError, Term, Variable, parse_ntriples, serialize_ntriples
@@ -471,24 +470,14 @@ class CseClient:
         self.base_url = base_url.rstrip("/")
 
     def create(self, parent_path: str, ty: str, body: dict) -> dict:
-        status, payload = request_json(
-            "POST", self.base_url + parent_path, body=body,
-            headers={"X-M2M-TY": str(TYPE_CODES[ty]), "Content-Type": "application/json"},
-        )
-        if status != 201:
-            raise ValueError(f"create {ty} under {parent_path} failed ({status}): {payload}")
-        return payload
+        reply = call("POST", self.base_url + parent_path, body, {"X-M2M-TY": str(TYPE_CODES[ty])})
+        return document(reply, f"reply to create {ty}")
 
     def retrieve(self, path: str) -> dict:
-        status, payload = get_json(self.base_url + path)
-        if status != 200:
-            raise ValueError(f"retrieve {path} failed ({status}): {payload}")
-        return payload
+        return document(call("GET", self.base_url + path), f"resource {path}")
 
     def delete(self, path: str) -> None:
-        status, payload = request_json("DELETE", self.base_url + path)
-        if status != 200:
-            raise ValueError(f"delete {path} failed ({status}): {payload}")
+        call("DELETE", self.base_url + path)
 
     def discover(
         self,
@@ -510,7 +499,5 @@ class CseClient:
         if modified_since is not None:
             params.append(("ms", modified_since))
         url = self.base_url + root_path + "?" + urllib.parse.urlencode(params)
-        status, payload = get_json(url)
-        if status != 200:
-            raise ValueError(f"discovery under {root_path} failed ({status}): {payload}")
-        return payload["uril"]
+        where = f"discovery under {root_path}"
+        return read(document(call("GET", url), where), "uril", _STRINGS, where)

@@ -1,6 +1,7 @@
 """Small HTTP plumbing shared by every service: a JSON-over-HTTP server
 with pattern routing and the stack's one HTTP client (``request_json``,
-which keeps a few idle connections per peer alive), both of which frame
+which keeps a few idle connections per peer alive, and ``call`` on it,
+which refuses a reply that is not 2xx), both of which frame
 HTTP/1.1 themselves, one send per message; and the push side every service
 shares: one retry policy (``deliver``) and one worker model (``KeyedWorkers``),
 which also serves the server's connections; and the one boot path, ``Stack``,
@@ -608,6 +609,20 @@ def get_json(url: str, timeout: float = 10.0) -> tuple[int, Any]:
 
 def post_json(url: str, body: Any, timeout: float = 10.0) -> tuple[int, Any]:
     return request_json("POST", url, body=body, timeout=timeout)
+
+
+def call(
+    method: str, url: str, body: Any = None, headers: dict[str, str] | None = None,
+    timeout: float = 10.0,
+) -> Any:
+    """The payload of a 2xx reply, the success rule of deliver(); any
+    other status raises ValueError, worded "<METHOD> <path> failed
+    (<status>): <payload>". A network-level failure raises TransportError."""
+    # by keyword, as bench/tracing.py's wrapper of request_json expects
+    status, payload = request_json(method, url, body=body, headers=headers, timeout=timeout)
+    if not 200 <= status < 300:
+        raise ValueError(f"{method} {urllib.parse.urlsplit(url).path} failed ({status}): {payload}")
+    return payload
 
 
 def wait_healthy(base_url: str, timeout: float = 5.0) -> None:

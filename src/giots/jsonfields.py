@@ -1,6 +1,6 @@
 """One reader for the members of the JSON documents giots takes in: gateway
-and agent configs, transformation processes, scenarios, rule documents and
-NGSI and oneM2M request bodies.
+and agent configs, transformation processes, scenarios, rule documents,
+NGSI and oneM2M request bodies, and its peers' replies.
 
 ``read(obj, key, kind, where)`` returns one member of an object if it is
 of the given ``Kind``; ``check`` does the same for a member already taken
@@ -9,7 +9,8 @@ error is ``FieldError`` (a ValueError), worded ``<where> needs a '<key>'``
 or ``<where>: '<key>' must be <what>``; at the top of a config file, which
 its reader names, ``where`` is empty and the wording is ``missing
 '<key>'`` or ``'<key>' must be <what>``. Services answer a FieldError with
-a 400 (``JsonHttpService.handle``).
+a 400 (``JsonHttpService.handle``); to a client, one in a peer's reply
+is that peer's refusal.
 """
 
 from __future__ import annotations

@@ -19,15 +19,17 @@ from .httpkit import (
     JsonHttpService,
     TransportError,
     bad_request,
+    call,
     get_json,
     not_found,
-    request_json,
 )
+from .jsonfields import LIST, STRING, FieldError, check, document
 from .ontology import EMPTY_ONTOLOGY, Ontology, StructuralError, load_ontology
 from .rdf import NTriplesError, parse_ntriples
 
 log = logging.getLogger(__name__)
 
+_CLASSES = LIST.of(STRING, "a list of class IRIs")
 CACHE_TTL_SECONDS = 5.0
 KNOWLEDGE_TIMEOUT = 2.0  # seconds a hung server may hold a caller
 
@@ -107,14 +109,15 @@ class KnowledgeClient:
     client degrades to syntactic equality (a class is only a subclass of
     itself) and to no declared classes, which keeps the caller available
     at the cost of missing inferred matches; that answer is logged, and
-    cached like the one to a non-200 reply. ``degraded`` counts both.
+    cached like the one to a non-200 reply or to one whose list cannot be
+    read. ``degraded`` counts all three.
     """
 
     def __init__(self, base_url: str):
         self.base_url = base_url.rstrip("/")
         self._lock = threading.Lock()
         self._cache: dict[tuple[str, str], tuple[float, frozenset[str]]] = {}
-        self.degraded = 0  # answers cached from an unreachable server or a non-200 reply
+        self.degraded = 0  # answers cached without a readable 200 reply
 
     def _fetch(self, route: str, cls: str = "") -> frozenset[str]:
         """The list a GET of `route` (with `class=cls`, if given) answers
@@ -125,17 +128,21 @@ class KnowledgeClient:
             if hit and hit[0] > time.monotonic():
                 return hit[1]
         query = "?" + urllib.parse.urlencode({"class": cls}) if cls else ""
+        where = f"knowledge /{route} reply"
+        values = None  # a degraded answer
         try:
             status, payload = get_json(f"{self.base_url}/{route}{query}", timeout=KNOWLEDGE_TIMEOUT)
+            if status == 200:
+                values = frozenset(check(document(payload, where).get(route), route, _CLASSES, where))
         except TransportError as exc:
             log.warning("knowledge server unreachable, answering %s without it: %s", route, exc)
-            status, payload = None, None
-        ok = status == 200 and isinstance(payload, dict)
-        values = frozenset(payload.get(route) or ()) if ok else frozenset()
+        except FieldError as exc:
+            log.warning("knowledge server reply unreadable, answering %s without it: %s", route, exc)
         with self._lock:  # the TTL runs from the answer: a hung server may outlast it
-            self._cache[key] = (time.monotonic() + CACHE_TTL_SECONDS, values)
-            if not ok:
+            if values is None:
                 self.degraded += 1
+                values = frozenset()
+            self._cache[key] = (time.monotonic() + CACHE_TTL_SECONDS, values)
         return values
 
     def is_subclass(self, sub: str, sup: str) -> bool:
@@ -151,7 +158,4 @@ class KnowledgeClient:
         url = f"{self.base_url}/ontology"
         if merge:
             url += "?merge=true"
-        status, payload = request_json("POST", url, body=ntriples)
-        if status != 200:
-            raise ValueError(f"ontology upload rejected ({status}): {payload}")
-        return payload
+        return document(call("POST", url, ntriples), "ontology upload reply")

@@ -53,27 +53,19 @@ SOURCE_FILTER = (
 )
 
 
-class MediationError(Exception):
-    """Base for per-source and per-item pipeline failures."""
-
-
-class NoProcessFound(MediationError):
+class NoProcessFound(Exception):
     pass
 
 
-class ReasoningFailed(MediationError):
+class ReasoningFailed(Exception):
     pass
 
 
-class SubscriptionFailed(MediationError):
+class ExtractionError(Exception):
     pass
 
 
-class ExtractionError(MediationError):
-    pass
-
-
-class ConversionError(MediationError):
+class ConversionError(Exception):
     pass
 
 
@@ -355,7 +347,6 @@ def resolve_pointer(doc: Any, pointer: str) -> Any:
 @dataclass
 class TransformationInstance:
     instance_id: str
-    source_container: str
     process: TransformationProcess
     target: ResolvedTarget
     routine: ConversionRoutine
@@ -366,7 +357,7 @@ class TransformationInstance:
     def to_json(self) -> dict:
         return {
             "instanceId": self.instance_id,
-            "sourceContainerPath": self.source_container,
+            "sourceContainerPath": self.target.source_path,
             "processId": self.process.process_id,
             "conversionId": self.routine.id,
             "resolvedTarget": self.target.to_json(),
@@ -441,9 +432,8 @@ class MediationGateway:
         )
         self._store = ContextBroker(self.knowledge)
         self._lock = threading.Lock()
-        self._instances: dict[str, TransformationInstance] = {}
+        self._instances: dict[tuple[str, str], TransformationInstance] = {}  # (container, subject)
         self._by_subscription: dict[str, TransformationInstance] = {}
-        self._claimed: set[tuple[str, str]] = set()  # (container, subject)
         self._descriptors: dict[str, str] = {}  # parent path -> its descriptor's path
         self._versions: dict[str, str] = {}  # container -> lt of the descriptor last processed
         self._settled: set[str] = set()  # containers with nothing to do until lt changes
@@ -464,7 +454,8 @@ class MediationGateway:
         the semantic descriptors modified since the watermark (all of them
         on the first call). Only unsettled or listed sources are retrieved;
         one that cannot be (its descriptor was just deleted) is left for
-        the next scan.
+        the next scan, as is one whose reply cannot be read or whose
+        descriptor does not parse.
         """
         root = self.config.root_path
         paths = self.cse.discover(
@@ -485,22 +476,23 @@ class MediationGateway:
                 continue
             try:
                 resource = self.cse.retrieve(descriptor_path)
-            except ValueError as exc:
+                lt, ct = (read(resource, key, TEXT, descriptor_path) for key in ("lt", "ct"))
+                descriptor = parse_ntriples(read(resource, "dsp", STRING, descriptor_path))
+            except ValueError as exc:  # NTriplesError among them
                 log.warning("source %s left for the next scan: %s", path, exc)
                 continue
-            lt = resource["lt"]
             unchanged = lt == self._versions.get(path)
             # The watermark may only move to an lt that predates this scan's
             # listing, or a change made during the scan would never be listed.
             # That holds for an lt already read by an earlier scan, and for a
             # listed descriptor never modified since its creation.
-            if unchanged or (path in changed and lt == resource["ct"]):
+            if unchanged or (path in changed and lt == ct):
                 since = lt if since is None else max(since, lt)
             if unchanged and path in self._settled:
                 continue
             self._versions[path] = lt
             self._settled.discard(path)
-            sources.append((path, parse_ntriples(resource["dsp"])))
+            sources.append((path, descriptor))
         self._since = since
         return sources
 
@@ -546,12 +538,12 @@ class MediationGateway:
         for target in targets:
             key = (container_path, target.subject)
             with self._lock:
-                if key in self._claimed:
+                if key in self._instances:
                     continue
             try:
                 self._instantiate(container_path, process, target)
                 created += 1
-            except (SubscriptionFailed, ValueError) as exc:
+            except (TransportError, ValueError) as exc:
                 settled = False
                 log.warning("cannot instantiate %s for %s: %s", key, container_path, exc)
         return created, settled
@@ -574,52 +566,38 @@ class MediationGateway:
             self._counter += 1
             instance_id = f"ti-{self._counter:05d}"
         sub_name = f"smg-{instance_id}"
-        try:
-            sub = self.cse.create(
-                container_path, "Subscription",
-                {"rn": sub_name, "nu": self.config.gateway_url + "/notify"},
-            )
-        except (TransportError, ValueError) as exc:
-            raise SubscriptionFailed(str(exc)) from exc
-        instance = TransformationInstance(
-            instance_id=instance_id,
-            source_container=container_path,
-            process=process,
-            target=target,
-            routine=routine,
-            subscription_ri=sub["ri"],
+        sub = self.cse.create(
+            container_path, "Subscription",
+            {"rn": sub_name, "nu": self.config.gateway_url + "/notify"},
         )
-        if self.config.mode == "pull":
+        try:
+            sub_ri = read(sub, "ri", TEXT, f"subscription {sub_name}")
+            if self.config.mode == "pull":
+                self.broker.register(
+                    [{"id": target.entity_id, "type": target.entity_type}],
+                    [target.attribute_name],
+                    self.config.gateway_url,
+                )
+        except (TransportError, ValueError):
+            # an orphan would notify on every reading, each one dropped
             try:
-                self._register_provider(instance)
-            except SubscriptionFailed:
-                # an orphan would notify on every reading, each one dropped
-                try:
-                    self.cse.delete(f"{container_path}/{sub_name}")
-                except (TransportError, ValueError) as exc:
-                    log.warning("cannot delete subscription %s: %s", sub["ri"], exc)
-                raise
+                self.cse.delete(f"{container_path}/{sub_name}")
+            except (TransportError, ValueError) as exc:
+                log.warning("cannot delete subscription %s: %s", sub_name, exc)
+            raise
+        instance = TransformationInstance(
+            instance_id=instance_id, process=process, target=target, routine=routine,
+            subscription_ri=sub_ri,
+        )
         with self._lock:
-            self._claimed.add((container_path, target.subject))
-            self._instances[instance_id] = instance
-            self._by_subscription[sub["ri"]] = instance
+            self._instances[(container_path, target.subject)] = instance
+            self._by_subscription[sub_ri] = instance
         log.info(
             "instantiated %s: %s -> %s.%s via %s",
             instance_id, container_path, instance.target.entity_id,
             instance.target.attribute_name, routine.id,
         )
         return instance
-
-    def _register_provider(self, instance: TransformationInstance) -> None:
-        target = instance.target
-        try:
-            self.broker.register(
-                [{"id": target.entity_id, "type": target.entity_type}],
-                [target.attribute_name],
-                self.config.gateway_url,
-            )
-        except (TransportError, ValueError) as exc:
-            raise SubscriptionFailed(f"registerContext failed: {exc}") from exc
 
     # -- per-item processing -------------------------------------------------
 

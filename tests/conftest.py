@@ -7,6 +7,7 @@ plumbing with it.
 
 from __future__ import annotations
 
+import copy
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -27,6 +28,34 @@ SCENARIOS_DIR = REPO_ROOT / "scenarios"
 
 # http URLs that do not parse: two ports that are not port numbers, and a bad IPv6 host
 UNPARSABLE_URLS = ["http://127.0.0.1:abc/notify", "http://127.0.0.1:99999/notify", "http://[::1/notify"]
+
+# what the bad-documents, bad-bodies and bad-replies sweeps put in place of each member
+BAD_VALUES = [None, True, "", 0, [], {}]
+
+
+def _member_paths(node, path=()):
+    """The path of every member of a JSON document, outermost first."""
+    if isinstance(node, dict):
+        members = node.items()
+    elif isinstance(node, list):
+        members = enumerate(node)
+    else:
+        return
+    for key, child in members:
+        yield path + (key,)
+        yield from _member_paths(child, path + (key,))
+
+
+def variants(doc):
+    """The document with one member replaced by one bad value, for each member and value."""
+    for path in _member_paths(doc):
+        for bad in BAD_VALUES:
+            variant = copy.deepcopy(doc)
+            parent = variant
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = bad
+            yield path, bad, variant
 
 
 class CaptureServer:

@@ -1,6 +1,8 @@
 """No service answers a malformed request body with a 500: every POST and
 PUT route of every service turns a body it cannot read into a 4xx (or
-accepts it and drops it later), never into an unhandled error."""
+accepts it and drops it later), never into an unhandled error. Each member
+of a valid body of each broker route, nested ones included, is also
+replaced in turn by each of null, true, "", 0, [] and {}."""
 
 import json
 import urllib.parse
@@ -10,7 +12,7 @@ from giots.cse import CseClient
 from giots.httpkit import find_free_port, get_json, request_json, run_service
 from giots.smg import GatewayConfig, MediationGateway, SmgService, TransformationProcess
 
-from conftest import SCENARIOS_DIR
+from conftest import SCENARIOS_DIR, variants
 
 RULE = {"ruleId": "r", "body": ["?x <urn:p> ?y"], "head": ["?x <urn:q> ?y"]}
 
@@ -86,6 +88,33 @@ def test_no_route_answers_a_bad_body_with_a_server_error(
     finally:
         for handle in handles:
             handle.stop()
+
+
+ENTITY = {"id": "urn:a", "type": "T", "attributes": [
+    {"name": "n", "value": 1, "metadata": [{"name": "unit", "type": "string", "value": "K"}]}]}
+BOX = {"minLon": 0, "minLat": 0, "maxLon": 1, "maxLat": 1}
+BROKER_BODIES = {
+    "/ngsi9/registerContext": {"entities": [{"id": "urn:a", "type": "T"}], "attributes": ["n"],
+                               "providingApplication": "http://127.0.0.1:9/provider"},
+    "/ngsi9/discoverContextAvailability": {"entities": [{"idPattern": "urn:.*"}], "attributes": ["n"]},
+    "/ngsi10/updateContext": {"action": "APPEND", "entities": [ENTITY]},
+    "/ngsi10/queryContext": {"entities": [{"id": "urn:a", "type": "T"}], "attributes": ["n"],
+                             "restriction": {"scopeType": "bbox", "value": BOX}},
+    "/ngsi10/subscribeContext": {"entities": [{"type": "T"}], "attributes": ["n"],
+                                 "reference": "http://127.0.0.1:9/notify", "throttlingMillis": 0},
+    "/ngsi10/unsubscribeContext": {"subscriptionId": "sub-00001"},
+}
+
+
+def test_no_broker_route_answers_a_mistyped_member_with_a_server_error(broker_server):
+    assert set(BROKER_BODIES) == {path for _, path in ROUTES["broker"]}
+    failures = []
+    for path, body in BROKER_BODIES.items():
+        for where, bad, variant in [((), None, body), *variants(body)]:
+            status, payload = request_json("POST", broker_server.url + path, body=variant)
+            if status >= 500:
+                failures.append((path, ".".join(map(str, where)), bad, status, payload))
+    assert failures == []
 
 
 CR_DESCRIPTOR = '<urn:s> <urn:p> "a\rb" .\n'

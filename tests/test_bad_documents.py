@@ -5,7 +5,6 @@ is replaced in turn by each of null, true, "", 0, [] and {}, and each load
 either succeeds or raises that reader's error type, never TypeError,
 KeyError or AttributeError."""
 
-import copy
 import json
 
 from giots.agent import AgentConfig
@@ -14,9 +13,7 @@ from giots.scenario import ScenarioError, load_scenario, run_scenario
 from giots.smg import GatewayConfig, TransformationProcess
 from giots.validator import validate
 
-from conftest import SCENARIOS_DIR
-
-BAD_VALUES = [None, True, "", 0, [], {}]
+from conftest import SCENARIOS_DIR, variants
 
 RULE = {"ruleId": "r", "body": ["?x ctx:p ?y", "FILTER(?y > 1)"], "head": ["?x ctx:q ?y"]}
 PREFIXES = {"ctx": "http://wise-iot.example/context#"}
@@ -38,35 +35,10 @@ ASSERTIONS = [
 ]
 
 
-def _paths(node, path=()):
-    """The path of every member of a JSON document, outermost first."""
-    if isinstance(node, dict):
-        members = node.items()
-    elif isinstance(node, list):
-        members = enumerate(node)
-    else:
-        return
-    for key, child in members:
-        yield path + (key,)
-        yield from _paths(child, path + (key,))
-
-
-def _variants(doc):
-    """The document with one member replaced by one bad value, for each member and value."""
-    for path in _paths(doc):
-        for bad in BAD_VALUES:
-            variant = copy.deepcopy(doc)
-            parent = variant
-            for key in path[:-1]:
-                parent = parent[key]
-            parent[path[-1]] = bad
-            yield path, bad, variant
-
-
 def _sweep(doc, load, error):
     load(doc)  # the unchanged document loads
     failures = []
-    for path, bad, variant in _variants(doc):
+    for path, bad, variant in variants(doc):
         try:
             load(variant)
         except error:
@@ -119,7 +91,7 @@ def test_scenario(tmp_path):
 def test_assertion_fields(tmp_path):
     """Every mistyped assertion, in one run: each passes or fails, and the run exits 0 or 1."""
     (tmp_path / "query.rq").write_text("ASK { ?s ?p ?o }", encoding="utf-8")
-    assertions = [variant for assertion in ASSERTIONS for _, _, variant in _variants(assertion)]
+    assertions = [variant for assertion in ASSERTIONS for _, _, variant in variants(assertion)]
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"assertions": assertions, "quiescenceMillis": 0}), encoding="utf-8")
     report = run_scenario(path, print_report=False)

@@ -257,6 +257,13 @@ def test_smg_and_agent_commands_refuse_a_config_url_that_is_not_a_url(tmp_path, 
     assert capsys.readouterr().err.startswith("error: 'brokerUrl' must be an absolute http(s) URL")
 
 
+def test_serve_broker_refuses_a_knowledge_url_that_is_not_a_url(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "broker", "--port", "0", "--knowledge-url", "localhost:7100"])
+    assert exc.value.code == 2
+    assert "argument --knowledge-url: invalid http_url value: 'localhost:7100'" in capsys.readouterr().err
+
+
 # --- shared HTTP plumbing ------------------------------------------------------------------
 
 

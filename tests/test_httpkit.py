@@ -955,3 +955,28 @@ def test_one_place_binds_a_service_and_one_starts_its_work():
                   # threads: the server's accept thread and the worker pool's
                   "httpkit.ServerHandle.__init__", "httpkit.KeyedWorkers.submit"},
     }
+
+
+def test_every_reply_a_client_reads_comes_through_call():
+    """Outside httpkit, request_json, get_json and post_json are called only
+    where the status itself is needed: by the three deliver() senders, whose
+    retry reads it, and by the knowledge client's fetch, which degrades on
+    any failure; every other request goes through call()."""
+    callers = set()
+    for path in sorted(Path(giots.__file__).parent.glob("*.py")):
+        if path.name == "httpkit.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            prefix = f"{owner.name}." if isinstance(owner, ast.ClassDef) else ""
+            for function in ast.iter_child_nodes(owner):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                for node in ast.walk(function):
+                    called = getattr(node, "func", None)
+                    if getattr(called, "id", getattr(called, "attr", None)) in {
+                        "request_json", "get_json", "post_json"
+                    }:
+                        callers.add(f"{path.stem}.{prefix}{function.name}")
+    assert callers == {"cse.NotificationDispatcher._send", "broker.ContextBroker._flush",
+                       "broker.BrokerClient.append", "knowledge.KnowledgeClient._fetch"}

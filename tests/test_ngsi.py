@@ -135,6 +135,14 @@ def test_pattern_id_xor_id_pattern():
     assert EntityPattern.from_json({}).matches("anything", "T", _no_hierarchy)
 
 
+@pytest.mark.parametrize("members", [(), ("id",), ("idPattern",), ("type",), ("id", "type"),
+                                     ("idPattern", "type")])
+def test_a_pattern_round_trips_through_its_wire_form(members):
+    """The form a federated query sends a provider is the pattern it was read from."""
+    wire = {key: {"id": "room1", "idPattern": "room.*", "type": ONT + "Room"}[key] for key in members}
+    assert EntityPattern.from_json(wire).to_json() == wire
+
+
 def test_pattern_id_regex_is_anchored():
     pattern = EntityPattern.from_json({"idPattern": "room"})
     assert pattern.matches("room", "", _no_hierarchy)

@@ -292,6 +292,14 @@ def test_an_expected_entity_with_a_non_list_part_fails_without_a_traceback(tmp_p
     assert "Traceback" not in out + err
 
 
+def test_a_request_the_broker_refuses_fails_its_assertion_with_the_refusal(tmp_path):
+    doc = _minimal(assertions=[{"kind": "queryContextEquals",
+                                "request": {"entities": [{"id": "a", "idPattern": "a.*"}]}}])
+    report = run_scenario(_write_scenario(tmp_path, doc), print_report=False)
+    assert report.exit_code == 1
+    assert report.outcomes[0].detail.startswith("POST /ngsi10/queryContext failed (400): ")
+
+
 def test_a_validation_file_that_is_not_utf8_fails_its_assertion(tmp_path):
     (tmp_path / "binary.nt").write_bytes(b"\xff\xfe<urn:a>")
     doc = _minimal(assertions=[{"kind": "validationPasses",

@@ -778,10 +778,10 @@ def test_a_descriptor_deleted_during_a_scan_skips_only_its_source(cse_server, br
     recorder.before = delete_first
     try:
         assert gateway.scan_once() == 1
-        assert [i.source_container for i in gateway.instances()] == [second]
+        assert [i.target.source_path for i in gateway.instances()] == [second]
         cse.create(first, "SemanticDescriptor", {"rn": "sem", "dsp": _descriptor(unit="celsius")})
         assert gateway.scan_once() == 1
-        assert sorted(i.source_container for i in gateway.instances()) == [first, second]
+        assert sorted(i.target.source_path for i in gateway.instances()) == [first, second]
     finally:
         handle.stop()
 
